@@ -3,12 +3,17 @@
 Two quantities are compared throughout the verification suite:
 
 * ``generated_dimension``: the dimension of the degree-t piece of the
-  subalgebra generated by the generator system, measured as the rank of the
-  evaluation matrix of all degree-t generator monomials at random rational
-  points.  Ranks are computed modulo a large prime (numpy elimination) at
-  two independent seeds with two distinct primes; a disagreement aborts.
-  Modular evaluation ranks can only undercount, so they are a certified
-  lower bound for the true dimension.
+  subalgebra generated by the generator system, measured as the rank over
+  F_p of the evaluation matrix of all degree-t generator monomials.  The
+  points are uniform nonzero residues mod p drawn from a named substream,
+  and the matrix is built on residues throughout (numpy).  The rank is
+  taken at two independent streams with two distinct primes; a
+  disagreement aborts.  It can only undercount: the generator coefficients
+  have no p in a denominator (``_frac_mod`` refuses one that has), so the
+  vanishing over Q of every larger minor of the monomials' coefficient
+  matrix carries over mod p, and evaluation cannot raise a rank.  It is a
+  certified lower bound for the true dimension, and by Schwartz-Zippel it
+  is exact except with probability at most (matrix rank x degree) / (p - 1).
 
 * ``invariant_dimension``: the dimension of the space of degree-t (and
   optionally fixed-weight) polynomials annihilated by the whole nilradical,
@@ -32,7 +37,8 @@ import numpy as np
 from .generators import GeneratorSet, generator_monomials, monomial_weight
 from .groups import nilradical_basis
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
-from .rng import random_point, substream
+from .polynomial import Polynomial
+from .rng import residue_points
 from .scenario import Scenario
 
 DEFAULT_MONOMIAL_CAP = 20000
@@ -175,31 +181,55 @@ def invariant_dimension(
 
 def _frac_mod(x, p: int) -> int:
     f = Fraction(x)
+    if f.denominator % p == 0:
+        raise ValueError(f"{x} has no residue mod {p}: its denominator is divisible by {p}")
     return f.numerator % p * pow(f.denominator % p, p - 2, p) % p
 
 
-def _gen_values_mod(gs: GeneratorSet, points: Sequence[Sequence[Fraction]], p: int) -> np.ndarray:
-    """Values of every generator at every point, mod p (vectorized)."""
-    nvars = gs.scenario.nvars
-    tmax = max((g.degree for g in gs.gens), default=0)
-    vals = np.array(
-        [[_frac_mod(pt[i], p) for pt in points] for i in range(nvars)], dtype=np.int64
-    )
-    npoints = vals.shape[1] if nvars else len(points)
-    powers = np.ones((nvars, tmax + 1, npoints), dtype=np.int64)
-    for e in range(1, tmax + 1):
-        powers[:, e, :] = powers[:, e - 1, :] * vals % p
-    out = np.zeros((len(gs.gens), npoints), dtype=np.int64)
-    for gi, g in enumerate(gs.gens):
-        acc = np.zeros(npoints, dtype=np.int64)
-        for exps, c in g.poly.terms.items():
-            term = np.full(npoints, _frac_mod(c, p), dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * powers[i, e, :] % p
-            acc = (acc + term) % p
-        out[gi] = acc
+def _factor_rows(exponents: np.ndarray) -> np.ndarray:
+    """Factor indices of the monomials given by the rows of ``exponents``.
+
+    Row k lists each column index c exactly ``exponents[k, c]`` times and is
+    padded to the largest row degree with the index ``ncols``, which
+    ``_products_mod`` reads as a row of ones.
+    """
+    n, ncols = exponents.shape
+    degrees = exponents.sum(axis=1)
+    width = int(degrees.max(initial=0))
+    counts = np.hstack([exponents, (width - degrees)[:, None]])
+    return np.repeat(np.tile(np.arange(ncols + 1), n), counts.ravel()).reshape(n, width)
+
+
+def _products_mod(values: np.ndarray, factors: np.ndarray, p: int) -> np.ndarray:
+    """Row k = product of the rows ``values[factors[k, j]]`` over j, mod p;
+    one vectorised product per factor position.  Entries of ``values`` are
+    residues in [0, p) with p < 2**31, so no product overflows int64."""
+    padded = np.vstack([values, np.ones((1, values.shape[1]), dtype=np.int64)])
+    out = np.ones((factors.shape[0], values.shape[1]), dtype=np.int64)
+    for column in factors.T:
+        out *= padded[column]
+        out %= p
     return out
+
+
+def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, p: int) -> np.ndarray:
+    """Values of each polynomial at each point (a column of ``points``), mod p.
+
+    The terms of all the polynomials are evaluated together, then summed
+    per polynomial as differences of a running sum over the terms.
+    """
+    nvars, npoints = points.shape
+    sizes = [len(poly.terms) for poly in polys]
+    exponents = np.array(
+        [e for poly in polys for e in poly.terms], dtype=np.int64
+    ).reshape(-1, nvars)
+    coeffs = np.array(
+        [_frac_mod(c, p) for poly in polys for c in poly.terms.values()], dtype=np.int64
+    )
+    terms = _products_mod(points, _factor_rows(exponents), p) * coeffs[:, None] % p
+    running = np.vstack([np.zeros((1, npoints), dtype=np.int64), terms.cumsum(axis=0)])
+    bounds = np.cumsum([0] + sizes)
+    return (running[bounds[1:]] - running[bounds[:-1]]) % p
 
 
 def monomial_eval_matrix(
@@ -210,18 +240,19 @@ def monomial_eval_matrix(
     stream: str,
     p: int,
 ) -> np.ndarray:
-    """Rows = generator monomials, columns = values at random points (mod p)."""
-    rng = substream(seed, stream)
-    points = [random_point(rng, gs.scenario.nvars) for _ in range(npoints)]
-    gen_vals = _gen_values_mod(gs, points, p)
-    rows = np.ones((len(monomials), npoints), dtype=np.int64)
+    """Rows = generator monomials, columns = values at random points (mod p).
+
+    The points are uniform nonzero residues mod p from the named substream
+    ``(seed, stream)``; only the generators the monomials use are evaluated.
+    """
+    exponents = np.zeros((len(monomials), len(gs.gens)), dtype=np.int64)
     for ri, mono in enumerate(monomials):
-        row = rows[ri]
         for idx, mult in mono:
-            for _ in range(mult):
-                row = row * gen_vals[idx] % p
-        rows[ri] = row
-    return rows
+            exponents[ri, idx] = mult
+    used = np.flatnonzero(exponents.any(axis=0))
+    points = residue_points(seed, stream, gs.scenario.nvars, npoints, p)
+    gen_vals = _gen_values_mod([gs.gens[i].poly for i in used], points, p)
+    return _products_mod(gen_vals, _factor_rows(exponents[:, used]), p)
 
 
 def two_seed_rank(
@@ -241,10 +272,12 @@ def two_seed_rank(
 def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> int:
     """Dimension of the degree-t piece of the generated subalgebra.
 
-    Rank of the evaluation matrix of all degree-t generator monomials at
-    R >= 2x(monomial count) random rational points, at two seeds.  This is a
-    certified lower bound that equals the true dimension away from a
-    measure-zero set of point choices.
+    Rank over F_p of the evaluation matrix of all degree-t generator
+    monomials at 2x(monomial count) points of uniform nonzero residues mod p,
+    at two streams and two primes.  A rank mod p never exceeds the rank over
+    Q, so this is a certified lower bound; it equals the true dimension
+    unless the points fall on the zero set of a nonzero minor, which
+    Schwartz-Zippel makes improbable for primes near 2**31.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -278,13 +311,13 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight.eps), []).append(idx)
+    block_monomials: dict[tuple, list] = {}
+    for d in {d for d, _ in blocks}:
+        for m in generator_monomials(gs, d):
+            block_monomials.setdefault((d, monomial_weight(gs, m)), []).append(m)
     for (d, w), gen_indices in sorted(blocks.items()):
         singles = {((idx, 1),) for idx in gen_indices}
-        block_monos = [
-            m
-            for m in generator_monomials(gs, d)
-            if monomial_weight(gs, m) == w and m not in singles
-        ]
+        block_monos = [m for m in block_monomials[d, w] if m not in singles]
         ordered = block_monos + [((idx, 1),) for idx in gen_indices]
         npoints = len(ordered) + 32
         base = None

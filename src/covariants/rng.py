@@ -4,6 +4,11 @@ All randomness in the package flows from one integer seed through named
 substreams, so adding a check never perturbs the samples another check
 draws.  The derivation is a stable hash (not Python's salted ``hash``), so
 identical configs reproduce byte-identical reports across runs and machines.
+
+Two kinds of evaluation point are drawn from a substream: small nonzero
+rationals (``random_point``) for the exact relation spaces, and uniform
+nonzero residues mod p (``residue_points``) for the modular evaluation
+ranks.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+
+import numpy as np
 
 
 def substream(seed: int, name: str) -> random.Random:
@@ -30,3 +37,16 @@ def random_rational(rng: random.Random, num_bound: int = 9, den_bound: int = 7) 
 
 def random_point(rng: random.Random, nvars: int) -> list[Fraction]:
     return [random_rational(rng) for _ in range(nvars)]
+
+
+def residue_points(seed: int, name: str, nvars: int, npoints: int, p: int) -> np.ndarray:
+    """``npoints`` random points of (F_p^*)^nvars as an (nvars, npoints) int64
+    array; column k is the k-th point.
+
+    All entries come from one ``randbytes`` call on ``substream(seed, name)``:
+    each is 1 + (a 64-bit word mod p - 1), so it lies in [1, p) and is
+    uniform there up to a relative bias below p / 2**64.
+    """
+    words = np.frombuffer(substream(seed, name).randbytes(8 * nvars * npoints), dtype="<u8")
+    residues = words % np.uint64(p - 1) + np.uint64(1)
+    return residues.astype(np.int64).reshape(nvars, npoints)

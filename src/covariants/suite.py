@@ -474,11 +474,11 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
     def run_if():
         gs = build_generators(Scenario("gl", 4, 2, 2))
         for d in (1, 2, 3):
-            rep = relation_space(gs, d, seed=cfg.seed)
+            rep = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap)
             if rep.relation_dim != 0:
                 return False, {"degree": d, "relation_dim": rep.relation_dim}
         for d in (2, 3):
-            quad = relation_space(gs, d, seed=cfg.seed, factors=2)
+            quad = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap, factors=2)
             if quad.relation_dim != 0:
                 return False, {"degree": d, "family_quadratics": quad.relation_dim}
         return True, None
@@ -490,7 +490,7 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
             s = Scenario("gl", n, l, m)
             gs = build_generators(s)
             d = l + m
-            rep = relation_space(gs, d, seed=cfg.seed)
+            rep = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap)
             monomials = generator_monomials(gs, d)
             li = gs.labels().index(
                 f"leftMinor[{m};{','.join(str(i) for i in range(1, m + 1))}]"
@@ -502,7 +502,10 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
             vec = next((v for v in rep.basis if v[target]), None)
             if vec is None:
                 return False, {"missing": "no relation meets the minor product"}
-            reports = {dp: relation_space(gs, dp, seed=cfg.seed) for dp in range(2, d)}
+            reports = {
+                dp: relation_space(gs, dp, seed=cfg.seed, cap=cfg.monomial_cap)
+                for dp in range(2, d)
+            }
             span = product_relations(gs, reports, d)
             base_rank = rank(span) if span else 0
             new_rank = rank(span + [vec])
@@ -526,7 +529,7 @@ def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
             gs = build_generators(Scenario("gl", n, l, 0))
             for d in (3, 4):
                 def run(gs=gs, d=d):
-                    return quadratic_relation_closure(gs, d, seed=cfg.seed), None
+                    return quadratic_relation_closure(gs, d, seed=cfg.seed, cap=cfg.monomial_cap), None
 
                 out.append(_timed(f"quadratic-closure gl n={n} l={l} d={d}", run))
     return out

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dimensions import CapExceeded, monomial_cap
 from .generators import (
     GeneratorSet,
     generator_monomials,
@@ -204,7 +205,7 @@ def relation_space(
     gs: GeneratorSet,
     d: int,
     seed: int = 0,
-    cap: int = 20000,
+    cap: int | None = None,
     confirm: bool = True,
     factors: int | None = None,
 ) -> RelationReport:
@@ -216,6 +217,7 @@ def relation_space(
 
     ``factors`` restricts the ambient monomials to those with exactly that
     many generator factors (2 recovers the quadratic relation subspace).
+    More ambient monomials than ``monomial_cap(cap)`` raise ``CapExceeded``.
     """
     if d < 1:
         raise ValueError("relation degree must be positive")
@@ -224,8 +226,9 @@ def relation_space(
         monomials = [
             mu for mu in monomials if sum(m for _, m in mu) == factors
         ]
-    if len(monomials) > cap:
-        raise RuntimeError(f"{len(monomials)} monomials exceed the cap {cap}")
+    cap_val = monomial_cap(cap)
+    if len(monomials) > cap_val:
+        raise CapExceeded(f"{len(monomials)} generator monomials (cap {cap_val})")
     if not monomials:
         return RelationReport(d, [], [], [], seed)
     npts = 2 * len(monomials)
@@ -292,7 +295,9 @@ def product_relations(
     return out
 
 
-def quadratic_relation_closure(gs: GeneratorSet, d: int, seed: int = 0) -> bool:
+def quadratic_relation_closure(
+    gs: GeneratorSet, d: int, seed: int = 0, cap: int | None = None
+) -> bool:
     """Do generator-quadratic relations generate all degree-d relations?
 
     Compares the exact degree-d relation space with the span of (relations
@@ -302,11 +307,12 @@ def quadratic_relation_closure(gs: GeneratorSet, d: int, seed: int = 0) -> bool:
     """
     if d < 3:
         raise ValueError("the closure question starts at degree 3")
-    target = relation_space(gs, d, seed=seed)
+    target = relation_space(gs, d, seed=seed, cap=cap)
     if target.relation_dim == 0:
         return True
     reports = {
-        dp: relation_space(gs, dp, seed=seed, factors=2) for dp in range(2, d + 1)
+        dp: relation_space(gs, dp, seed=seed, cap=cap, factors=2)
+        for dp in range(2, d + 1)
     }
     span = product_relations(gs, reports, d)
     return rank(span) == target.relation_dim

@@ -1,6 +1,8 @@
 import json
 
-from covariants.cli import main, parse_scenario, build_parser
+import pytest
+
+from covariants.cli import USAGE_ERROR, build_parser, main, parse_scenario
 from covariants.scenario import Scenario
 
 
@@ -170,3 +172,26 @@ def test_monomial_cap_env_override(capsys, monkeypatch):
     )
     assert code == 2
     assert "cap" in err
+
+
+def test_relations_over_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COVARIANTS_MONOMIAL_CAP", "1")
+    code, out, err = run_cli(
+        capsys, "relations", "--group", "gl", "--n", "2", "--l", "2", "--m", "1", "--degree", "3"
+    )
+    assert code == USAGE_ERROR
+    assert err.startswith("error:") and "cap 1" in err
+    assert "Traceback" not in err and not out
+
+
+@pytest.mark.parametrize("via", ["env", "flag"])
+def test_relation_checks_skip_over_cap(capsys, monkeypatch, via):
+    argv = ["full-suite", "--groups", "gl", "--criteria", "12", "--seed", "1"]
+    if via == "env":
+        monkeypatch.setenv("COVARIANTS_MONOMIAL_CAP", "1")
+    else:
+        argv += ["--cap", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks and all(c["verdict"] == "skipped (cap)" for c in checks)

@@ -1,15 +1,23 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from covariants.dimensions import (
     CapExceeded,
+    _frac_mod,
+    _gen_values_mod,
     degree_monomial_count,
     degree_monomials,
     generated_dimension,
     invariant_dimension,
     invariant_weight_dims,
     minimality_check,
+    monomial_eval_matrix,
 )
-from covariants.generators import build_generators
+from covariants.generators import Generator, GeneratorSet, build_generators, generator_monomials
+from covariants.linalg import PRIME_A, PRIME_B
+from covariants.rng import residue_points
 from covariants.scenario import Scenario
 
 
@@ -91,3 +99,74 @@ def test_minimality_known_failure_even_o_n2():
     rep = minimality_check(build_generators(Scenario("o", 2, 1)))
     assert not rep.passed
     assert rep.inessential() == ["Q[1][1]"]
+
+
+# -- the residue evaluation layer ----------------------------------------------
+
+
+@pytest.mark.parametrize("p", [PRIME_A, PRIME_B])
+def test_residue_points_reproducible_and_in_range(p):
+    a = residue_points(3, "genrank:2:1", 7, 50, p)
+    assert a.shape == (7, 50) and a.dtype == np.int64
+    assert np.array_equal(a, residue_points(3, "genrank:2:1", 7, 50, p))
+    assert not np.array_equal(a, residue_points(3, "genrank:2:2", 7, 50, p))
+    assert not np.array_equal(a, residue_points(4, "genrank:2:1", 7, 50, p))
+    assert a.min() >= 1 and a.max() < p
+
+
+def test_frac_mod_rejects_denominator_divisible_by_p():
+    assert _frac_mod(Fraction(1, 2), 7) == 4
+    assert _frac_mod(-3, 7) == 4
+    with pytest.raises(ValueError, match=r"5/14 .* mod 7"):
+        _frac_mod(Fraction(5, 14), 7)
+
+
+@pytest.mark.parametrize(
+    "s", [Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("o", 5, 2), Scenario("sp", 4, 3)]
+)
+@pytest.mark.parametrize("p", [PRIME_A, PRIME_B])
+def test_vectorised_values_match_exact_evaluation(s, p):
+    gs = build_generators(s)
+    if s == Scenario("o", 4, 3):
+        assert any(lbl.startswith("crossMinor") for lbl in gs.labels())
+    points = residue_points(1, "test", s.nvars, 6, p)
+    got = _gen_values_mod([g.poly for g in gs.gens], points, p)
+    columns = [[int(x) for x in points[:, k]] for k in range(points.shape[1])]
+    expected = [[g.poly.evaluate(pt) % p for pt in columns] for g in gs.gens]
+    assert got.tolist() == expected
+
+    # a monomial row is the product of its generators' values at the same points
+    monomials = generator_monomials(gs, 3)
+    mat = monomial_eval_matrix(gs, monomials, 6, 1, "test", p)
+    for row, mono in zip(mat.tolist(), monomials):
+        want = [1] * 6
+        for idx, mult in mono:
+            want = [w * pow(v, mult, p) % p for w, v in zip(want, expected[idx])]
+        assert row == want
+
+
+# -- injected faults: criteria 3 and 4 can fail ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "s", [Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("sp", 4, 3)]
+)
+def test_dropped_generator_loses_generated_dimension(s):
+    gs = build_generators(s)
+    for k in (0, len(gs) - 1):
+        dropped = gs.gens[k]
+        partial = GeneratorSet(s, gs.gens[:k] + gs.gens[k + 1 :])
+        t = dropped.degree
+        assert generated_dimension(partial, t) < invariant_dimension(s, t), dropped.label
+
+
+@pytest.mark.parametrize(
+    "s", [Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("sp", 4, 3)]
+)
+def test_product_of_generators_is_inessential(s):
+    gs = build_generators(s)
+    g1, g2 = gs.gens[0], gs.gens[-1]
+    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, g1.weight + g2.weight)
+    rep = minimality_check(GeneratorSet(s, gs.gens + (extra,)))
+    assert not rep.passed
+    assert rep.inessential() == ["extra"]
