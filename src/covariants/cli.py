@@ -3,7 +3,8 @@
 One command per invocation; the report goes to stdout (JSON by default,
 ``--format text`` for tables) and optionally to ``--out``.  Exit codes:
 0 all checks passed, 1 at least one check failed (witnesses are in the
-report), 2 usage or resource errors.
+report), 2 usage or resource errors, 3 a ``full-suite`` check raised an
+internal error (reported as its verdict ``error``).
 
 Reports are byte-identical for identical configs; per-check timings are
 only embedded when ``--timings`` is passed since they would break that.
@@ -25,13 +26,14 @@ from .degrees import (
 )
 from .dimensions import CapExceeded, minimality_check
 from .flags import flag_map
-from .generators import build_generators, check_invariance, expected_weight_table, sp_high_minor_membership, weight_table_of
+from .generators import build_generators, check_invariance, expected_weight_table, sp_high_minor_membership
 from .polytopes import chamber_inclusion_check
 from .scenario import Scenario
-from .suite import SuiteConfig, full_suite
+from .suite import CheckResult, SuiteConfig, full_suite, weight_table_check
 from .syzygies import bilinear_relations, mixed_minor_relation, quadratic_relation_closure, relation_space
 
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def parse_scenario(args) -> Scenario:
@@ -108,12 +110,10 @@ def cmd_check_invariance(args) -> int:
 
 def cmd_weights_table(args) -> int:
     s = parse_scenario(args)
-    expected = expected_weight_table(s)
-    got = weight_table_of(build_generators(s))
-    ok = got == set(expected)
+    ok, witness = weight_table_check(s)
     payload = {
-        "table": [[d, list(w)] for d, w in expected],
-        "checks": [{"name": "table matches generators", "verdict": "pass" if ok else "fail"}],
+        "table": [[d, list(w)] for d, w in expected_weight_table(s)],
+        "checks": [CheckResult("table matches generators", "pass" if ok else "fail", witness).to_json()],
     }
     return _emit(args, _report(args, payload), failed=not ok)
 
@@ -231,7 +231,8 @@ def cmd_full_suite(args) -> int:
     payload = report.to_json(timings=args.timings)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
-    return _emit(args, payload, failed=not report.passed)
+    code = _emit(args, payload, failed=not report.passed)
+    return INTERNAL_ERROR if report.errored else code
 
 
 def _add_scenario_args(p, need_l: bool = True, need_m: bool = True):

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dimensions import invariant_weight_dims
-from .generators import GeneratorSet, build_generators
+from .generators import GeneratorSet, build_generators, weight_table_of
 from .scenario import Scenario
-from .weights import DominantWeight, in_weight_monoid, integral_phi, phi_to_eps
+from .weights import DominantWeight, in_weight_monoid, phi_to_eps
 
 
 @dataclass(frozen=True)
@@ -206,13 +206,7 @@ def _reachable_degrees(pairs: tuple, cap: int) -> dict:
 
 def weight_degree_pairs(gs: GeneratorSet) -> tuple:
     """Distinct (degree, phi-weight) pairs of nonzero weight in the system."""
-    s = gs.scenario
-    pairs = set()
-    for g in gs.gens:
-        phi = integral_phi(s, g.weight.eps)
-        if any(phi):
-            pairs.add((g.degree, phi))
-    return tuple(sorted(pairs))
+    return tuple(sorted((d, phi) for d, phi in weight_table_of(gs) if any(phi)))
 
 
 def min_degree_generated(gs_or_pairs, chi, cap: int = 8) -> int | None:

@@ -18,6 +18,8 @@ Two quantities are compared throughout the verification suite:
 * ``invariant_dimension``: the dimension of the space of degree-t (and
   optionally fixed-weight) polynomials annihilated by the whole nilradical,
   computed as an exact sparse kernel over the integers, block by weight.
+  The derivation images and the monomial weights are those of ``groups``,
+  which owns both conventions.
 
 Since the generated subalgebra always sits inside the invariant ring,
 equality of the lower bound with the exact dimension pins both quantities —
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .generators import GeneratorSet, generator_monomials, monomial_weight
-from .groups import nilradical_basis
+from .groups import derivation_images, derive_monomial, monomial_torus_weight, nilradical_basis
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
 from .polynomial import Polynomial
 from .rng import residue_points
@@ -85,22 +87,6 @@ def degree_monomials(nvars: int, t: int) -> Iterable[tuple[int, ...]]:
     yield from rec(0, t, [])
 
 
-def _monomial_weight_key(s: Scenario, exps: tuple[int, ...]) -> tuple:
-    n, l = s.n, s.l
-    nx = n * l
-    w = [0] * n
-    for idx, e in enumerate(exps):
-        if not e:
-            continue
-        if idx < nx:
-            w[idx % n] -= e
-        else:
-            w[(idx - nx) % n] += e
-    if s.group != "gl":
-        w = [w[i] - w[n - 1 - i] for i in range(s.r)]
-    return tuple(w)
-
-
 # -- exact invariant dimensions -------------------------------------------------
 
 
@@ -113,44 +99,17 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
         )
     blocks: dict[tuple, list[tuple[int, ...]]] = {}
     for exps in degree_monomials(s.nvars, t):
-        blocks.setdefault(_monomial_weight_key(s, exps), []).append(exps)
-    basis = nilradical_basis(s)
-    # sparse images per variable: var -> list of (target var, int coefficient)
-    images_per_xi = []
-    for xi in basis:
-        images: list[list[tuple[int, int]]] = [[] for _ in range(s.nvars)]
-        for j in range(s.l):
-            for i in range(s.n):
-                images[s.x_var(i, j)] = [
-                    (s.x_var(k, j), xi[i, k]) for k in range(s.n) if xi[i, k]
-                ]
-        for i in range(s.m):
-            for j in range(s.n):
-                images[s.a_var(i, j)] = [
-                    (s.a_var(i, k), -xi[k, j]) for k in range(s.n) if xi[k, j]
-                ]
-        images_per_xi.append(images)
+        blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
+    images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
     dims: dict[tuple, int] = {}
     for wkey, monos in sorted(blocks.items()):
-        index = {e: i for i, e in enumerate(monos)}
         rows: dict[tuple, dict[int, int]] = {}
         for col, exps in enumerate(monos):
             for xi_idx, images in enumerate(images_per_xi):
-                for v, e in enumerate(exps):
-                    if not e or not images[v]:
-                        continue
-                    for wvar, coeff in images[v]:
-                        target = list(exps)
-                        target[v] -= 1
-                        target[wvar] += 1
-                        key = (xi_idx, tuple(target))
-                        row = rows.setdefault(key, {})
-                        val = row.get(col, 0) + e * coeff
-                        if val:
-                            row[col] = val
-                        else:
-                            del row[col]
-        nullity = len(monos) - sparse_rank_int([r for r in rows.values() if r])
+                # the targets of one monomial are distinct (see derive_monomial)
+                for target, coeff in derive_monomial(exps, images):
+                    rows.setdefault((xi_idx, target), {})[col] = coeff
+        nullity = len(monos) - sparse_rank_int(list(rows.values()))
         if nullity:
             dims[wkey] = nullity
     return dims
@@ -255,18 +214,28 @@ def monomial_eval_matrix(
     return _products_mod(gen_vals, _factor_rows(exponents[:, used]), p)
 
 
+def _two_seed_ranks(
+    gs: GeneratorSet, monomials: Sequence, npoints: int, seed: int, stream: str, heads: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """Ranks of the leading ``heads`` rows, then of all rows, of the
+    evaluation matrix at two seeds/primes; abort loudly on disagreement."""
+    found = []
+    for tag, prime in ((":1", PRIME_A), (":2", PRIME_B)):
+        mat = monomial_eval_matrix(gs, monomials, npoints, seed, stream + tag, prime)
+        found.append(tuple(rank_mod_p(mat[:h], prime) for h in heads) + (rank_mod_p(mat, prime),))
+    if found[0] != found[1]:
+        raise SeedDisagreement(
+            f"evaluation ranks disagree ({found[0]} vs {found[1]}) for stream {stream!r}; "
+            "rerun with a different seed and report if it persists"
+        )
+    return found[0]
+
+
 def two_seed_rank(
     gs: GeneratorSet, monomials: Sequence, npoints: int, seed: int, stream: str
 ) -> int:
     """Evaluation rank at two seeds/primes; abort loudly on disagreement."""
-    r1 = rank_mod_p(monomial_eval_matrix(gs, monomials, npoints, seed, stream + ":1", PRIME_A), PRIME_A)
-    r2 = rank_mod_p(monomial_eval_matrix(gs, monomials, npoints, seed, stream + ":2", PRIME_B), PRIME_B)
-    if r1 != r2:
-        raise SeedDisagreement(
-            f"evaluation ranks disagree ({r1} vs {r2}) for stream {stream!r}; "
-            "rerun with a different seed and report if it persists"
-        )
-    return r1
+    return _two_seed_ranks(gs, monomials, npoints, seed, stream)[-1]
 
 
 def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> int:
@@ -319,17 +288,9 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
         singles = {((idx, 1),) for idx in gen_indices}
         block_monos = [m for m in block_monomials[d, w] if m not in singles]
         ordered = block_monos + [((idx, 1),) for idx in gen_indices]
-        npoints = len(ordered) + 32
-        base = None
-        full = None
-        for tag, prime in ((f"min:{d}:{w}:1", PRIME_A), (f"min:{d}:{w}:2", PRIME_B)):
-            mat = monomial_eval_matrix(gs, ordered, npoints, seed, tag, prime)
-            b = rank_mod_p(mat[: len(block_monos)], prime)
-            f = rank_mod_p(mat, prime)
-            if base is None:
-                base, full = b, f
-            elif (base, full) != (b, f):
-                raise SeedDisagreement(f"minimality ranks disagree in block {(d, w)}")
+        base, full = _two_seed_ranks(
+            gs, ordered, len(ordered) + 32, seed, f"min:{d}:{w}", (len(block_monos),)
+        )
         if full == base + len(gen_indices):
             for idx in gen_indices:
                 verdicts[gs.gens[idx].label] = True
@@ -338,8 +299,9 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
         for idx in gen_indices:
             others = block_monos + [((j, 1),) for j in gen_indices if j != idx]
             rows = others + [((idx, 1),)]
-            r_without = two_seed_rank(gs, others, len(rows) + 32, seed, f"min:{d}:{w}:g{idx}:a")
-            r_with = two_seed_rank(gs, rows, len(rows) + 32, seed, f"min:{d}:{w}:g{idx}:b")
+            r_without, r_with = _two_seed_ranks(
+                gs, rows, len(rows) + 32, seed, f"min:{d}:{w}:g{idx}", (len(others),)
+            )
             verdicts[gs.gens[idx].label] = r_with == r_without + 1
     return MinimalityReport(s, verdicts)
 

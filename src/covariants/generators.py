@@ -339,10 +339,11 @@ def monomial_label(gs: GeneratorSet, monomial) -> str:
 
 
 def monomial_weight(gs: GeneratorSet, monomial) -> tuple:
-    w = Weight((0,) * gs.scenario.rank)
+    """Epsilon-coordinates of the torus weight of a generator monomial."""
+    w = (0,) * gs.scenario.rank
     for idx, mult in monomial:
-        w = w + mult * gs.gens[idx].weight
-    return w.eps
+        w = tuple(a + mult * b for a, b in zip(w, gs.gens[idx].weight.eps))
+    return w
 
 
 # -- the symplectic high-minor reduction ---------------------------------------

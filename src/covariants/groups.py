@@ -12,6 +12,12 @@ Conventions (fixed so that every downstream artifact is reproducible):
   every V*-copy row by w -> w g^{-1}.  The Lie algebra acts by the
   derivation obtained by differentiating that substitution along exp(t xi)
   at t = 0.
+
+This module is the one home of two conventions the certificates share:
+the derivation images of the nilradical (``derivation_images`` and
+``derive_monomial``, used for invariance and for the exact invariant
+kernels) and the torus weight of a monomial (``monomial_torus_weight``,
+used for generator weights and for the weight blocks of those kernels).
 """
 
 from __future__ import annotations
@@ -164,72 +170,88 @@ def act_on_polynomial(g: Matrix, p: Polynomial, s: Scenario) -> Polynomial:
     return p.substitute(substitution_images(g, s))
 
 
+def derivation_images(xi: Matrix, s: Scenario) -> list[list[tuple[int, object]]]:
+    """Sparse images of the variables under the derivation of xi.
+
+    Entry v lists the (variable, coefficient) pairs of the image of variable
+    v: x[i,j] -> sum_k xi[i][k] x[k,j] and a[i,j] -> -sum_k a[i,k] xi[k][j].
+    """
+    images: list[list[tuple[int, object]]] = [[] for _ in range(s.nvars)]
+    for j in range(s.l):
+        for i in range(s.n):
+            images[s.x_var(i, j)] = [
+                (s.x_var(k, j), xi[i, k]) for k in range(s.n) if xi[i, k]
+            ]
+    for i in range(s.m):
+        for j in range(s.n):
+            images[s.a_var(i, j)] = [
+                (s.a_var(i, k), -xi[k, j]) for k in range(s.n) if xi[k, j]
+            ]
+    return images
+
+
+def derive_monomial(exps: tuple[int, ...], images) -> list[tuple[tuple[int, ...], object]]:
+    """The (exponent tuple, coefficient) terms of the derivation with the
+    given ``derivation_images`` applied to one monomial.
+
+    For a strictly upper triangular xi no variable's image contains the
+    variable itself, so the exponent tuples are distinct.
+    """
+    out = []
+    for v, e in enumerate(exps):
+        if not e:
+            continue
+        for w, coeff in images[v]:
+            target = list(exps)
+            target[v] -= 1
+            target[w] += 1
+            out.append((tuple(target), e * coeff))
+    return out
+
+
 def lie_act_on_polynomial(xi: Matrix, p: Polynomial, s: Scenario) -> Polynomial:
     """The derivation action: d/dt of the substitution along exp(t xi) at 0."""
     if p.nvars != s.nvars:
         raise ValueError("polynomial does not live on this scenario's universe")
-    nv = s.nvars
-    # sparse images: var index -> list of (var index, coefficient)
-    images: list[list[tuple[int, object]]] = [[] for _ in range(nv)]
-    for j in range(s.l):
-        for i in range(s.n):
-            img = [
-                (s.x_var(k, j), xi[i, k]) for k in range(s.n) if xi[i, k]
-            ]
-            images[s.x_var(i, j)] = img
-    for i in range(s.m):
-        for j in range(s.n):
-            img = [
-                (s.a_var(i, k), -xi[k, j]) for k in range(s.n) if xi[k, j]
-            ]
-            images[s.a_var(i, j)] = img
+    images = derivation_images(xi, s)
     out: dict = {}
     for exps, c in p.terms.items():
-        for v, e in enumerate(exps):
-            if not e or not images[v]:
-                continue
-            base = list(exps)
-            base[v] = e - 1
-            for w, coeff in images[v]:
-                key = list(base)
-                key[w] += 1
-                key = tuple(key)
-                val = out.get(key, 0) + c * e * coeff
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-    return Polynomial(nv, out)
+        for key, k in derive_monomial(exps, images):
+            out[key] = out.get(key, 0) + c * k
+    return Polynomial(s.nvars, out)
+
+
+def monomial_torus_weight(s: Scenario, exps: tuple[int, ...]) -> tuple:
+    """The torus weight of one monomial, in epsilon-coordinates.
+
+    Each x[i,j] factor contributes -e_i and each a[i,j] factor +e_j; for
+    o/sp the result is restricted to the small torus (e_{n+1-i} becomes
+    -e_i, the middle coordinate dies for odd n).
+    """
+    n = s.n
+    nx = n * s.l
+    w = [0] * n
+    for idx, e in enumerate(exps):
+        if not e:
+            continue
+        if idx < nx:
+            w[idx % n] -= e
+        else:
+            w[(idx - nx) % n] += e
+    if s.group != "gl":
+        w = [w[i] - w[n - 1 - i] for i in range(s.r)]
+    return tuple(w)
 
 
 def torus_weight(p: Polynomial, s: Scenario) -> Weight:
     """The torus weight of a weight-homogeneous polynomial.
 
-    Each monomial contributes -e_i per x[i,j] factor and +e_j per a[i,j]
-    factor; for o/sp the result is restricted to the small torus
-    (e_{n+1-i} becomes -e_i, the middle coordinate dies for odd n).  Raises
-    if the monomials do not agree.
+    The common ``monomial_torus_weight`` of its monomials; raises for the
+    zero polynomial and if the monomials do not agree.
     """
-    if not p.terms:
+    weights = {monomial_torus_weight(s, exps) for exps in p.terms}
+    if not weights:
         raise ValueError("the zero polynomial has no weight")
-    n, l = s.n, s.l
-    nx = n * l
-    found = None
-    for exps in p.terms:
-        w = [0] * n
-        for idx, e in enumerate(exps):
-            if not e:
-                continue
-            if idx < nx:
-                w[idx % n] -= e
-            else:
-                w[(idx - nx) % n] += e
-        if s.group != "gl":
-            r = s.r
-            w = [w[i] - w[n - 1 - i] for i in range(r)]
-        w = tuple(w)
-        if found is None:
-            found = w
-        elif found != w:
-            raise ValueError("not a weight vector (monomials of mixed weight)")
-    return Weight(found)
+    if len(weights) > 1:
+        raise ValueError("not a weight vector (monomials of mixed weight)")
+    return Weight(weights.pop())

@@ -64,13 +64,13 @@ from .weights import in_weight_monoid, integral_phi
 @dataclass
 class CheckResult:
     name: str
-    verdict: str  # "pass" | "fail" | "skipped (cap)"
+    verdict: str  # "pass" | "fail" | "skipped (cap)" | "error"
     witness: object = None
     timing_ms: int = 0
 
     @property
     def passed(self) -> bool:
-        return self.verdict != "fail"
+        return self.verdict not in ("fail", "error")
 
     def to_json(self, timings: bool = False) -> dict:
         out = {"name": self.name, "verdict": self.verdict}
@@ -108,13 +108,18 @@ class SuiteConfig:
 
 
 def _timed(name: str, fn) -> CheckResult:
+    """Run one check; a cap is reported as skipped and any other exception
+    (a seed disagreement, a failed confirmation, a broken assertion) as the
+    verdict ``error`` with the exception as witness, so the suite goes on."""
     t0 = time.monotonic()
     try:
         passed, witness = fn()
+        verdict = "pass" if passed else "fail"
     except CapExceeded as exc:
-        return CheckResult(name, "skipped (cap)", str(exc), int((time.monotonic() - t0) * 1000))
-    ms = int((time.monotonic() - t0) * 1000)
-    return CheckResult(name, "pass" if passed else "fail", witness, ms)
+        verdict, witness = "skipped (cap)", str(exc)
+    except Exception as exc:
+        verdict, witness = "error", f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, verdict, witness, int((time.monotonic() - t0) * 1000))
 
 
 # -- grids ---------------------------------------------------------------------
@@ -204,19 +209,22 @@ def criterion_1_invariance(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def criterion_2_weight_tables(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in table_grid(cfg.groups):
-        def run(s=s):
-            expected = set(expected_weight_table(s))
-            got = weight_table_of(build_generators(s))
-            return got == expected, None if got == expected else {
-                "missing": sorted(map(repr, expected - got)),
-                "extra": sorted(map(repr, got - expected)),
-            }
+def weight_table_check(s: Scenario) -> tuple[bool, dict | None]:
+    """The generators' distinct (degree, phi-weight) pairs against the
+    expected table: (passed, witness of the missing and extra pairs)."""
+    expected = set(expected_weight_table(s))
+    got = weight_table_of(build_generators(s))
+    return got == expected, None if got == expected else {
+        "missing": sorted(map(repr, expected - got)),
+        "extra": sorted(map(repr, got - expected)),
+    }
 
-        out.append(_timed(f"weight-table {s.group} n={s.n} l={s.l} m={s.m}", run))
-    return out
+
+def criterion_2_weight_tables(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(f"weight-table {s.group} n={s.n} l={s.l} m={s.m}", lambda s=s: weight_table_check(s))
+        for s in table_grid(cfg.groups)
+    ]
 
 
 def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
@@ -575,6 +583,10 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.passed for results in self.results.values() for r in results)
 
+    @property
+    def errored(self) -> bool:
+        return any(r.verdict == "error" for results in self.results.values() for r in results)
+
     def summary_lines(self) -> list[str]:
         lines = []
         for num in sorted(self.results):
@@ -582,11 +594,13 @@ class SuiteReport:
             results = self.results[num]
             failed = [r for r in results if r.verdict == "fail"]
             skipped = [r for r in results if r.verdict == "skipped (cap)"]
-            status = "PASS" if not failed else "FAIL"
+            errors = [r for r in results if r.verdict == "error"]
+            status = "PASS" if not failed and not errors else "FAIL"
             extra = f", {len(skipped)} skipped" if skipped else ""
+            extra += f", {len(errors)} errors" if errors else ""
             lines.append(
                 f"criterion {num:2d} ({name}): {status} "
-                f"({len(results) - len(failed) - len(skipped)}/{len(results)} checks{extra})"
+                f"({len(results) - len(failed) - len(skipped) - len(errors)}/{len(results)} checks{extra})"
             )
         return lines
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from covariants.cli import USAGE_ERROR, build_parser, main, parse_scenario
+from covariants import suite
+from covariants.cli import INTERNAL_ERROR, USAGE_ERROR, build_parser, main, parse_scenario
+from covariants.dimensions import SeedDisagreement
 from covariants.scenario import Scenario
 
 
@@ -195,3 +197,56 @@ def test_relation_checks_skip_over_cap(capsys, monkeypatch, via):
     assert code == 0
     checks = json.loads(out)["checks"]
     assert checks and all(c["verdict"] == "skipped (cap)" for c in checks)
+
+
+@pytest.mark.parametrize("side, key", [("weight_table_of", "missing"), ("expected_weight_table", "extra")])
+def test_weights_table_failure_has_witness(capsys, monkeypatch, side, key):
+    # drop one pair from one side of criterion 2's comparison
+    original = getattr(suite, side)
+    dropped = sorted(suite.weight_table_of(suite.build_generators(Scenario("o", 4, 4))))[0]
+
+    def without_dropped(s):
+        pairs = original(s)
+        return type(pairs)(p for p in pairs if p != dropped)
+
+    monkeypatch.setattr(suite, side, without_dropped)
+    code, out, _ = run_cli(capsys, "weights-table", "--group", "o", "--n", "4", "--l", "4")
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["verdict"] == "fail"
+    assert check["witness"][key] == [repr(dropped)]
+    assert not check["witness"]["extra" if key == "missing" else "missing"]
+
+
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    return broken
+
+
+@pytest.mark.parametrize("bilinear_broken", [False, True])
+def test_full_suite_reports_check_errors(capsys, monkeypatch, bilinear_broken):
+    monkeypatch.setattr(suite, "relation_space", _raise(RuntimeError("failed symbolic confirmation")))
+    if bilinear_broken:
+        monkeypatch.setattr(suite, "bilinear_relations", _raise(SeedDisagreement("ranks disagree")))
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "11,12", "--seed", "1")
+    assert code == INTERNAL_ERROR
+    assert "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    crit_11 = [c for c in checks if c["criterion"] == 11]
+    crit_12 = [c for c in checks if c["criterion"] == 12]
+    assert len(crit_11) == 20 and len(crit_12) == 3
+    assert all(
+        c["verdict"] == "error" and c["witness"] == "RuntimeError: failed symbolic confirmation"
+        for c in crit_12
+    )
+    if bilinear_broken:
+        assert all(
+            c["verdict"] == "error" and c["witness"] == "SeedDisagreement: ranks disagree" for c in crit_11
+        )
+        assert "criterion 11 (bilinear relations): FAIL (0/20 checks, 20 errors)" in err
+    else:
+        assert all(c["verdict"] == "pass" for c in crit_11)
+        assert "criterion 11 (bilinear relations): PASS (20/20 checks)" in err
+    assert "criterion 12 (relation generation bounds): FAIL (0/3 checks, 3 errors)" in err

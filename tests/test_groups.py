@@ -9,6 +9,7 @@ from covariants.groups import (
     exp_nilpotent,
     form_matrix,
     lie_act_on_polynomial,
+    monomial_torus_weight,
     nilradical_basis,
     sample_unipotent,
     torus_weight,
@@ -224,3 +225,26 @@ def test_weight_additive_under_multiplication():
         for b in gs.gens:
             w = torus_weight(a.poly * b.poly, s)
             assert w.eps == (a.weight + b.weight).eps
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Scenario("gl", 3, 2, 2), Scenario("o", 5, 2), Scenario("o", 4, 2), Scenario("sp", 4, 2)],
+    ids=lambda s: f"{s.group}-{s.n}-{s.l}-{s.m}",
+)
+def test_monomial_torus_weight_of_single_variables(s):
+    # x[i,j] -> -e_i and a[i,j] -> +e_j; for o/sp e_{n+1-i} folds to -e_i and
+    # the middle coordinate of odd n dies
+    def weight(i, sign):
+        w = [0] * s.rank
+        if s.group == "gl" or i < s.r:
+            w[i] = sign
+        elif s.n - 1 - i < s.r:
+            w[s.n - 1 - i] = -sign
+        return tuple(w)
+
+    expected = {s.x_var(i, j): weight(i, -1) for j in range(s.l) for i in range(s.n)}
+    expected.update({s.a_var(i, j): weight(j, 1) for i in range(s.m) for j in range(s.n)})
+    assert sorted(expected) == list(range(s.nvars))
+    for v, w in expected.items():
+        assert monomial_torus_weight(s, tuple(int(k == v) for k in range(s.nvars))) == w, s.var_label(v)
