@@ -1,10 +1,14 @@
 """Batch command-line interface.
 
 One command per invocation; the report goes to stdout (JSON by default,
-``--format text`` for tables) and optionally to ``--out``.  Exit codes:
-0 all checks passed, 1 at least one check failed (witnesses are in the
-report), 2 usage or resource errors, 3 a ``full-suite`` check raised an
-internal error (reported as its verdict ``error``).
+``--format text`` for tables) and optionally to ``--out``.  A command that
+prints a verdict runs the suite's check for that claim through
+``suite._timed``, under its ``full-suite`` name, as one ``checks`` entry.
+Exit codes: 0 all checks passed, 1 a check failed (witnesses are in the
+report), 2 usage or resource errors (also a single check skipped by the
+cap; ``full-suite`` reports skipped checks and exits 0), 3 an internal
+error: a check that raised has the verdict ``error``, and a data command
+that raises prints ``error: <Type>: <message>`` instead of a traceback.
 
 Reports are byte-identical for identical configs; per-check timings are
 only embedded when ``--timings`` is passed since they would break that.
@@ -17,21 +21,20 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, suite
 from .degrees import (
     generator_pairs_for,
     min_degree_formula,
     min_degree_generated,
     min_degree_invariant,
 )
-from .dimensions import CapExceeded, minimality_check
+from .dimensions import CapExceeded
 from .flags import flag_map
-from .generators import build_generators, check_invariance, expected_weight_table, sp_high_minor_membership
-from .polytopes import chamber_inclusion_check
+from .generators import build_generators, expected_weight_table
 from .scenario import Scenario
-from .suite import CheckResult, SuiteConfig, full_suite, weight_table_check
-from .syzygies import bilinear_relations, mixed_minor_relation, quadratic_relation_closure, relation_space
+from .syzygies import bilinear_relations, relation_space
 
+CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
@@ -64,7 +67,7 @@ def vars_config(args) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _emit(args, report: dict, failed: bool) -> int:
+def _emit(args, report: dict, code: int = 0) -> int:
     if args.format == "text":
         text = render_text(report)
     else:
@@ -73,7 +76,25 @@ def _emit(args, report: dict, failed: bool) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    return 1 if failed else 0
+    return code
+
+
+def exit_code(results) -> int:
+    """3 if any check errored, 1 if any check failed, else 0."""
+    verdicts = {r.verdict for r in results}
+    if "error" in verdicts:
+        return INTERNAL_ERROR
+    return CHECK_FAILED if "fail" in verdicts else 0
+
+
+def _run_check(args, name: str, check, payload=None) -> int:
+    """Run one suite check through ``_timed`` and report it as the one entry
+    of ``checks``, after the keys of ``payload(result)`` if the check reached
+    a verdict.  A check skipped by the cap exits 2; else ``exit_code``."""
+    result = suite._timed(name, check)
+    extra = payload(result) if payload and result.verdict in ("pass", "fail") else {}
+    report = _report(args, {**extra, "checks": [result.to_json()]})
+    return _emit(args, report, USAGE_ERROR if result.verdict == "skipped (cap)" else exit_code([result]))
 
 
 def render_text(report: dict) -> str:
@@ -99,68 +120,54 @@ def render_text(report: dict) -> str:
 
 def cmd_generate(args) -> int:
     gs = build_generators(parse_scenario(args))
-    return _emit(args, _report(args, gs.to_json()), failed=False)
+    return _emit(args, _report(args, gs.to_json()))
 
 
 def cmd_check_invariance(args) -> int:
+    s = parse_scenario(args)
     samples = args.samples if args.samples is not None else 100
-    rep = check_invariance(build_generators(parse_scenario(args)), samples, args.seed)
-    return _emit(args, _report(args, {"checks": [rep.to_json()]}), failed=not rep.passed)
+    return _run_check(args, suite.scenario_name("invariance", s), lambda: suite.invariance_check(s, samples, args.seed))
 
 
 def cmd_weights_table(args) -> int:
     s = parse_scenario(args)
-    ok, witness = weight_table_check(s)
-    payload = {
-        "table": [[d, list(w)] for d, w in expected_weight_table(s)],
-        "checks": [CheckResult("table matches generators", "pass" if ok else "fail", witness).to_json()],
-    }
-    return _emit(args, _report(args, payload), failed=not ok)
+    table = [[d, list(w)] for d, w in expected_weight_table(s)]
+    return _run_check(
+        args, suite.scenario_name("weight-table", s), lambda: suite.weight_table_check(s), lambda _: {"table": table}
+    )
 
 
 def cmd_nchi(args) -> int:
     s = parse_scenario(args)
     value = min_degree_formula(s, parse_chi(args.chi))
-    return _emit(args, _report(args, {"minimal_degree": value}), failed=False)
+    return _emit(args, _report(args, {"minimal_degree": value}))
 
 
 def cmd_nchi_oracle(args) -> int:
     s = parse_scenario(args)
     value = min_degree_generated(generator_pairs_for(s), parse_chi(args.chi), cap=args.cap or 8)
     payload = {"minimal_degree": value if value is not None else "not found"}
-    return _emit(args, _report(args, payload), failed=False)
+    return _emit(args, _report(args, payload))
 
 
 def cmd_mchi_oracle(args) -> int:
     s = parse_scenario(args)
     value = min_degree_invariant(s, parse_chi(args.chi), cap=args.cap or 4)
     payload = {"minimal_degree": value if value is not None else "not found"}
-    return _emit(args, _report(args, payload), failed=False)
+    return _emit(args, _report(args, payload))
 
 
 def cmd_lemma3(args) -> int:
     s = parse_scenario(args)
     chi = parse_chi(args.chi)
-    base = min_degree_formula(s, chi)
-    checks = []
-    ok = True
-    for c in range(1, (args.cap or 4) + 1):
-        scaled = min_degree_formula(s, tuple(c * k for k in chi))
-        good = scaled == c * base
-        ok = ok and good
-        checks.append(
-            {
-                "name": f"degree({c} * chi) == {c} * degree(chi)",
-                "verdict": "pass" if good else "fail",
-            }
-        )
-    return _emit(args, _report(args, {"checks": checks}), failed=not ok)
+    min_degree_formula(s, chi)  # a weight the formula cannot take is a usage error
+    return _run_check(args, f"degree-linearity {s.group} n={s.n}", lambda: suite.linearity_check(s, [chi], args.cap or 4))
 
 
 def cmd_lemma4(args) -> int:
+    s = parse_scenario(args)
     samples = args.samples if args.samples is not None else 500
-    rep = chamber_inclusion_check(parse_scenario(args), samples, args.seed)
-    return _emit(args, _report(args, {"checks": [rep.to_json()]}), failed=not rep.passed)
+    return _run_check(args, f"polytope {s.group} n={s.n}", lambda: suite.polytope_check(s, samples, args.seed))
 
 
 def cmd_flag_map(args) -> int:
@@ -169,70 +176,73 @@ def cmd_flag_map(args) -> int:
         [Fraction(x) for x in row.split(",")] for row in args.matrix.split(";")
     ]
     fp = flag_map(rows, s)
-    return _emit(args, _report(args, fp.to_json()), failed=False)
+    return _emit(args, _report(args, fp.to_json()))
 
 
 def cmd_bilinear(args) -> int:
     rels = bilinear_relations(parse_scenario(args), args.i, args.j)
-    payload = {
-        "checks": [
-            {
-                "name": f"columns {r.cols}",
-                "verdict": "pass",
-                "witness": r.labels(),
-            }
-            for r in rels
-        ]
-    }
-    return _emit(args, _report(args, payload), failed=False)
+    relations = [{"columns": list(r.cols), "terms": r.labels()} for r in rels]
+    return _emit(args, _report(args, {"relations": relations}))
 
 
 def cmd_zacep(args) -> int:
-    equal, _, _ = mixed_minor_relation(args.n, args.l, args.m)
-    return _emit(args, _report(args, {"verdict": "equal" if equal else "unequal"}), failed=not equal)
+    n, l, m = args.n, args.l, args.m
+    if not (1 <= l <= n and 1 <= m <= n < l + m):  # inputs the check cannot take are usage errors
+        raise ValueError("zacep needs 1 <= l, m <= n < l + m")
+    return _run_check(
+        args,
+        f"mixed-identity n={n} l={l} m={m}",
+        lambda: suite.mixed_identity_check(n, l, m),
+        lambda r: {"verdict": "equal" if r.passed else "unequal"},
+    )
 
 
 def cmd_relations(args) -> int:
     gs = build_generators(parse_scenario(args))
     rep = relation_space(gs, args.degree, seed=args.seed)
-    return _emit(args, _report(args, rep.to_json()), failed=False)
+    return _emit(args, _report(args, rep.to_json()))
 
 
 def cmd_degree2_gen(args) -> int:
-    gs = build_generators(parse_scenario(args))
-    ok = quadratic_relation_closure(gs, args.degree, seed=args.seed)
-    payload = {"checks": [{"name": f"degree-{args.degree} relations from quadratics", "verdict": "pass" if ok else "fail"}]}
-    return _emit(args, _report(args, payload), failed=not ok)
+    s = parse_scenario(args)
+    if args.degree < 3:
+        raise ValueError("the closure question starts at degree 3")
+    return _run_check(
+        args,
+        f"quadratic-closure {s.group} n={s.n} l={s.l} d={args.degree}",
+        lambda: suite.quadratic_closure_check(build_generators(s), args.degree, args.seed, None),
+    )
 
 
 def cmd_sp_minor(args) -> int:
-    ok, cert = sp_high_minor_membership(parse_scenario(args), args.order)
-    payload = {
-        "checks": [{"name": f"order-{args.order} minors generated", "verdict": "pass" if ok else "fail"}],
-        "certificate": cert,
-    }
-    return _emit(args, _report(args, payload), failed=not ok)
+    s = parse_scenario(args)
+    k = args.order
+    if s.group != "sp" or not 1 <= k <= min(s.l, s.n):
+        raise ValueError("sp-minor needs --group sp and 1 <= order <= min(l, n)")
+    return _run_check(
+        args, f"sp-high-minor n={s.n} l={s.l} k={k}", lambda: suite.sp_high_minor_membership(s, k),
+        lambda r: {"certificate": r.witness},
+    )
 
 
 def cmd_minimality(args) -> int:
-    rep = minimality_check(build_generators(parse_scenario(args)), seed=args.seed)
-    return _emit(args, _report(args, {"checks": [rep.to_json()]}), failed=not rep.passed)
+    s = parse_scenario(args)
+    return _run_check(args, suite.scenario_name("minimality", s), lambda: suite.minimal_system_check(s, args.seed))
 
 
 def cmd_full_suite(args) -> int:
-    cfg = SuiteConfig(
+    cfg = suite.SuiteConfig(
         seed=args.seed,
         invariance_samples=args.samples if args.samples is not None else 100,
         monomial_cap=args.cap,
         groups=tuple(args.groups.split(",")) if args.groups else ("gl", "o", "sp"),
     )
     criteria = [int(c) for c in args.criteria.split(",")] if args.criteria else None
-    report = full_suite(cfg, criteria)
-    payload = report.to_json(timings=args.timings)
+    report = suite.full_suite(cfg, criteria)
     for line in report.summary_lines():
         print(line, file=sys.stderr)
-    code = _emit(args, payload, failed=not report.passed)
-    return INTERNAL_ERROR if report.errored else code
+    results = [r for rs in report.results.values() for r in rs]
+    return _emit(args, report.to_json(timings=args.timings), exit_code(results))
 
 
 def _add_scenario_args(p, need_l: bool = True, need_m: bool = True):
@@ -300,6 +310,9 @@ def main(argv=None) -> int:
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # an internal error of a data command: a line, not a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

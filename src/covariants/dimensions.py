@@ -275,7 +275,6 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     by the number of generators.  Rank increases observed mod p prove
     essentiality exactly; shortfalls are pinned down per generator.
     """
-    s = gs.scenario
     verdicts: dict[str, bool] = {}
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
@@ -303,12 +302,11 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
                 gs, rows, len(rows) + 32, seed, f"min:{d}:{w}:g{idx}", (len(others),)
             )
             verdicts[gs.gens[idx].label] = r_with == r_without + 1
-    return MinimalityReport(s, verdicts)
+    return MinimalityReport(verdicts)
 
 
 class MinimalityReport:
-    def __init__(self, scenario: Scenario, verdicts: dict[str, bool]):
-        self.scenario = scenario
+    def __init__(self, verdicts: dict[str, bool]):
         self.verdicts = verdicts
 
     @property
@@ -317,11 +315,3 @@ class MinimalityReport:
 
     def inessential(self) -> list[str]:
         return [lbl for lbl, ok in self.verdicts.items() if not ok]
-
-    def to_json(self) -> dict:
-        return {
-            "check": "minimality",
-            "inputs": {"scenario": self.scenario.to_json()},
-            "verdict": "pass" if self.passed else "fail",
-            "witness": {"inessential": self.inessential()} if not self.passed else None,
-        }

@@ -220,9 +220,6 @@ def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
 
 @dataclass
 class InvarianceReport:
-    scenario: Scenario
-    num_samples: int
-    seed: int
     lie_violations: list = field(default_factory=list)
     sample_violations: list = field(default_factory=list)
 
@@ -230,27 +227,19 @@ class InvarianceReport:
     def passed(self) -> bool:
         return not self.lie_violations and not self.sample_violations
 
-    def to_json(self) -> dict:
+    def witness(self) -> dict | None:
+        """The violations with their witnessing matrices, None on a pass."""
+        if self.passed:
+            return None
         return {
-            "check": "invariance",
-            "inputs": {
-                "scenario": self.scenario.to_json(),
-                "num_samples": self.num_samples,
-                "seed": self.seed,
-            },
-            "verdict": "pass" if self.passed else "fail",
-            "witness": {
-                "lie": [
-                    {"label": lbl, "basis_index": idx, "matrix": xi.to_json()}
-                    for lbl, idx, xi in self.lie_violations
-                ],
-                "samples": [
-                    {"label": lbl, "sample_index": idx, "matrix": g.to_json()}
-                    for lbl, idx, g in self.sample_violations
-                ],
-            }
-            if not self.passed
-            else None,
+            "lie": [
+                {"label": lbl, "basis_index": idx, "matrix": xi.to_json()}
+                for lbl, idx, xi in self.lie_violations
+            ],
+            "samples": [
+                {"label": lbl, "sample_index": idx, "matrix": g.to_json()}
+                for lbl, idx, g in self.sample_violations
+            ],
         }
 
 
@@ -262,7 +251,7 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     per sample).  Violations are reported with their witnessing element.
     """
     s = gs.scenario
-    report = InvarianceReport(s, num_samples, seed)
+    report = InvarianceReport()
     basis = nilradical_basis(s)
     for g in gs.gens:
         for idx, xi in enumerate(basis):

@@ -1,8 +1,10 @@
 """The full verification suite: every checkable claim, on a fixed grid.
 
 Each criterion function returns a list of CheckResult records; ``full_suite``
-aggregates them.  All randomness flows from one seed through named
-substreams, so identical configs reproduce identical reports.
+aggregates them.  A check that a CLI command also runs is a module-level
+function returning (passed, witness), which both run through ``_timed``.
+All randomness flows from one seed through named substreams, so identical
+configs reproduce identical reports.
 
 The generation criterion (number 3) compares an evaluation rank, which can
 only undercount the generated subalgebra's graded dimension, with the exact
@@ -56,6 +58,7 @@ from .syzygies import (
     bilinear_relations,
     mixed_minor_relation,
     product_relations,
+    quadratic_relation_closure,
     relation_space,
 )
 from .weights import in_weight_monoid, integral_phi
@@ -198,15 +201,21 @@ def formula_scenarios(groups) -> list[Scenario]:
 # -- criteria --------------------------------------------------------------------
 
 
-def criterion_1_invariance(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in invariance_grid(cfg.groups):
-        def run(s=s):
-            rep = check_invariance(build_generators(s), cfg.invariance_samples, cfg.seed)
-            return rep.passed, None if rep.passed else rep.to_json()["witness"]
+def scenario_name(kind: str, s: Scenario) -> str:
+    return f"{kind} {s.group} n={s.n} l={s.l} m={s.m}"
 
-        out.append(_timed(f"invariance {s.group} n={s.n} l={s.l} m={s.m}", run))
-    return out
+
+def invariance_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
+    """Nilradical annihilation and unipotent-sample fixedness of every generator."""
+    rep = check_invariance(build_generators(s), samples, seed)
+    return rep.passed, rep.witness()
+
+
+def criterion_1_invariance(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(scenario_name("invariance", s), lambda s=s: invariance_check(s, cfg.invariance_samples, cfg.seed))
+        for s in invariance_grid(cfg.groups)
+    ]
 
 
 def weight_table_check(s: Scenario) -> tuple[bool, dict | None]:
@@ -222,7 +231,7 @@ def weight_table_check(s: Scenario) -> tuple[bool, dict | None]:
 
 def criterion_2_weight_tables(cfg: SuiteConfig) -> list[CheckResult]:
     return [
-        _timed(f"weight-table {s.group} n={s.n} l={s.l} m={s.m}", lambda s=s: weight_table_check(s))
+        _timed(scenario_name("weight-table", s), lambda s=s: weight_table_check(s))
         for s in table_grid(cfg.groups)
     ]
 
@@ -252,15 +261,17 @@ def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def criterion_4_minimality(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in invariance_grid(cfg.groups):
-        def run(s=s):
-            rep = minimality_check(build_generators(s), seed=cfg.seed)
-            return rep.passed, None if rep.passed else {"inessential": rep.inessential()}
+def minimal_system_check(s: Scenario, seed: int) -> tuple[bool, dict | None]:
+    """No generator lies in the algebra the others generate."""
+    rep = minimality_check(build_generators(s), seed=seed)
+    return rep.passed, None if rep.passed else {"inessential": rep.inessential()}
 
-        out.append(_timed(f"minimality {s.group} n={s.n} l={s.l} m={s.m}", run))
-    return out
+
+def criterion_4_minimality(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(scenario_name("minimality", s), lambda s=s: minimal_system_check(s, cfg.seed))
+        for s in invariance_grid(cfg.groups)
+    ]
 
 
 def criterion_5_degree_formulas(cfg: SuiteConfig) -> list[CheckResult]:
@@ -270,15 +281,7 @@ def criterion_5_degree_formulas(cfg: SuiteConfig) -> list[CheckResult]:
             mismatches = []
             if s.group == "gl":
                 # the presentation weights must be the actual generator weights
-                n = s.n
-                expected_pairs = {
-                    (i, tuple(int(j == i - 1) for j in range(n))) for i in range(1, n + 1)
-                }
-                for j in range(1, n):
-                    w = [int(a == j - 1) for a in range(n)]
-                    w[n - 1] -= 1
-                    expected_pairs.add((n - j, tuple(w)))
-                expected_pairs.add((n, tuple([0] * (n - 1) + [-1])))
+                expected_pairs = {(d, w) for d, w in expected_weight_table(s) if any(w)}
                 if set(generator_pairs_for(s)) != expected_pairs:
                     mismatches.append({"chi": None, "formula": "pairs", "oracle": "mismatch"})
                 for chi in chi_grid(s):
@@ -300,21 +303,23 @@ def criterion_5_degree_formulas(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def criterion_6_linearity(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in formula_scenarios(cfg.groups):
-        def run(s=s):
-            bad = []
-            for chi in chi_grid(s):
-                base = min_degree_formula(s, chi)
-                for c in range(1, 5):
-                    scaled = min_degree_formula(s, tuple(c * k for k in chi))
-                    if scaled != c * base:
-                        bad.append({"chi": list(chi), "c": c})
-            return not bad, bad or None
+def linearity_check(s: Scenario, chis, cmax: int) -> tuple[bool, list | None]:
+    """degree(c * chi) == c * degree(chi) for every chi and c = 1..cmax."""
+    bad = []
+    for chi in chis:
+        base = min_degree_formula(s, chi)
+        for c in range(1, cmax + 1):
+            scaled = min_degree_formula(s, tuple(c * k for k in chi))
+            if scaled != c * base:
+                bad.append({"chi": list(chi), "c": c})
+    return not bad, bad or None
 
-        out.append(_timed(f"degree-linearity {s.group} n={s.n}", run))
-    return out
+
+def criterion_6_linearity(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(f"degree-linearity {s.group} n={s.n}", lambda s=s: linearity_check(s, chi_grid(s), 4))
+        for s in formula_scenarios(cfg.groups)
+    ]
 
 
 def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
@@ -345,6 +350,12 @@ def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
+def polytope_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
+    """delta = Phi intersect the chamber, on samples and on delta's vertices."""
+    rep = chamber_inclusion_check(s, samples, seed)
+    return rep.passed, None if rep.passed else rep.to_json()["witness"]
+
+
 def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     seen = set()
@@ -353,12 +364,7 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
         if key in seen:
             continue  # the polytopes depend only on the group and n
         seen.add(key)
-
-        def run(s=s):
-            rep = chamber_inclusion_check(s, cfg.polytope_samples, cfg.seed)
-            return rep.passed, None if rep.passed else rep.to_json()["witness"]
-
-        out.append(_timed(f"polytope {s.group} n={s.n}", run))
+        out.append(_timed(f"polytope {s.group} n={s.n}", lambda s=s: polytope_check(s, cfg.polytope_samples, cfg.seed)))
     return out
 
 
@@ -439,6 +445,12 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
+def mixed_identity_check(n: int, l: int, m: int) -> tuple[bool, None]:
+    """Both sides of the mixed minor-product identity expand equally."""
+    equal, _, _ = mixed_minor_relation(n, l, m)
+    return equal, None
+
+
 def criterion_10_mixed_identity(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
@@ -448,12 +460,7 @@ def criterion_10_mixed_identity(cfg: SuiteConfig) -> list[CheckResult]:
             for m in range(1, n + 1):
                 if l + m <= n:
                     continue
-
-                def run(n=n, l=l, m=m):
-                    equal, _, _ = mixed_minor_relation(n, l, m)
-                    return equal, None
-
-                out.append(_timed(f"mixed-identity n={n} l={l} m={m}", run))
+                out.append(_timed(f"mixed-identity n={n} l={l} m={m}", lambda n=n, l=l, m=m: mixed_identity_check(n, l, m)))
     return out
 
 
@@ -526,9 +533,12 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
-    from .syzygies import quadratic_relation_closure
+def quadratic_closure_check(gs, d: int, seed: int, cap: int | None) -> tuple[bool, None]:
+    """Relations on two generator factors generate all degree-d relations."""
+    return quadratic_relation_closure(gs, d, seed=seed, cap=cap), None
 
+
+def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
     out = []
@@ -537,7 +547,7 @@ def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
             gs = build_generators(Scenario("gl", n, l, 0))
             for d in (3, 4):
                 def run(gs=gs, d=d):
-                    return quadratic_relation_closure(gs, d, seed=cfg.seed, cap=cfg.monomial_cap), None
+                    return quadratic_closure_check(gs, d, cfg.seed, cfg.monomial_cap)
 
                 out.append(_timed(f"quadratic-closure gl n={n} l={l} d={d}", run))
     return out
@@ -546,14 +556,10 @@ def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
 def criterion_14_high_minors(cfg: SuiteConfig) -> list[CheckResult]:
     if "sp" not in cfg.groups:
         return []
-    out = []
-    for n, l, k in ((2, 2, 2), (4, 3, 3)):
-        def run(n=n, l=l, k=k):
-            ok, cert = sp_high_minor_membership(Scenario("sp", n, l), k)
-            return ok, cert
-
-        out.append(_timed(f"sp-high-minor n={n} l={l} k={k}", run))
-    return out
+    return [
+        _timed(f"sp-high-minor n={n} l={l} k={k}", lambda n=n, l=l, k=k: sp_high_minor_membership(Scenario("sp", n, l), k))
+        for n, l, k in ((2, 2, 2), (4, 3, 3))
+    ]
 
 
 CRITERIA = {
@@ -582,10 +588,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for results in self.results.values() for r in results)
-
-    @property
-    def errored(self) -> bool:
-        return any(r.verdict == "error" for results in self.results.values() for r in results)
 
     def summary_lines(self) -> list[str]:
         lines = []

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import CapExceeded, monomial_cap
+from .dimensions import CapExceeded, SeedDisagreement, monomial_cap
 from .generators import (
     GeneratorSet,
     generator_monomials,
@@ -243,7 +243,7 @@ def relation_space(
         rows.extend(block)
     kernel = kernel_basis(rows, len(monomials))
     if dims[0] != dims[1] or len(kernel) != dims[0]:
-        raise RuntimeError(
+        raise SeedDisagreement(
             f"seeded relation nullities disagree at degree {d}: {dims} vs {len(kernel)}"
         )
     if confirm:

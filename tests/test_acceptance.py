@@ -1,33 +1,26 @@
 """The acceptance gate: every verifiable claim on the full grid.
 
-One test per criterion; each prints a single pass/fail line (run pytest with
--s to see them inline).  Everything is exact — zero tolerance: a criterion
-passes only if every one of its checks passes (skipped-by-cap entries are
-reported but only occur when a cap override is set; with the default cap
-nothing on the grid is skipped).
+One test per criterion; each prints the criterion's ``full-suite`` summary
+line (run pytest with -s to see them inline).  Everything is exact — zero
+tolerance: a criterion passes only if every one of its checks passes, so a
+check that fails or raises (verdict ``error``) fails the gate, and so does a
+check skipped by the cap (with the default cap nothing on the grid is
+skipped).
 """
 
 import pytest
 
-from covariants.suite import CRITERIA, SuiteConfig
+from covariants.suite import CRITERIA, SuiteConfig, full_suite
 
 CFG = SuiteConfig(seed=1)
 
 
 def _run(num):
-    name, fn = CRITERIA[num]
-    results = fn(CFG)
-    failed = [r for r in results if r.verdict == "fail"]
-    skipped = [r for r in results if r.verdict == "skipped (cap)"]
-    status = "PASS" if not failed else "FAIL"
-    print(
-        f"ACCEPTANCE {num:2d} ({name}): {status} "
-        f"[{len(results) - len(failed) - len(skipped)}/{len(results)} checks"
-        + (f", {len(skipped)} skipped" if skipped else "")
-        + "]"
-    )
-    assert not failed, [(r.name, r.witness) for r in failed]
-    assert not skipped, [r.name for r in skipped]
+    report = full_suite(CFG, [num])
+    print("\n".join(report.summary_lines()))
+    results = report.results[num]
+    assert report.passed, [(r.name, r.verdict, r.witness) for r in results if not r.passed]
+    assert not [r.name for r in results if r.verdict == "skipped (cap)"]
 
 
 @pytest.mark.parametrize("num", sorted(CRITERIA))

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 
-from covariants import suite
+from covariants import cli, dimensions, suite
 from covariants.cli import INTERNAL_ERROR, USAGE_ERROR, build_parser, main, parse_scenario
 from covariants.dimensions import SeedDisagreement
+from covariants.generators import Generator
+from covariants.linalg import PRIME_B
+from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
 
 
@@ -250,3 +254,139 @@ def test_full_suite_reports_check_errors(capsys, monkeypatch, bilinear_broken):
         assert all(c["verdict"] == "pass" for c in crit_11)
         assert "criterion 11 (bilinear relations): PASS (20/20 checks)" in err
     assert "criterion 12 (relation generation bounds): FAIL (0/3 checks, 3 errors)" in err
+
+
+# -- one check path: a command's verdict is the suite's check under its name ------
+
+
+@pytest.mark.parametrize(
+    "num, argv",
+    [
+        (1, ["check-invariance", "--group", "o", "--n", "3", "--l", "2", "--samples", "5"]),
+        (2, ["weights-table", "--group", "sp", "--n", "2", "--l", "2"]),
+        (4, ["minimality", "--group", "sp", "--n", "2", "--l", "2"]),
+        (6, ["lemma3", "--group", "sp", "--n", "4", "--chi", "1,2"]),
+        (8, ["lemma4", "--group", "gl", "--n", "2", "--samples", "20"]),
+        (10, ["zacep", "--n", "3", "--l", "2", "--m", "2"]),
+        (13, ["degree2-gen", "--group", "gl", "--n", "2", "--l", "2", "--degree", "3"]),
+        (14, ["sp-minor", "--group", "sp", "--n", "2", "--l", "2", "--order", "2"]),
+    ],
+)
+def test_command_reports_the_suite_check(capsys, monkeypatch, num, argv):
+    with monkeypatch.context() as m:  # the criterion's check names, without running its checks
+        m.setattr(suite, "_timed", lambda name, fn: suite.CheckResult(name, "pass"))
+        names = {r.name for r in suite.CRITERIA[num][1](suite.SuiteConfig())}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] in names
+    assert check["verdict"] == "pass" and set(check) <= {"name", "verdict", "witness"}
+
+
+def test_seed_disagreement_is_an_error_verdict(capsys, monkeypatch):
+    # one rank mod PRIME_B off by one, as a broken second prime would give
+    rank_mod_p = dimensions.rank_mod_p
+
+    def skewed(matrix, p):
+        return rank_mod_p(matrix, p) + (p == PRIME_B)
+
+    monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
+    code, out, err = run_cli(capsys, "minimality", "--group", "o", "--n", "3", "--l", "1")
+    assert code == INTERNAL_ERROR
+    assert "Traceback" not in err
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "minimality o n=3 l=1 m=0"
+    assert check["verdict"] == "error" and check["witness"].startswith("SeedDisagreement: ")
+
+
+def test_degree2_gen_over_cap_is_skipped(capsys, monkeypatch):
+    monkeypatch.setenv("COVARIANTS_MONOMIAL_CAP", "1")
+    code, out, _ = run_cli(capsys, "degree2-gen", "--group", "gl", "--n", "2", "--l", "2", "--degree", "3")
+    assert code == USAGE_ERROR
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "quadratic-closure gl n=2 l=2 d=3"
+    assert check["verdict"] == "skipped (cap)"
+
+
+def test_data_command_error_is_a_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "relation_space", _raise(RuntimeError("failed symbolic confirmation")))
+    code, out, err = run_cli(
+        capsys, "relations", "--group", "gl", "--n", "2", "--l", "2", "--m", "1", "--degree", "3"
+    )
+    assert code == INTERNAL_ERROR
+    assert err == "error: RuntimeError: failed symbolic confirmation\n" and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma3", "--group", "o", "--n", "5", "--chi", "1,1"],  # breaks the parity constraint
+        ["zacep", "--n", "3", "--l", "1", "--m", "1"],  # outside l + m > n
+        ["degree2-gen", "--group", "gl", "--n", "2", "--l", "2", "--degree", "2"],
+        ["sp-minor", "--group", "sp", "--n", "2", "--l", "2", "--order", "3"],
+    ],
+)
+def test_inputs_a_check_cannot_take_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert err.startswith("error:") and not out
+
+
+def test_bilinear_prints_relations(capsys):
+    code, out, _ = run_cli(capsys, "bilinear", "--group", "gl", "--n", "3", "--l", "3", "--i", "1", "--j", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert "checks" not in data
+    assert [r["columns"] for r in data["relations"]] == [[1, 2], [1, 3], [2, 3]]
+    assert data["relations"][0]["terms"] == [
+        [1, "lowMinor[1;1]", "lowMinor[1;2]"],
+        [-1, "lowMinor[1;2]", "lowMinor[1;1]"],
+    ]
+
+
+# -- injected faults: criteria 1, 3 and 4 fail through full-suite -------------------
+
+
+def _non_invariant(gs):
+    """The first generator replaced by the sum of all variables."""
+    nv = gs.scenario.nvars
+    total = sum((Polynomial.variable(nv, i) for i in range(nv)), Polynomial.zero(nv))
+    return dataclasses.replace(gs, gens=(dataclasses.replace(gs.gens[0], poly=total),) + gs.gens[1:])
+
+
+def _dropped(gs):
+    return dataclasses.replace(gs, gens=gs.gens[:-1])
+
+
+def _with_product(gs):
+    g1, g2 = gs.gens[0], gs.gens[-1]
+    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, g1.weight + g2.weight)
+    return dataclasses.replace(gs, gens=gs.gens + (extra,))
+
+
+@pytest.mark.parametrize(
+    "fault, num, witness_keys",
+    [
+        (_non_invariant, 1, {"lie", "samples"}),
+        (_dropped, 3, {"generated", "invariant"}),
+        (_with_product, 4, {"inessential"}),
+    ],
+)
+def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, witness_keys):
+    build = suite.build_generators
+    monkeypatch.setattr(suite, "build_generators", lambda s: fault(build(s)))
+    code, out, err = run_cli(
+        capsys, "full-suite", "--groups", "sp", "--criteria", f"{num},6", "--samples", "2", "--seed", "1"
+    )
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    failed = [c for c in checks if c["verdict"] != "pass"]
+    assert failed and all(c["criterion"] == num and c["verdict"] == "fail" for c in failed)
+    assert all(set(c["witness"]) == witness_keys for c in failed)
+    if num == 1:
+        assert all(c["witness"]["lie"] for c in failed)
+    if num == 4:
+        assert all(c["witness"] == {"inessential": ["extra"]} for c in failed)
+    # the other criterion still runs and passes
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+    assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
