@@ -3,7 +3,9 @@
 One command per invocation; the report goes to stdout (JSON by default,
 ``--format text`` for tables) and optionally to ``--out``.  A command that
 prints a verdict runs the suite's check for that claim through
-``suite._timed``, under its ``full-suite`` name, as one ``checks`` entry.
+``suite._timed``, under its ``full-suite`` name, as one ``checks`` entry;
+``bilinear`` prints its relations, or criterion 11's failed check when an
+expansion does not vanish.
 Exit codes: 0 all checks passed, 1 a check failed (witnesses are in the
 report), 2 usage or resource errors (also a single check skipped by the
 cap; ``full-suite`` reports skipped checks and exits 0), 3 an internal
@@ -32,7 +34,7 @@ from .dimensions import CapExceeded
 from .flags import flag_map
 from .generators import build_generators, expected_weight_table
 from .scenario import Scenario
-from .syzygies import bilinear_relations, relation_space
+from .syzygies import ExpansionDoesNotVanish, bilinear_relations, relation_space
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -87,13 +89,18 @@ def exit_code(results) -> int:
     return CHECK_FAILED if "fail" in verdicts else 0
 
 
-def _run_check(args, name: str, check, payload=None) -> int:
+def _run_check(args, name: str, check, payload=None, pass_witness: bool = True) -> int:
     """Run one suite check through ``_timed`` and report it as the one entry
     of ``checks``, after the keys of ``payload(result)`` if the check reached
-    a verdict.  A check skipped by the cap exits 2; else ``exit_code``."""
+    a verdict; ``pass_witness=False`` leaves out the witness of a pass, which
+    the payload then carries.  A check skipped by the cap exits 2; else
+    ``exit_code``."""
     result = suite._timed(name, check)
     extra = payload(result) if payload and result.verdict in ("pass", "fail") else {}
-    report = _report(args, {**extra, "checks": [result.to_json()]})
+    entry = result.to_json()
+    if result.verdict == "pass" and not pass_witness:
+        entry.pop("witness", None)
+    report = _report(args, {**extra, "checks": [entry]})
     return _emit(args, report, USAGE_ERROR if result.verdict == "skipped (cap)" else exit_code([result]))
 
 
@@ -180,7 +187,13 @@ def cmd_flag_map(args) -> int:
 
 
 def cmd_bilinear(args) -> int:
-    rels = bilinear_relations(parse_scenario(args), args.i, args.j)
+    s = parse_scenario(args)
+    try:
+        rels = bilinear_relations(s, args.i, args.j)
+    except ExpansionDoesNotVanish:  # report it as criterion 11's failed check
+        return _run_check(
+            args, f"bilinear n={s.n} l={s.l} i={args.i} j={args.j}", lambda: suite.bilinear_check(s, args.i, args.j)
+        )
     relations = [{"columns": list(r.cols), "terms": r.labels()} for r in rels]
     return _emit(args, _report(args, {"relations": relations}))
 
@@ -222,6 +235,7 @@ def cmd_sp_minor(args) -> int:
     return _run_check(
         args, f"sp-high-minor n={s.n} l={s.l} k={k}", lambda: suite.sp_high_minor_membership(s, k),
         lambda r: {"certificate": r.witness},
+        pass_witness=False,
     )
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .generators import GeneratorSet, generator_monomials, monomial_weight
 from .groups import derivation_images, derive_monomial, monomial_torus_weight, nilradical_basis
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
-from .polynomial import Polynomial
+from .polynomial import Polynomial, pack
 from .rng import residue_points
 from .scenario import Scenario
 
@@ -97,17 +97,18 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
         raise CapExceeded(
             f"degree-{t} monomial basis has {count} elements (cap {cap})"
         )
-    blocks: dict[tuple, list[tuple[int, ...]]] = {}
+    blocks: dict[tuple, list] = {}  # weight -> (packed monomial, nonzero exponents)
     for exps in degree_monomials(s.nvars, t):
-        blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
+        factors = tuple((v, e) for v, e in enumerate(exps) if e)
+        blocks.setdefault(monomial_torus_weight(s, exps), []).append((pack(exps), factors))
     images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
     dims: dict[tuple, int] = {}
     for wkey, monos in sorted(blocks.items()):
         rows: dict[tuple, dict[int, int]] = {}
-        for col, exps in enumerate(monos):
+        for col, (m, factors) in enumerate(monos):
             for xi_idx, images in enumerate(images_per_xi):
                 # the targets of one monomial are distinct (see derive_monomial)
-                for target, coeff in derive_monomial(exps, images):
+                for target, coeff in derive_monomial(m, factors, images):
                     rows.setdefault((xi_idx, target), {})[col] = coeff
         nullity = len(monos) - sparse_rank_int(list(rows.values()))
         if nullity:
@@ -178,12 +179,12 @@ def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, p: int) -> 
     per polynomial as differences of a running sum over the terms.
     """
     nvars, npoints = points.shape
-    sizes = [len(poly.terms) for poly in polys]
+    sizes = [len(poly) for poly in polys]
     exponents = np.array(
-        [e for poly in polys for e in poly.terms], dtype=np.int64
+        [e for poly in polys for e in poly.exponents()], dtype=np.int64
     ).reshape(-1, nvars)
     coeffs = np.array(
-        [_frac_mod(c, p) for poly in polys for c in poly.terms.values()], dtype=np.int64
+        [_frac_mod(c, p) for poly in polys for c in poly.coefficients()], dtype=np.int64
     )
     terms = _products_mod(points, _factor_rows(exponents), p) * coeffs[:, None] % p
     running = np.vstack([np.zeros((1, npoints), dtype=np.int64), terms.cumsum(axis=0)])

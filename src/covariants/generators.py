@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import (
+    derivation_images,
     form_matrix,
     lie_act_on_polynomial,
     nilradical_basis,
@@ -30,7 +31,7 @@ from .groups import (
     torus_weight,
 )
 from .linalg import minor, solve
-from .polynomial import Polynomial
+from .polynomial import Polynomial, unpack
 from .rng import substream
 from .scenario import Scenario
 from .weights import Weight, integral_phi
@@ -253,9 +254,10 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     s = gs.scenario
     report = InvarianceReport()
     basis = nilradical_basis(s)
+    tables = [derivation_images(xi, s) for xi in basis]  # shared across the generators
     for g in gs.gens:
         for idx, xi in enumerate(basis):
-            if lie_act_on_polynomial(xi, g.poly, s):
+            if lie_act_on_polynomial(xi, g.poly, s, tables[idx]):
                 report.lie_violations.append((g.label, idx, xi))
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
@@ -358,19 +360,18 @@ def sp_high_minor_membership(s: Scenario, k: int) -> tuple[bool, dict]:
         return True, {lbl: {lbl: "1"} for lbl in labels}
     gs = build_generators(s)
     monomials = generator_monomials(gs, k)
-    columns = [monomial_poly(gs, mu) for mu in monomials]
+    columns = [monomial_poly(gs, mu).packed_terms() for mu in monomials]
+    column_support = set().union(*columns)
     vbar = s.v_matrix()
     rows_idx = list(range(s.n - k, s.n))
     certificate = {}
     ok = True
     for cols in itertools.combinations(range(s.l), k):
-        target = minor(vbar, rows_idx, cols)
-        support = set(target.terms)
-        for c in columns:
-            support.update(c.terms)
-        support = sorted(support)
-        a_rows = [[c.terms.get(e, 0) for c in columns] for e in support]
-        rhs = [target.terms.get(e, 0) for e in support]
+        target = minor(vbar, rows_idx, cols).packed_terms()
+        # rows in the order of the exponent tuples
+        support = sorted(column_support.union(target), key=lambda m: unpack(m, s.nvars))
+        a_rows = [[c.get(m, 0) for c in columns] for m in support]
+        rhs = [target.get(m, 0) for m in support]
         sol = solve(a_rows, rhs)
         label = f"lowMinor[{k};{_cols_label(cols)}]"
         if sol is None:

@@ -16,8 +16,9 @@ Conventions (fixed so that every downstream artifact is reproducible):
 This module is the one home of two conventions the certificates share:
 the derivation images of the nilradical (``derivation_images`` and
 ``derive_monomial``, used for invariance and for the exact invariant
-kernels) and the torus weight of a monomial (``monomial_torus_weight``,
-used for generator weights and for the weight blocks of those kernels).
+kernels; they act on packed monomials, see ``polynomial``) and the torus
+weight of a monomial (``monomial_torus_weight``, used for generator weights
+and for the weight blocks of those kernels).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import random
 from fractions import Fraction
 from .linalg import Matrix, kernel_basis
-from .polynomial import Polynomial, canon_coeff
+from .polynomial import Polynomial, canon_coeff, variable_key
 from .scenario import Scenario
 from .weights import Weight
 
@@ -140,26 +141,12 @@ def substitution_images(g: Matrix, s: Scenario) -> dict[int, Polynomial]:
     images: dict[int, Polynomial] = {}
     for j in range(s.l):
         for i in range(s.n):
-            terms = {}
-            for k in range(s.n):
-                c = g[i, k]
-                if c:
-                    e = [0] * nv
-                    e[s.x_var(k, j)] = 1
-                    terms[tuple(e)] = c
-            images[s.x_var(i, j)] = Polynomial(nv, terms)
+            images[s.x_var(i, j)] = Polynomial.linear(nv, {s.x_var(k, j): g[i, k] for k in range(s.n)})
     if s.m:
         ginv = g.inverse()
         for i in range(s.m):
             for j in range(s.n):
-                terms = {}
-                for k in range(s.n):
-                    c = ginv[k, j]
-                    if c:
-                        e = [0] * nv
-                        e[s.a_var(i, k)] = 1
-                        terms[tuple(e)] = c
-                images[s.a_var(i, j)] = Polynomial(nv, terms)
+                images[s.a_var(i, j)] = Polynomial.linear(nv, {s.a_var(i, k): ginv[k, j] for k in range(s.n)})
     return images
 
 
@@ -173,52 +160,57 @@ def act_on_polynomial(g: Matrix, p: Polynomial, s: Scenario) -> Polynomial:
 def derivation_images(xi: Matrix, s: Scenario) -> list[list[tuple[int, object]]]:
     """Sparse images of the variables under the derivation of xi.
 
-    Entry v lists the (variable, coefficient) pairs of the image of variable
-    v: x[i,j] -> sum_k xi[i][k] x[k,j] and a[i,j] -> -sum_k a[i,k] xi[k][j].
+    Entry v lists one (shift, coefficient) pair per variable w of the image
+    of variable v, where x[i,j] -> sum_k xi[i][k] x[k,j] and
+    a[i,j] -> -sum_k a[i,k] xi[k][j]; the shift turns a packed monomial's
+    factor v into a factor w.
     """
     images: list[list[tuple[int, object]]] = [[] for _ in range(s.nvars)]
+
+    def shift(v: int, w: int) -> int:
+        return variable_key(w) - variable_key(v)
+
     for j in range(s.l):
         for i in range(s.n):
-            images[s.x_var(i, j)] = [
-                (s.x_var(k, j), xi[i, k]) for k in range(s.n) if xi[i, k]
-            ]
+            v = s.x_var(i, j)
+            images[v] = [(shift(v, s.x_var(k, j)), xi[i, k]) for k in range(s.n) if xi[i, k]]
     for i in range(s.m):
         for j in range(s.n):
-            images[s.a_var(i, j)] = [
-                (s.a_var(i, k), -xi[k, j]) for k in range(s.n) if xi[k, j]
-            ]
+            v = s.a_var(i, j)
+            images[v] = [(shift(v, s.a_var(i, k)), -xi[k, j]) for k in range(s.n) if xi[k, j]]
     return images
 
 
-def derive_monomial(exps: tuple[int, ...], images) -> list[tuple[tuple[int, ...], object]]:
-    """The (exponent tuple, coefficient) terms of the derivation with the
-    given ``derivation_images`` applied to one monomial.
+def derive_monomial(m: int, factors, images) -> list[tuple[int, object]]:
+    """The (packed monomial, coefficient) terms of the derivation with the
+    given ``derivation_images`` applied to the packed monomial m, whose
+    nonzero exponents are the (variable, exponent) pairs ``factors``.
 
     For a strictly upper triangular xi no variable's image contains the
-    variable itself, so the exponent tuples are distinct.
+    variable itself, so the monomials are distinct.
     """
     out = []
-    for v, e in enumerate(exps):
-        if not e:
-            continue
-        for w, coeff in images[v]:
-            target = list(exps)
-            target[v] -= 1
-            target[w] += 1
-            out.append((tuple(target), e * coeff))
+    for v, e in factors:
+        for delta, coeff in images[v]:
+            out.append((m + delta, e * coeff))
     return out
 
 
-def lie_act_on_polynomial(xi: Matrix, p: Polynomial, s: Scenario) -> Polynomial:
-    """The derivation action: d/dt of the substitution along exp(t xi) at 0."""
+def lie_act_on_polynomial(xi: Matrix, p: Polynomial, s: Scenario, images=None) -> Polynomial:
+    """The derivation action: d/dt of the substitution along exp(t xi) at 0.
+
+    ``images`` may pass in ``derivation_images(xi, s)`` when xi acts on
+    several polynomials.
+    """
     if p.nvars != s.nvars:
         raise ValueError("polynomial does not live on this scenario's universe")
-    images = derivation_images(xi, s)
+    if images is None:
+        images = derivation_images(xi, s)
     out: dict = {}
-    for exps, c in p.terms.items():
-        for key, k in derive_monomial(exps, images):
+    for m, c, factors in p.sparse_terms():
+        for key, k in derive_monomial(m, factors, images):
             out[key] = out.get(key, 0) + c * k
-    return Polynomial(s.nvars, out)
+    return Polynomial.from_packed(s.nvars, out)
 
 
 def monomial_torus_weight(s: Scenario, exps: tuple[int, ...]) -> tuple:
@@ -249,7 +241,7 @@ def torus_weight(p: Polynomial, s: Scenario) -> Weight:
     The common ``monomial_torus_weight`` of its monomials; raises for the
     zero polynomial and if the monomials do not agree.
     """
-    weights = {monomial_torus_weight(s, exps) for exps in p.terms}
+    weights = {monomial_torus_weight(s, exps) for exps in p.exponents()}
     if not weights:
         raise ValueError("the zero polynomial has no weight")
     if len(weights) > 1:

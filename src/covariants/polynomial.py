@@ -1,9 +1,27 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial lives in a fixed variable universe of ``nvars`` variables and is
-stored as a dict mapping exponent tuples to nonzero coefficients:
+stored as a dict mapping packed monomials to nonzero coefficients.  A packed
+monomial is one ``int`` holding a fixed-width slot of ``SLOT_BITS`` = 16 bits
+per variable, variable 0 in the low bits:
 
-    x0^2*x1 + 3/2   ->   {(2, 1, 0): 1, (0, 0, 0): Fraction(3, 2)}
+    x0^2*x1 + 3/2   ->   {2 + (1 << 16): 1, 0: Fraction(3, 2)}
+
+Multiplying two monomials is then one int addition.  The top bit of every
+slot is a guard bit that a stored monomial never sets, so an exponent is at
+most ``MAX_EXPONENT`` = 2**15 - 1.  Two stored monomials add without carrying
+from one slot into the next (each slot sums to less than 2**16), and a slot
+that overflowed shows as a set guard bit: the monomials of every product
+are tested against ``guard_mask(nvars)`` (one OR over them), and an
+overflow raises ``ValueError`` instead of silently carrying into the next
+variable.
+
+Exponent tuples appear only at the boundaries: the constructor, ``to_json``
+and ``from_json``, ``__repr__``, and the read-only ``terms`` view (exponent
+tuple -> coefficient), which is built once per polynomial.  Inside the
+package ``packed_terms``, ``exponents`` and ``coefficients`` are the
+accessors (``sparse_terms`` lists each term's nonzero exponents); ``pack``,
+``unpack`` and ``variable_key`` convert monomials.
 
 Coefficients are kept as plain ``int`` whenever they are integral and as
 ``fractions.Fraction`` otherwise; both mix freely in arithmetic, and the int
@@ -16,11 +34,18 @@ stored.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 Coeff = "int | Fraction"
 Expt = "tuple[int, ...]"
+
+SLOT_BITS = 16  # the struct format "H": one unsigned 16-bit slot per variable
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 
 
 def canon_coeff(c):
@@ -35,68 +60,198 @@ def coeff_from_string(s: str):
     return canon_coeff(Fraction(s))
 
 
+# -- packed monomials -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _slots(nvars: int) -> struct.Struct:
+    return struct.Struct(f"<{nvars}H")
+
+
+@lru_cache(maxsize=None)
+def guard_mask(nvars: int) -> int:
+    """The guard bits (the top bit of each slot) of an nvars universe."""
+    return int.from_bytes(b"\x00\x80" * nvars, "little")
+
+
+def variable_key(i: int) -> int:
+    """The packed monomial of variable i."""
+    return 1 << (SLOT_BITS * i)
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The packed monomial of an exponent tuple (its length is the universe)."""
+    n = len(exps)
+    try:
+        m = int.from_bytes(_slots(n).pack(*exps), "little")
+    except struct.error:  # a negative or non-integer exponent, or one >= 2**16
+        m = guard_mask(n)
+    if m & guard_mask(n):
+        raise ValueError(f"exponents {tuple(exps)} outside 0..{MAX_EXPONENT}")
+    return m
+
+
+def unpack(m: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial of an nvars universe."""
+    return _slots(nvars).unpack(m.to_bytes(2 * nvars, "little"))
+
+
+def _product(a: dict, b: dict, out: dict | None = None, scale=1) -> dict:
+    """Accumulate ``scale * a * b`` into ``out`` (a new dict if None) without
+    cleaning: the result may hold zeros and integral Fractions."""
+    if out is None:
+        out = {}
+    get = out.get
+    bi = list(b.items())
+    for e1, c1 in a.items():
+        if scale != 1:
+            c1 = scale * c1
+        for e2, c2 in bi:
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _clean(nvars: int, raw: dict) -> dict:
+    """Drop zeros, collapse integral Fractions, and refuse an overflowed slot."""
+    out = {m: (c if type(c) is int else canon_coeff(c)) for m, c in raw.items() if c}
+    if reduce(or_, out, 0) & guard_mask(nvars):
+        raise ValueError(f"an exponent exceeds {MAX_EXPONENT}, the largest a {SLOT_BITS}-bit slot holds")
+    return out
+
+
+def _power(nvars: int, terms: dict, k: int) -> dict:
+    """``terms ** k`` by repeated squaring (k >= 0); may be ``terms`` itself."""
+    result = None
+    while k:
+        if k & 1:
+            result = terms if result is None else _clean(nvars, _product(result, terms))
+        k >>= 1
+        if k:
+            terms = _clean(nvars, _product(terms, terms))
+    return {0: 1} if result is None else result
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over the rationals."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_packed", "_view", "_sparse")
 
     def __init__(self, nvars: int, terms: Mapping | None = None):
-        self.nvars = nvars
         clean = {}
         if terms:
             for exps, c in terms.items():
                 c = canon_coeff(c)
                 if not c:
                     continue
-                exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError(
                         f"exponent tuple of length {len(exps)} in a universe of {nvars} variables"
                     )
-                clean[exps] = c
-        self.terms = clean
+                clean[pack(exps)] = c
+        self._init(nvars, clean)
+
+    def _init(self, nvars: int, packed: dict) -> None:
+        self.nvars = nvars
+        self._packed = packed
+        self._view = None
+        self._sparse = None
+
+    @classmethod
+    def _make(cls, nvars: int, packed: dict) -> "Polynomial":
+        p = cls.__new__(cls)
+        p._init(nvars, packed)
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_packed(cls, nvars: int, terms: Mapping[int, object]) -> "Polynomial":
+        """From packed monomials; zeros are dropped and an overflowed slot raises."""
+        return cls._make(nvars, _clean(nvars, terms))
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
+        return cls._make(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: c})
+        c = canon_coeff(c)
+        return cls._make(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for {nvars} variables")
-        e = [0] * nvars
-        e[i] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls.linear(nvars, {i: 1})
+
+    @classmethod
+    def linear(cls, nvars: int, coeffs: Mapping[int, object]) -> "Polynomial":
+        """The linear form sum of ``coeffs[i] * x_i``."""
+        out = {}
+        for i, c in coeffs.items():
+            if not 0 <= i < nvars:
+                raise ValueError(f"variable index {i} out of range for {nvars} variables")
+            c = canon_coeff(c)
+            if c:
+                out[variable_key(i)] = c
+        return cls._make(nvars, out)
+
+    # -- accessors -----------------------------------------------------------
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only view: exponent tuple -> coefficient (built once)."""
+        if self._view is None:
+            self._view = MappingProxyType({unpack(m, self.nvars): c for m, c in self._packed.items()})
+        return self._view
+
+    def packed_terms(self) -> Mapping[int, object]:
+        """Read-only view: packed monomial -> coefficient."""
+        return MappingProxyType(self._packed)
+
+    def exponents(self):
+        """The exponent tuples of the terms, in the order of ``coefficients``."""
+        return self.terms.keys()
+
+    def coefficients(self):
+        """The coefficients of the terms, in the order of ``exponents``."""
+        return self._packed.values()
+
+    def sparse_terms(self) -> tuple:
+        """(packed monomial, coefficient, ((variable, exponent), ...)) per
+        term, nonzero exponents only, in storage order; built once."""
+        if self._sparse is None:
+            self._sparse = tuple(
+                (m, c, tuple((i, e) for i, e in enumerate(exps) if e))
+                for m, exps, c in zip(self._packed, self.exponents(), self.coefficients())
+            )
+        return self._sparse
+
+    def __len__(self) -> int:
+        return len(self._packed)
 
     # -- predicates --------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._packed)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self._packed == other._packed
         if isinstance(other, (int, Fraction)):
             other = canon_coeff(other)
             if not other:
-                return not self.terms
-            return self.terms == {(0,) * self.nvars: other}
+                return not self._packed
+            return self._packed == {0: other}
         return NotImplemented
 
     __hash__ = None
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._packed)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
-        if not self.terms:
+        if not self._packed:
             return -1
         return max(sum(e) for e in self.terms)
 
@@ -122,25 +277,19 @@ class Polynomial:
         elif not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        out = dict(self._packed)
+        for e, c in other._packed.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = canon_coeff(s)
             else:
-                out.pop(e, None)
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+                del out[e]
+        return Polynomial._make(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Polynomial._make(self.nvars, {e: -c for e, c in self._packed.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -157,42 +306,20 @@ class Polynomial:
             other = canon_coeff(other)
             if not other:
                 return Polynomial.zero(self.nvars)
-            p = Polynomial.__new__(Polynomial)
-            p.nvars = self.nvars
-            p.terms = {e: canon_coeff(c * other) for e, c in self.terms.items()}
-            return p
+            return Polynomial._make(
+                self.nvars, {e: canon_coeff(c * other) for e, c in self._packed.items()}
+            )
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        p = Polynomial.__new__(Polynomial)
-        p.nvars = self.nvars
-        p.terms = {e: canon_coeff(c) for e, c in out.items()}
-        return p
+        return Polynomial._make(self.nvars, _clean(self.nvars, _product(self._packed, other._packed)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        return Polynomial._make(self.nvars, _power(self.nvars, self._packed, k))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -204,16 +331,13 @@ class Polynomial:
             )
         total = 0
         powers = {}
-        for exps, c in self.terms.items():
+        for _, c, factors in self.sparse_terms():
             v = c
-            for i, e in enumerate(exps):
-                if e:
-                    key = (i, e)
-                    pw = powers.get(key)
-                    if pw is None:
-                        pw = point[i] ** e
-                        powers[key] = pw
-                    v = v * pw
+            for key in factors:
+                pw = powers.get(key)
+                if pw is None:
+                    pw = powers[key] = point[key[0]] ** key[1]
+                v = v * pw
             total = total + v
         return canon_coeff(total)
 
@@ -225,37 +349,31 @@ class Polynomial:
         n = self.nvars
         powers: dict = {}
 
-        def power(i: int, e: int) -> "Polynomial":
-            key = (i, e)
+        def power(key) -> dict:
             pw = powers.get(key)
             if pw is None:
+                i, e = key
                 base = images.get(i)
                 if base is None:
-                    base = Polynomial.variable(n, i)
+                    base = {variable_key(i): 1}
                 elif base.nvars != n:
                     raise ValueError("substitution image in a different universe")
-                pw = base ** e
-                powers[key] = pw
+                else:
+                    base = base._packed
+                pw = powers[key] = _power(n, base, e)
             return pw
 
+        one = {0: 1}
         out: dict = {}
-        for exps, c in self.terms.items():
-            prod = None
-            for i, e in enumerate(exps):
-                if e:
-                    pw = power(i, e)
-                    prod = pw if prod is None else prod * pw
-            if prod is None:
-                e0 = (0,) * n
-                out[e0] = out.get(e0, 0) + c
+        for _, c, factors in self.sparse_terms():
+            if not factors:
+                out[0] = out.get(0, 0) + c
                 continue
-            for e, pc in prod.terms.items():
-                s = out.get(e, 0) + c * pc
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return Polynomial(n, out)
+            pre = one
+            for f in factors[:-1]:
+                pre = power(f) if pre is one else _clean(n, _product(pre, power(f)))
+            _product(pre, power(factors[-1]), out, c)  # the last factor goes straight into out
+        return Polynomial._make(n, _clean(n, out))
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel variables: old index i becomes ``perm[i]`` (a bijection)."""
@@ -289,7 +407,7 @@ class Polynomial:
         )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items()):

@@ -55,6 +55,7 @@ from .polytopes import chamber_inclusion_check
 from .rng import substream
 from .scenario import Scenario
 from .syzygies import (
+    ExpansionDoesNotVanish,
     bilinear_relations,
     mixed_minor_relation,
     product_relations,
@@ -464,6 +465,16 @@ def criterion_10_mixed_identity(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
+def bilinear_check(s: Scenario, i: int, j: int) -> tuple[bool, object]:
+    """Every bilinear expansion of order-i and order-j lower minors vanishes;
+    the witness of a failure names the first column subset that does not."""
+    try:
+        rels = bilinear_relations(s, i, j)
+    except ExpansionDoesNotVanish as exc:
+        return False, {"columns": list(exc.columns)}
+    return True, f"{len(rels)} column subsets"
+
+
 def criterion_11_bilinear(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
@@ -473,11 +484,10 @@ def criterion_11_bilinear(cfg: SuiteConfig) -> list[CheckResult]:
             p = min(l, n)
             for i in range(1, p):
                 for j in range(1, p - i + 1):
-                    def run(n=n, l=l, i=i, j=j):
-                        rels = bilinear_relations(Scenario("gl", n, l), i, j)
-                        return True, f"{len(rels)} column subsets"
-
-                    out.append(_timed(f"bilinear n={n} l={l} i={i} j={j}", run))
+                    out.append(_timed(
+                        f"bilinear n={n} l={l} i={i} j={j}",
+                        lambda n=n, l=l, i=i, j=j: bilinear_check(Scenario("gl", n, l), i, j),
+                    ))
     return out
 
 

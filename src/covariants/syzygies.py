@@ -56,12 +56,21 @@ class BilinearRelation:
         ]
 
 
+class ExpansionDoesNotVanish(AssertionError):
+    """A bilinear expansion that should be zero is not (1-based ``columns``)."""
+
+    def __init__(self, columns: tuple):
+        super().__init__(f"bilinear expansion failed to vanish for columns {columns}")
+        self.columns = columns
+
+
 def bilinear_relations(s: Scenario, i: int, j: int) -> list[BilinearRelation]:
     """The vanishing order-(i+j) minors of the stacked last-i/last-j rows.
 
     Expanding such a minor along its first i rows writes zero as a bilinear
     combination of order-i and order-j lower minors; every expansion is
-    verified symbolically before being returned.
+    verified symbolically before being returned, and the first that does not
+    vanish raises ``ExpansionDoesNotVanish``.
     """
     p = min(s.l, s.n)
     if not (1 <= i and 1 <= j and i + j <= p):
@@ -82,9 +91,7 @@ def bilinear_relations(s: Scenario, i: int, j: int) -> list[BilinearRelation]:
             total = total + sign * (m1 * m2)
             terms.append((sign, tuple(c + 1 for c in t1), tuple(c + 1 for c in t2)))
         if total:
-            raise AssertionError(
-                f"bilinear expansion failed to vanish for columns {cols}"
-            )
+            raise ExpansionDoesNotVanish(tuple(c + 1 for c in cols))
         out.append(BilinearRelation(tuple(c + 1 for c in cols), tuple(terms)))
     return out
 

@@ -390,3 +390,66 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
     # the other criterion still runs and passes
     assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
+
+
+# -- injected faults: criteria 2 and 11 fail through full-suite ---------------------
+
+
+def test_full_suite_reports_a_dropped_weight_pair(capsys, monkeypatch):
+    table_of = suite.weight_table_of
+    monkeypatch.setattr(suite, "weight_table_of", lambda gs: (lambda t: t - {min(t)})(table_of(gs)))
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "2,6", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    crit_2 = [c for c in checks if c["criterion"] == 2]
+    assert crit_2 and all(c["verdict"] == "fail" for c in crit_2)
+    assert all(c["witness"]["missing"] and c["witness"]["extra"] == [] for c in crit_2)
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+    assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
+
+
+def _perturbed_minor(monkeypatch):
+    """The order-1 lower minor of column 1 shifted by 1, as bilinear_relations sees it."""
+    from covariants import syzygies
+
+    minor = syzygies.minor
+    monkeypatch.setattr(
+        syzygies, "minor", lambda mat, rows, cols: minor(mat, rows, cols) + int(tuple(cols) == (0,))
+    )
+
+
+def test_full_suite_reports_a_bilinear_expansion_that_does_not_vanish(capsys, monkeypatch):
+    _perturbed_minor(monkeypatch)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "11,6", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    crit_11 = [c for c in checks if c["criterion"] == 11]
+    failed = [c for c in crit_11 if c["verdict"] != "pass"]
+    assert failed and len(failed) < len(crit_11)  # an expansion with i = j cancels the shift
+    assert all(c["verdict"] == "fail" and set(c["witness"]) == {"columns"} for c in failed)
+    assert all(c["witness"]["columns"][0] == 1 for c in failed)
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+    assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
+
+
+def test_bilinear_failure_exits_1_with_the_column_subset(capsys, monkeypatch):
+    _perturbed_minor(monkeypatch)
+    code, out, _ = run_cli(capsys, "bilinear", "--group", "gl", "--n", "3", "--l", "3", "--i", "1", "--j", "2")
+    assert code == 1
+    data = json.loads(out)
+    assert "relations" not in data
+    assert data["checks"] == [{"name": "bilinear n=3 l=3 i=1 j=2", "verdict": "fail", "witness": {"columns": [1, 2, 3]}}]
+
+
+def test_sp_minor_prints_the_certificate_once(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "sp-minor", "--group", "sp", "--n", "4", "--l", "3", "--order", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["checks"] == [{"name": "sp-high-minor n=4 l=3 k=3", "verdict": "pass"}]
+    assert data["certificate"]["lowMinor[3;1,2,3]"]
+    # a failed check keeps its witness
+    monkeypatch.setattr(suite, "sp_high_minor_membership", lambda s, k: (False, {"lowMinor[3;1,2,3]": None}))
+    code, out, _ = run_cli(capsys, "sp-minor", "--group", "sp", "--n", "4", "--l", "3", "--order", "3")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["verdict"] == "fail" and check["witness"] == {"lowMinor[3;1,2,3]": None}
