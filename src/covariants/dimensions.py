@@ -1,10 +1,12 @@
 """Graded dimensions of the generated subalgebra and of the invariant ring.
 
-Two quantities are compared throughout the verification suite:
+Two quantities are compared throughout the verification suite, weight by
+weight, since every generator monomial is a weight vector:
 
-* ``generated_dimension``: the dimension of the degree-t piece of the
-  subalgebra generated by the generator system, measured as the rank over
-  F_p of the evaluation matrix of all degree-t generator monomials.  The
+* ``generated_dimension``: per weight, the dimension of the degree-t piece
+  of the subalgebra generated by the generator system, measured as the rank
+  over F_p of the evaluation matrix of that weight's degree-t generator
+  monomials (one block of ``weight_blocks``, as in minimality).  The
   points are uniform nonzero residues mod p drawn from a named substream,
   and the matrix is built on residues throughout (numpy).  The rank is
   taken at two independent streams with two distinct primes; a
@@ -12,7 +14,7 @@ Two quantities are compared throughout the verification suite:
   have no p in a denominator (``_frac_mod`` refuses one that has), so the
   vanishing over Q of every larger minor of the monomials' coefficient
   matrix carries over mod p, and evaluation cannot raise a rank.  It is a
-  certified lower bound for the true dimension, and by Schwartz-Zippel it
+  certified lower bound for the weight space, and by Schwartz-Zippel it
   is exact except with probability at most (matrix rank x degree) / (p - 1).
 
 * ``invariant_dimension``: the dimension of the space of degree-t (and
@@ -21,9 +23,9 @@ Two quantities are compared throughout the verification suite:
   The derivation images and the monomial weights are those of ``groups``,
   which owns both conventions.
 
-Since the generated subalgebra always sits inside the invariant ring,
-equality of the lower bound with the exact dimension pins both quantities —
-the comparison is an unconditional certificate whenever it succeeds.
+Since the generated subalgebra always sits inside the invariant ring, weight
+by weight, equality of each lower bound with the exact dimension pins both
+quantities — the comparison is an unconditional certificate whenever it succeeds.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _frac_mod(x, p: int) -> int:
     f = Fraction(x)
     if f.denominator % p == 0:
         raise ValueError(f"{x} has no residue mod {p}: its denominator is divisible by {p}")
-    return f.numerator % p * pow(f.denominator % p, p - 2, p) % p
+    return f.numerator % p * pow(f.denominator, -1, p) % p
 
 
 def _factor_rows(exponents: np.ndarray) -> np.ndarray:
@@ -232,18 +234,19 @@ def _two_seed_ranks(
     return found[0]
 
 
-def two_seed_rank(
-    gs: GeneratorSet, monomials: Sequence, npoints: int, seed: int, stream: str
-) -> int:
-    """Evaluation rank at two seeds/primes; abort loudly on disagreement."""
-    return _two_seed_ranks(gs, monomials, npoints, seed, stream)[-1]
+def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
+    """The degree-t generator monomials grouped by weight, in their original order."""
+    blocks: dict[tuple, list] = {}
+    for m in generator_monomials(gs, t):
+        blocks.setdefault(monomial_weight(gs, m), []).append(m)
+    return blocks
 
 
-def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> int:
-    """Dimension of the degree-t piece of the generated subalgebra.
+def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> dict:
+    """Nonzero weight-space dimensions ``{weight: dim}`` of the degree-t generated piece.
 
-    Rank over F_p of the evaluation matrix of all degree-t generator
-    monomials at 2x(monomial count) points of uniform nonzero residues mod p,
+    Rank over F_p of the evaluation matrix of each weight block of degree-t
+    generator monomials at 2x(block size) points of uniform nonzero residues,
     at two streams and two primes.  A rank mod p never exceeds the rank over
     Q, so this is a certified lower bound; it equals the true dimension
     unless the points fall on the zero set of a nonzero minor, which
@@ -251,15 +254,12 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    if t == 0:
-        return 1
-    monomials = generator_monomials(gs, t)
-    if not monomials:
-        return 0
-    cap_val = monomial_cap(cap)
-    if len(monomials) > cap_val:
-        raise CapExceeded(f"{len(monomials)} generator monomials (cap {cap_val})")
-    return two_seed_rank(gs, monomials, 2 * len(monomials), seed, f"genrank:{t}")
+    blocks = weight_blocks(gs, t)
+    count, cap_val = sum(map(len, blocks.values())), monomial_cap(cap)
+    if count > cap_val:
+        raise CapExceeded(f"{count} generator monomials (cap {cap_val})")
+    ranks = {w: _two_seed_ranks(gs, ms, 2 * len(ms), seed, f"genrank:{t}:{w}")[0] for w, ms in blocks.items()}
+    return {w: r for w, r in sorted(ranks.items()) if r}
 
 
 # -- minimality ------------------------------------------------------------------
@@ -280,20 +280,14 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight.eps), []).append(idx)
-    block_monomials: dict[tuple, list] = {}
-    for d in {d for d, _ in blocks}:
-        for m in generator_monomials(gs, d):
-            block_monomials.setdefault((d, monomial_weight(gs, m)), []).append(m)
+    by_degree = {d: weight_blocks(gs, d) for d, _ in blocks}
     for (d, w), gen_indices in sorted(blocks.items()):
         singles = {((idx, 1),) for idx in gen_indices}
-        block_monos = [m for m in block_monomials[d, w] if m not in singles]
+        block_monos = [m for m in by_degree[d][w] if m not in singles]
         ordered = block_monos + [((idx, 1),) for idx in gen_indices]
-        base, full = _two_seed_ranks(
-            gs, ordered, len(ordered) + 32, seed, f"min:{d}:{w}", (len(block_monos),)
-        )
+        base, full = _two_seed_ranks(gs, ordered, len(ordered) + 32, seed, f"min:{d}:{w}", (len(block_monos),))
         if full == base + len(gen_indices):
-            for idx in gen_indices:
-                verdicts[gs.gens[idx].label] = True
+            verdicts.update((gs.gens[idx].label, True) for idx in gen_indices)
             continue
         # at least one generator is spanned by the rest: identify which
         for idx in gen_indices:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from .linalg import Matrix, kernel_basis
 from .polynomial import Polynomial, canon_coeff, variable_key
 from .scenario import Scenario
@@ -52,8 +53,13 @@ def nilradical_basis(s: Scenario) -> list[Matrix]:
     gl: the elementary matrices E[i][j], i < j, in lexicographic order.
     o/sp: the kernel of xi -> xi^T Q + Q xi inside the strictly upper
     triangular matrices, found by exact elimination and normalized to
-    primitive integer vectors.
+    primitive integer vectors.  Computed once per scenario.
     """
+    return list(_nilradical_basis(s))
+
+
+@lru_cache(maxsize=None)
+def _nilradical_basis(s: Scenario) -> tuple[Matrix, ...]:
     n = s.n
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if s.group == "gl":
@@ -62,7 +68,7 @@ def nilradical_basis(s: Scenario) -> list[Matrix]:
             rows = [[0] * n for _ in range(n)]
             rows[i][j] = 1
             out.append(Matrix(rows))
-        return out
+        return tuple(out)
     q = form_matrix(s)
     # Entry (a, b) of xi^T Q + Q xi must vanish; the coefficient of the
     # unknown xi[i][j] there is Q[i][b]*[j == a] + Q[a][i]*[j == b].
@@ -86,7 +92,7 @@ def nilradical_basis(s: Scenario) -> list[Matrix]:
         for idx, (i, j) in enumerate(positions):
             rows[i][j] = ints[idx]
         out.append(Matrix(rows))
-    return out
+    return tuple(out)
 
 
 def exp_nilpotent(xi: Matrix) -> Matrix:

@@ -328,7 +328,8 @@ def rank_mod_p(matrix: np.ndarray, p: int = PRIME_A) -> int:
     rational rank; callers pair it with an exact upper bound or a second
     prime to certify results.
     """
-    a = np.mod(matrix.astype(np.int64), p)
+    a = matrix.astype(np.int64)  # a copy: eliminated in place
+    a %= p
     m, n = a.shape
     r = 0
     for c in range(n):
@@ -341,7 +342,7 @@ def rank_mod_p(matrix: np.ndarray, p: int = PRIME_A) -> int:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
+        inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = (a[r, c:] * inv) % p
         rows_below = np.nonzero(a[r + 1 :, c])[0]
         if rows_below.size:

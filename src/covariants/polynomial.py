@@ -246,9 +246,6 @@ class Polynomial:
 
     __hash__ = None
 
-    def is_constant(self) -> bool:
-        return not any(self._packed)
-
     def degree(self) -> int:
         """Total degree; the zero polynomial gets -1."""
         if not self._packed:

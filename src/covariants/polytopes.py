@@ -71,13 +71,11 @@ def build_polytopes(s: Scenario) -> PolytopeSpec:
         chamber_rows.append(tuple(row))
     if s.group != "gl":
         if s.case == "D":
-            row = [0] * q
-            if q >= 2:
+            if q >= 2:  # rank-1 even orthogonal: no constraint
+                row = [0] * q
                 row[q - 2] = 1
                 row[q - 1] = 1
                 chamber_rows.append(tuple(row))
-            else:
-                pass  # rank-1 even orthogonal: no constraint
         else:
             row = [0] * q
             row[q - 1] = 1
@@ -118,10 +116,11 @@ class PolytopeReport:
     seed: int
     sample_failures: list = field(default_factory=list)
     vertex_failures: list = field(default_factory=list)
+    sampler_failures: list = field(default_factory=list)  # samples outside Phi or the chamber
 
     @property
     def passed(self) -> bool:
-        return not self.sample_failures and not self.vertex_failures
+        return not (self.sample_failures or self.vertex_failures or self.sampler_failures)
 
     def to_json(self) -> dict:
         return {
@@ -132,28 +131,28 @@ class PolytopeReport:
                 "seed": self.seed,
             },
             "verdict": "pass" if self.passed else "fail",
-            "witness": {
-                "points_outside_delta": [
-                    [str(Fraction(x)) for x in pt] for pt in self.sample_failures
-                ],
-                "delta_vertices_outside": [
-                    [str(Fraction(x)) for x in pt] for pt in self.vertex_failures
-                ],
-            }
-            if not self.passed
-            else None,
+            "witness": None if self.passed else {
+                key: [[str(Fraction(x)) for x in pt] for pt in points]
+                for key, points in (
+                    ("points_outside_delta", self.sample_failures),
+                    ("delta_vertices_outside", self.vertex_failures),
+                    ("points_outside_phi", self.sampler_failures),
+                )
+            },
         }
 
 
 def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> PolytopeReport:
-    """Verify delta = Phi intersect chamber on random points plus vertices."""
+    """Verify delta = Phi intersect chamber on random points plus vertices;
+    a sample outside Phi or the chamber is reported as ``points_outside_phi``."""
     spec = build_polytopes(s)
     report = PolytopeReport(s, samples, seed)
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
         pt = sample_chamber_point(s, spec, rng)
-        assert convex_membership(pt, spec.phi_vertices) and spec.in_chamber(pt)
-        if not convex_membership(pt, spec.delta_vertices):
+        if not (convex_membership(pt, spec.phi_vertices) and spec.in_chamber(pt)):
+            report.sampler_failures.append(pt)
+        elif not convex_membership(pt, spec.delta_vertices):
             report.sample_failures.append(pt)
     for v in spec.delta_vertices:
         if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):

@@ -6,11 +6,11 @@ function returning (passed, witness), which both run through ``_timed``.
 All randomness flows from one seed through named substreams, so identical
 configs reproduce identical reports.
 
-The generation criterion (number 3) compares an evaluation rank, which can
-only undercount the generated subalgebra's graded dimension, with the exact
-kernel dimension of the invariant ring, which the subalgebra sits inside.
-Equality therefore pins both quantities exactly; a strict gap anywhere fails
-loudly rather than passing silently.
+The generation criterion (number 3) compares, weight by weight, an
+evaluation rank, which can only undercount the generated subalgebra's graded
+dimension, with the exact kernel dimension of the invariant ring, which the
+subalgebra sits inside.  Equality therefore pins both quantities exactly; a
+strict gap at any weight fails loudly rather than passing silently.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .dimensions import (
     CapExceeded,
     degree_monomial_count,
     generated_dimension,
-    invariant_dimension,
     invariant_weight_dims,
     minimality_check,
     monomial_cap,
@@ -254,9 +253,12 @@ def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
                 continue
 
             def run(s=s, gs=gs, t=t):
-                a = generated_dimension(gs, t, seed=cfg.seed, cap=cfg.monomial_cap)
-                u = invariant_dimension(s, t, cap=cfg.monomial_cap)
-                return a == u, None if a == u else {"generated": a, "invariant": u}
+                gen = generated_dimension(gs, t, seed=cfg.seed, cap=cfg.monomial_cap)
+                inv = invariant_weight_dims(s, t, cap=cfg.monomial_cap)
+                if gen == inv:
+                    return True, None
+                w = min(w for w in gen.keys() | inv.keys() if gen.get(w) != inv.get(w))
+                return False, {"weight": list(w), "generated": gen.get(w, 0), "invariant": inv.get(w, 0)}
 
             out.append(_timed(f"generation {s.group} n={s.n} l={s.l} m={s.m} t={t}", run))
     return out

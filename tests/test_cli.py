@@ -5,7 +5,7 @@ import pytest
 
 from covariants import cli, dimensions, suite
 from covariants.cli import INTERNAL_ERROR, USAGE_ERROR, build_parser, main, parse_scenario
-from covariants.dimensions import SeedDisagreement
+from covariants.dimensions import SeedDisagreement, invariant_weight_dims
 from covariants.generators import Generator
 from covariants.linalg import PRIME_B
 from covariants.polynomial import Polynomial
@@ -344,7 +344,7 @@ def test_bilinear_prints_relations(capsys):
     ]
 
 
-# -- injected faults: criteria 1, 3 and 4 fail through full-suite -------------------
+# -- injected faults: criteria 1, 3, 4 and 8 fail through full-suite ----------------
 
 
 def _non_invariant(gs):
@@ -368,7 +368,7 @@ def _with_product(gs):
     "fault, num, witness_keys",
     [
         (_non_invariant, 1, {"lie", "samples"}),
-        (_dropped, 3, {"generated", "invariant"}),
+        (_dropped, 3, {"weight", "generated", "invariant"}),
         (_with_product, 4, {"inessential"}),
     ],
 )
@@ -385,9 +385,34 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
     assert all(set(c["witness"]) == witness_keys for c in failed)
     if num == 1:
         assert all(c["witness"]["lie"] for c in failed)
+    if num == 3:
+        for c in failed:
+            # "generation sp n=4 l=3 m=0 t=2": the witness names a weight that falls short
+            _, group, *fields = c["name"].split()
+            n, l, m, t = (int(f.split("=")[1]) for f in fields)
+            w = c["witness"]
+            assert w["generated"] < w["invariant"] == invariant_weight_dims(Scenario(group, n, l, m), t)[tuple(w["weight"])]
     if num == 4:
         assert all(c["witness"] == {"inessential": ["extra"]} for c in failed)
     # the other criterion still runs and passes
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+    assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
+
+
+def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
+    # a sampler fault: every "sample" is 2 e_1, in the chamber but outside Phi
+    from covariants import polytopes
+
+    monkeypatch.setattr(polytopes, "sample_chamber_point", lambda s, spec, rng: (2,) + (0,) * (s.rank - 1))
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "8,6", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    crit_8 = [c for c in checks if c["criterion"] == 8]
+    assert [c["name"] for c in crit_8] == ["polytope sp n=2", "polytope sp n=4"]
+    for c in crit_8:
+        assert c["verdict"] == "fail"
+        assert c["witness"]["points_outside_delta"] == [] and c["witness"]["delta_vertices_outside"] == []
+        assert c["witness"]["points_outside_phi"][0][0] == "2"
     assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,11 @@ from covariants.dimensions import (
     invariant_weight_dims,
     minimality_check,
     monomial_eval_matrix,
+    weight_blocks,
 )
-from covariants.generators import Generator, GeneratorSet, build_generators, generator_monomials
+from covariants.generators import Generator, GeneratorSet, build_generators, generator_monomials, monomial_weight
 from covariants.linalg import PRIME_A, PRIME_B
+from covariants.polynomial import Polynomial
 from covariants.rng import residue_points
 from covariants.scenario import Scenario
 
@@ -31,7 +34,7 @@ def test_degree_monomials_enumeration():
 def test_degree_zero_dimensions():
     s = Scenario("sp", 2, 1)
     assert invariant_dimension(s, 0) == 1
-    assert generated_dimension(build_generators(s), 0) == 1
+    assert generated_dimension(build_generators(s), 0) == {(0,): 1}
 
 
 def test_single_copy_gl_line():
@@ -40,7 +43,7 @@ def test_single_copy_gl_line():
     gs = build_generators(s)
     for t in range(5):
         assert invariant_dimension(s, t) == 1
-        assert generated_dimension(gs, t) == 1
+        assert generated_dimension(gs, t) == {(0, -t): 1}
 
 
 def test_weight_refinement_sums_to_total():
@@ -67,7 +70,34 @@ def test_generation_matches_on_small_grid():
     ):
         gs = build_generators(s)
         for t in range(5):
-            assert generated_dimension(gs, t, seed=5) == invariant_dimension(s, t), (s, t)
+            assert generated_dimension(gs, t, seed=5) == invariant_weight_dims(s, t), (s, t)
+
+
+def test_weight_blocks_partition_the_generator_monomials():
+    gs = build_generators(Scenario("gl", 3, 2, 2))
+    for t in range(4):
+        blocks, monos = weight_blocks(gs, t), generator_monomials(gs, t)
+        assert sorted(m for ms in blocks.values() for m in ms) == monos
+        for w, ms in blocks.items():
+            assert ms == [m for m in monos if monomial_weight(gs, m) == w]
+    assert weight_blocks(gs, 0) == {(0, 0, 0): [()]}
+
+
+def test_generated_dimension_leaves_out_zero_ranks():
+    s = Scenario("gl", 2, 1, 0)
+    gs = build_generators(s)
+    zero = GeneratorSet(s, tuple(dataclasses.replace(g, poly=Polynomial.zero(s.nvars)) for g in gs.gens))
+    assert generated_dimension(gs, 2) == {(0, -2): 1}
+    assert generated_dimension(zero, 2) == {}
+
+
+def test_generated_dimension_cap_counts_all_blocks():
+    gs = build_generators(Scenario("gl", 3, 2, 2))
+    count = len(generator_monomials(gs, 3))
+    assert max(map(len, weight_blocks(gs, 3).values())) < count
+    generated_dimension(gs, 3, cap=count)
+    with pytest.raises(CapExceeded, match=f"{count} generator monomials"):
+        generated_dimension(gs, 3, cap=count - 1)
 
 
 def test_monomial_cap_guard():
@@ -156,8 +186,9 @@ def test_dropped_generator_loses_generated_dimension(s):
     for k in (0, len(gs) - 1):
         dropped = gs.gens[k]
         partial = GeneratorSet(s, gs.gens[:k] + gs.gens[k + 1 :])
-        t = dropped.degree
-        assert generated_dimension(partial, t) < invariant_dimension(s, t), dropped.label
+        gen, inv = generated_dimension(partial, dropped.degree), invariant_weight_dims(s, dropped.degree)
+        assert all(gen.get(w, 0) <= dim for w, dim in inv.items()) and gen.keys() <= inv.keys()
+        assert gen.get(dropped.weight.eps, 0) < inv[dropped.weight.eps], dropped.label
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,18 @@ def test_nilradical_counts_match_positive_roots():
                 assert all(xi[i, j] == 0 for i in range(s.n) for j in range(i + 1))
 
 
+def test_nilradical_basis_is_computed_once_per_scenario(monkeypatch):
+    from covariants import groups
+
+    s = Scenario("sp", 6, 2)
+    basis = nilradical_basis(s)
+    monkeypatch.setattr(groups, "kernel_basis", None)  # a recomputation would raise
+    again = nilradical_basis(s)
+    assert again == basis and again is not basis
+    basis.clear()  # the caller's copy, not the cached basis
+    assert len(nilradical_basis(s)) == positive_root_count(s) == 9
+
+
 def test_exp_of_zero_is_identity():
     assert exp_nilpotent(Matrix.zero(3, 3)) == Matrix.identity(3)
 

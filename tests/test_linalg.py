@@ -1,9 +1,10 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from covariants.linalg import Matrix, kernel_basis, minor, rank, solve
+from covariants.linalg import PRIME_A, PRIME_B, Matrix, kernel_basis, minor, rank, rank_mod_p, solve
 from covariants.polynomial import Polynomial
 
 from conftest import random_frac
@@ -151,3 +152,22 @@ def test_solve_and_inverse(rng):
 def test_matrix_json_round_trip():
     m = Matrix([[Fraction(1, 2), 3], [0, -2]])
     assert Matrix.from_json(m.to_json()) == m
+
+
+@pytest.mark.parametrize("p", [7, PRIME_A, PRIME_B])
+def test_rank_mod_p_matches_exact_rank_and_keeps_its_input(rng, p):
+    for _ in range(30):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.randint(0, min(m, n))
+        # a product of m x k and k x n integer factors has rank <= k
+        left = np.array([rng.randint(-5, 5) for _ in range(m * k)], dtype=np.int64).reshape(m, k)
+        right = np.array([rng.randint(-5, 5) for _ in range(k * n)], dtype=np.int64).reshape(k, n)
+        rows = (left @ right).tolist()
+        mat = left @ right + p * rng.randint(-2, 2)  # the same residues
+        before = mat.copy()
+        got = rank_mod_p(mat, p)
+        assert np.array_equal(mat, before)
+        if p > 7:  # fixed seed: no nonzero minor of these small entries is divisible by p
+            assert got == rank(rows)
+        else:
+            assert got <= rank(rows)
