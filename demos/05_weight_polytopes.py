@@ -4,7 +4,8 @@ Normalized weights of the generated invariants fill out exactly the
 intersection of the weight hull of W with the dominant chamber.  The demo
 prints the vertex data and runs the two-sided inclusion check: sampled
 rational chamber points of the hull land inside the generator polytope
-(exact LP per point), and its vertices land back in hull and chamber.
+(exact facet inequalities), and its vertices land back in hull (exact LP)
+and chamber.
 """
 
 from covariants import Scenario, build_polytopes, chamber_inclusion_check
@@ -17,6 +18,7 @@ for s in (Scenario("gl", 3, 3), Scenario("sp", 4, 4), Scenario("o", 6, 6)):
     print("weight-hull vertices: ", [tuple(map(str, v)) for v in spec.phi_vertices])
     print("generator polytope:   ", [tuple(map(str, v)) for v in spec.delta_vertices])
     print("chamber inequalities: ", [tuple(row) for row in spec.chamber])
+    print("generator facets:     ", [tuple(row) for row in spec.delta_facets], "(<a, w> + c >= 0)")
 
     rep = chamber_inclusion_check(s, samples=200, seed=7)
     print("two-sided inclusion (200 samples):", "pass" if rep.passed else "fail")

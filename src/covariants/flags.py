@@ -127,9 +127,13 @@ def incidence_holds(f: FlagPoint) -> bool:
     l = f.l
     anns = []
     for k, q in enumerate(f.components, start=1):
-        if not is_decomposable(q, k, l):
+        if not any(q):
+            anns.append(None)
+            continue
+        ann = annihilator(q, k, l)
+        if len(ann) != k:
             raise ValueError(f"component {k} is not decomposable")
-        anns.append(annihilator(q, k, l) if any(q) else None)
+        anns.append(ann)
     for k in range(1, f.p):
         cur, prev = anns[k], anns[k - 1]
         if cur is None:

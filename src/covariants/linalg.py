@@ -10,7 +10,7 @@ specialized helpers exist for the large probabilistic rank computations:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,26 +135,30 @@ class Matrix:
         return expand(tuple(range(n)))
 
     def inverse(self) -> "Matrix":
-        """Exact inverse for numeric entries; raises on singular input."""
+        """Exact inverse for numeric entries; raises on singular input.
+
+        ``[A | I]`` is brought to echelon form ``[U | L]`` with ``U = M A``
+        and ``L = M`` for some invertible M, so ``A^-1 = U^-1 L``, found by
+        back-substitution.  A is singular iff a pivot lands right of column n.
+        """
         if self.m != self.n:
             raise ValueError("inverse of a non-square matrix")
         n = self.n
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if aug[r][c]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c]:
-                    f = aug[r][c]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-        return Matrix([[canon_coeff(x) for x in row[n:]] for row in aug])
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        ech, pivots = _echelon(aug, 2 * n)
+        if pivots != list(range(n)):
+            raise ValueError("singular matrix")
+        inv: list = [None] * n
+        for i in range(n - 1, -1, -1):
+            row = ech[i]
+            d = row[i]
+            later = [(row[j], inv[j]) for j in range(i + 1, n) if row[j]]
+            out = []
+            for c in range(n):
+                s = row[n + c] - sum(a * x[c] for a, x in later)
+                out.append(s // d if type(s) is int and s % d == 0 else canon_coeff(Fraction(s, d)))
+            inv[i] = out
+        return Matrix(inv)
 
     def to_json(self) -> list:
         return [[str(Fraction(x)) for x in row] for row in self.rows]
@@ -212,11 +216,8 @@ def _intify(row: list) -> list:
                 if g == 1:
                     return row
         return [x // g for x in row] if g > 1 else row
-    mult = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            mult = mult * x.denominator // gcd(mult, x.denominator)
-    return [int(x * mult) for x in row]
+    mult = lcm(*(x.denominator for x in row))
+    return [x.numerator * (mult // x.denominator) for x in row]
 
 
 def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:

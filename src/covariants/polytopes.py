@@ -3,9 +3,20 @@
 ``Phi`` is the convex hull of the torus weights of W (the cross-polytope on
 the basic characters), ``delta`` the hull of the normalized generator
 weights, and ``chamber`` the dominant cone.  The verified inclusion is
-two-sided: random rational points of Phi intersected with the chamber must
-lie in delta (exact LP per point), and every delta vertex must lie back in
-Phi and the chamber.
+two-sided, and each side is decided by its own exact algorithm:
+
+* random rational points of Phi intersected with the chamber must lie in
+  delta.  Phi is the cross-polytope, so a point lies in it iff the sum of
+  the absolute values of its coordinates is at most 1; delta membership is
+  a test against delta's facet inequalities, built once per spec.
+* every delta vertex must lie back in Phi (exact LP, ``lp``) and in the
+  chamber.
+
+The facet list is complete because delta is full-dimensional (checked):
+every facet of a full-dimensional polytope in R^q passes through q affinely
+independent points of a generating set, so the hyperplanes through such
+q-subsets that leave every point on one side are exactly the facets
+(Ziegler, *Lectures on Polytopes*, 1995).
 
 Vertex lists (epsilon-coordinates; q = torus rank):
 
@@ -19,25 +30,78 @@ Vertex lists (epsilon-coordinates; q = torus rank):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
+from .linalg import kernel_basis, rank
 from .lp import convex_membership
 from .polynomial import canon_coeff
 from .rng import substream
 from .scenario import Scenario
 
 
+def hull_facets(points) -> tuple:
+    """Facet inequalities of the convex hull of ``points`` in R^q, exactly.
+
+    Each facet is a primitive integer row (a_1, ..., a_q, c) with the
+    meaning <a, w> + c >= 0, and the hull is the set where all of them hold.
+    Raises ``ValueError`` unless the hull is full-dimensional (affine rank q),
+    the precondition that makes the enumeration complete.
+    """
+    points = [tuple(p) for p in points]
+    q = len(points[0])
+    affine_rank = rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    if affine_rank != q:
+        raise ValueError(f"hull of {len(points)} points has affine rank {affine_rank}, expected {q}")
+    lifted = [list(p) + [1] for p in points]
+    facets = set()
+    for subset in itertools.combinations(lifted, q):
+        normal = kernel_basis(subset, q + 1)
+        if len(normal) != 1:
+            continue  # affinely dependent: no unique hyperplane
+        row, _ = _cleared(normal[0])  # primitive: the kernel vector has an entry 1
+        sides = [sum(a * x for a, x in zip(row, p)) for p in lifted]
+        if all(v >= 0 for v in sides):
+            facets.add(tuple(row))
+        elif all(v <= 0 for v in sides):
+            facets.add(tuple(-a for a in row))
+    return tuple(sorted(facets))
+
+
 @dataclass(frozen=True)
 class PolytopeSpec:
-    phi_vertices: tuple
+    phi_vertices: tuple  # +-e_i: the cross-polytope
     delta_vertices: tuple
     chamber: tuple  # rows c with the meaning <c, w> >= 0
+    delta_facets: tuple = field(init=False)  # rows (a, c): <a, w> + c >= 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "delta_facets", hull_facets(self.delta_vertices))
 
     def in_chamber(self, point) -> bool:
+        nums, _ = _cleared(point)
         return all(
-            sum(c * x for c, x in zip(row, point)) >= 0 for row in self.chamber
+            sum(c * x for c, x in zip(row, nums)) >= 0 for row in self.chamber
         )
+
+    def in_phi(self, point) -> bool:
+        nums, den = _cleared(point)
+        return sum(abs(x) for x in nums) <= den
+
+    def in_delta(self, point) -> bool:
+        nums, den = _cleared(point)
+        return all(
+            sum(a * x for a, x in zip(row, nums)) + row[-1] * den >= 0
+            for row in self.delta_facets
+        )
+
+
+def _cleared(point) -> tuple[list[int], int]:
+    """A rational point as integer numerators over one positive denominator."""
+    den = lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
 
 
 def build_polytopes(s: Scenario) -> PolytopeSpec:
@@ -93,12 +157,12 @@ def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
     """
     q = s.rank
     t = rng.randint(1, 20)
-    point = [Fraction(0)] * q
+    point = [0] * q
     for _ in range(t):
         v = spec.phi_vertices[rng.randrange(len(spec.phi_vertices))]
         for i in range(q):
             point[i] += v[i]
-    point = [x / t for x in point]
+    point = [Fraction(x, t) for x in point]
     if s.group == "gl":
         point.sort(reverse=True)
     else:
@@ -143,16 +207,20 @@ class PolytopeReport:
 
 
 def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> PolytopeReport:
-    """Verify delta = Phi intersect chamber on random points plus vertices;
-    a sample outside Phi or the chamber is reported as ``points_outside_phi``."""
+    """Verify delta = Phi intersect chamber on random points plus vertices.
+
+    Samples are tested against the cross-polytope and delta's facet
+    inequalities; delta's vertices are tested against Phi by exact LP.  A
+    sample outside Phi or the chamber is reported as ``points_outside_phi``.
+    """
     spec = build_polytopes(s)
     report = PolytopeReport(s, samples, seed)
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
         pt = sample_chamber_point(s, spec, rng)
-        if not (convex_membership(pt, spec.phi_vertices) and spec.in_chamber(pt)):
+        if not (spec.in_phi(pt) and spec.in_chamber(pt)):
             report.sampler_failures.append(pt)
-        elif not convex_membership(pt, spec.delta_vertices):
+        elif not spec.in_delta(pt):
             report.sample_failures.append(pt)
     for v in spec.delta_vertices:
         if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):

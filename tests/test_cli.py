@@ -417,6 +417,47 @@ def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
 
+def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch):
+    # drop delta's vertex e_1 for gl n=3; the hull stays full-dimensional, so
+    # the facet test runs and must reject the samples near e_1
+    from covariants import polytopes
+
+    build = polytopes.build_polytopes
+
+    def shrunken(s):
+        spec = build(s)
+        if (s.group, s.n) != ("gl", 3):
+            return spec
+        return dataclasses.replace(spec, delta_vertices=tuple(v for v in spec.delta_vertices if v != (1, 0, 0)))
+
+    monkeypatch.setattr(polytopes, "build_polytopes", shrunken)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "8,6", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    crit_8 = {c["name"]: c for c in checks if c["criterion"] == 8}
+    assert [c["verdict"] for c in crit_8.values()] == ["pass", "fail", "pass"]
+    witness = crit_8["polytope gl n=3"]["witness"]
+    assert witness["points_outside_delta"] and witness["points_outside_phi"] == []
+    assert witness["delta_vertices_outside"] == []
+    assert ["1", "0", "0"] in witness["points_outside_delta"]
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+
+
+def test_full_suite_reports_a_flat_delta_as_an_error(capsys, monkeypatch):
+    from covariants import polytopes
+
+    build = polytopes.build_polytopes
+    monkeypatch.setattr(
+        polytopes, "build_polytopes",
+        lambda s: dataclasses.replace(build(s), delta_vertices=((0,) * s.rank, (1,) + (0,) * (s.rank - 1))),
+    )
+    code, out, _ = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "8", "--seed", "1")
+    assert code == 3
+    crit_8 = json.loads(out)["checks"]
+    assert [c["verdict"] for c in crit_8] == ["pass", "error"]  # sp n=2 has rank 1
+    assert crit_8[1]["witness"] == "ValueError: hull of 2 points has affine rank 1, expected 2"
+
+
 # -- injected faults: criteria 2 and 11 fail through full-suite ---------------------
 
 

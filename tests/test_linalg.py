@@ -132,6 +132,29 @@ def test_rank_plus_nullity(rng):
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def test_inverse_is_exact(rng):
+    for n in range(1, 6):
+        mats = [
+            [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)],
+            [[random_frac(rng) for _ in range(n)] for _ in range(n)],
+            [[int(i == j) if j <= i else rng.randint(-9, 9) for j in range(n)] for i in range(n)],
+        ]
+        for rows in mats:
+            m = Matrix(rows)
+            try:
+                inv = m.inverse()
+            except ValueError:
+                assert m.det() == 0
+                continue
+            assert m * inv == Matrix.identity(n) and inv * m == Matrix.identity(n)
+        # unitriangular integer matrices have integer inverses
+        assert all(type(x) is int for row in Matrix(mats[2]).inverse().rows for x in row)
+    with pytest.raises(ValueError, match="singular"):
+        Matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).inverse()
+    with pytest.raises(ValueError, match="singular"):
+        Matrix([[0, 0], [0, 0]]).inverse()
+
+
 def test_solve_and_inverse(rng):
     for _ in range(10):
         rows = [[random_frac(rng) for _ in range(3)] for _ in range(3)]

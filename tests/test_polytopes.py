@@ -1,9 +1,14 @@
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from covariants.lp import convex_membership
 from covariants.polytopes import (
     build_polytopes,
     chamber_inclusion_check,
+    hull_facets,
     sample_chamber_point,
 )
 from covariants.rng import substream
@@ -83,3 +88,60 @@ def test_report_json_shape():
     assert data["check"] == "chamber-inclusion"
     assert data["verdict"] == "pass"
     assert data["inputs"]["seed"] == 0
+
+
+FACET_SCENARIOS = (
+    [Scenario("gl", n, 1) for n in range(1, 6)]
+    + [Scenario("o", n, 1) for n in range(2, 9)]
+    + [Scenario("sp", n, 1) for n in (2, 4, 6, 8)]
+)
+
+
+@pytest.mark.parametrize("s", FACET_SCENARIOS, ids=lambda s: f"{s.group}{s.n}")
+def test_facet_test_agrees_with_lp(s):
+    spec = build_polytopes(s)
+    verts = spec.delta_vertices
+    rng = random.Random(f"facets:{s.group}:{s.n}")
+    points = [
+        tuple(Fraction(x + y, 2) for x, y in zip(a, b))
+        for a, b in itertools.combinations(verts, 2)
+    ]
+    for _ in range(40):
+        weights = [rng.randint(0, 5) for _ in verts]
+        total = sum(weights) or 1
+        points.append(tuple(
+            sum(Fraction(w, total) * v[i] for w, v in zip(weights, verts)) for i in range(s.rank)
+        ))
+        points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(s.rank)))
+    # the centroid of one facet's vertices, pushed 1/10^12 across that facet
+    row = spec.delta_facets[0]
+    on_facet = [v for v in verts if sum(a * x for a, x in zip(row, v)) + row[-1] == 0]
+    centroid = [sum(Fraction(v[i]) for v in on_facet) / len(on_facet) for i in range(s.rank)]
+    norm2 = sum(a * a for a in row[:-1])
+    outside = tuple(x - Fraction(a, 10**12 * norm2) for x, a in zip(centroid, row))
+    assert spec.in_delta(tuple(centroid)) and not spec.in_delta(outside)
+    points.append(outside)
+    for pt in points:
+        assert spec.in_delta(pt) == convex_membership(pt, verts), pt
+
+
+def test_facet_counts():
+    for n in range(1, 6):
+        assert len(build_polytopes(Scenario("gl", n, 1)).delta_facets) == 2 * n
+    for s, count in ((Scenario("o", 5, 1), 3), (Scenario("o", 6, 1), 5), (Scenario("sp", 4, 1), 3)):
+        assert len(build_polytopes(s).delta_facets) == count
+
+
+def test_degenerate_hull_raises():
+    with pytest.raises(ValueError, match="affine rank 1"):
+        hull_facets([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(ValueError, match="affine rank 2"):
+        hull_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+
+
+def test_phi_test_is_the_cross_polytope():
+    spec = build_polytopes(Scenario("o", 6, 1))
+    rng = random.Random(11)
+    for _ in range(60):
+        pt = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3))
+        assert spec.in_phi(pt) == convex_membership(pt, spec.phi_vertices), pt
