@@ -48,7 +48,7 @@ print("left-hand side has", len(lhs.terms), "monomials")
 
 gs = build_generators(Scenario("gl", 2, 2, 1))
 for d in (1, 2, 3):
-    rep = relation_space(gs, d, seed=1)
+    rep = relation_space(gs, d)
     print(f"\ndegree-{d} relations among {rep.ambient_dim} monomials: dim {rep.relation_dim}")
     for combo in rep.pretty_basis():
         print("   ", combo)
@@ -56,4 +56,4 @@ for d in (1, 2, 3):
 # minors-only systems: everything comes from the quadratic relations
 gs_minors = build_generators(Scenario("gl", 3, 3, 0))
 print("\nminors-only closure under quadratic relations:",
-      all(quadratic_relation_closure(gs_minors, d, seed=1) for d in (3, 4)))
+      all(quadratic_relation_closure(gs_minors, d) for d in (3, 4)))

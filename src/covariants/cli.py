@@ -212,7 +212,7 @@ def cmd_zacep(args) -> int:
 
 def cmd_relations(args) -> int:
     gs = build_generators(parse_scenario(args))
-    rep = relation_space(gs, args.degree, seed=args.seed)
+    rep = relation_space(gs, args.degree)
     return _emit(args, _report(args, rep.to_json()))
 
 
@@ -223,7 +223,7 @@ def cmd_degree2_gen(args) -> int:
     return _run_check(
         args,
         f"quadratic-closure {s.group} n={s.n} l={s.l} d={args.degree}",
-        lambda: suite.quadratic_closure_check(build_generators(s), args.degree, args.seed, None),
+        lambda: suite.quadratic_closure_check(build_generators(s), args.degree, None),
     )
 
 

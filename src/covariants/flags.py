@@ -118,11 +118,20 @@ def is_decomposable(q, k: int, l: int) -> bool:
     return len(annihilator(q, k, l)) == k
 
 
+class IndecomposableComponent(ValueError):
+    """Component ``k`` (1-based) of a flag point is not decomposable."""
+
+    def __init__(self, k: int):
+        super().__init__(f"component {k} is not decomposable")
+        self.k = k
+
+
 def incidence_holds(f: FlagPoint) -> bool:
     """Membership in the flag image: decomposable components, nested kernels.
 
     A nonzero component after a zero one can never happen on the image, and
-    fails here; trailing zero components are fine.
+    fails here; trailing zero components are fine.  The first indecomposable
+    component raises ``IndecomposableComponent``.
     """
     l = f.l
     anns = []
@@ -132,7 +141,7 @@ def incidence_holds(f: FlagPoint) -> bool:
             continue
         ann = annihilator(q, k, l)
         if len(ann) != k:
-            raise ValueError(f"component {k} is not decomposable")
+            raise IndecomposableComponent(k)
         anns.append(ann)
     for k in range(1, f.p):
         cur, prev = anns[k], anns[k - 1]

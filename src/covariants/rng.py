@@ -5,17 +5,15 @@ substreams, so adding a check never perturbs the samples another check
 draws.  The derivation is a stable hash (not Python's salted ``hash``), so
 identical configs reproduce byte-identical reports across runs and machines.
 
-Two kinds of evaluation point are drawn from a substream: small nonzero
-rationals (``random_point``) for the exact relation spaces, and uniform
-nonzero residues mod p (``residue_points``) for the modular evaluation
-ranks.
+Evaluation points are uniform nonzero residues mod p (``residue_points``)
+for the modular evaluation ranks.  Exact relation spaces draw nothing: they
+are kernels of coefficient matrices.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 import numpy as np
 
@@ -23,20 +21,6 @@ import numpy as np
 def substream(seed: int, name: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def random_rational(rng: random.Random, num_bound: int = 9, den_bound: int = 7) -> Fraction:
-    """A small nonzero random rational for evaluation-point coordinates.
-
-    Zero coordinates are excluded: they make tiny evaluation matrices
-    degenerate far too often (a monomial vanishes identically on the sample).
-    """
-    sign = 1 if rng.random() < 0.5 else -1
-    return Fraction(sign * rng.randint(1, num_bound), rng.randint(1, den_bound))
-
-
-def random_point(rng: random.Random, nvars: int) -> list[Fraction]:
-    return [random_rational(rng) for _ in range(nvars)]
 
 
 def residue_points(seed: int, name: str, nvars: int, npoints: int, p: int) -> np.ndarray:

@@ -35,9 +35,9 @@ from .dimensions import (
     monomial_cap,
 )
 from .flags import (
+    IndecomposableComponent,
     flag_map,
     incidence_holds,
-    is_decomposable,
     wedge_action_matrix,
     wedge_basis,
 )
@@ -418,11 +418,11 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
                         )
                         if minors != tuple(f.components[k - 1]):
                             return False, {"case": "minor-mismatch", "iteration": it, "k": k}
-                    for k, q in enumerate(f.components, start=1):
-                        if not is_decomposable(q, k, l):
-                            return False, {"case": "indecomposable", "iteration": it, "k": k}
-                    if not incidence_holds(f):
-                        return False, {"case": "incidence", "iteration": it}
+                    try:
+                        if not incidence_holds(f):
+                            return False, {"case": "incidence", "iteration": it}
+                    except IndecomposableComponent as exc:
+                        return False, {"case": "indecomposable", "iteration": it, "k": exc.k}
                 for it in range(cfg.flag_group_samples):
                     rows = [[rng.randint(-4, 4) for _ in range(l)] for _ in range(n)]
                     while True:
@@ -501,11 +501,11 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
     def run_if():
         gs = build_generators(Scenario("gl", 4, 2, 2))
         for d in (1, 2, 3):
-            rep = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap)
+            rep = relation_space(gs, d, cap=cfg.monomial_cap)
             if rep.relation_dim != 0:
                 return False, {"degree": d, "relation_dim": rep.relation_dim}
         for d in (2, 3):
-            quad = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap, factors=2)
+            quad = relation_space(gs, d, cap=cfg.monomial_cap, factors=2)
             if quad.relation_dim != 0:
                 return False, {"degree": d, "family_quadratics": quad.relation_dim}
         return True, None
@@ -517,7 +517,7 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
             s = Scenario("gl", n, l, m)
             gs = build_generators(s)
             d = l + m
-            rep = relation_space(gs, d, seed=cfg.seed, cap=cfg.monomial_cap)
+            rep = relation_space(gs, d, cap=cfg.monomial_cap)
             monomials = generator_monomials(gs, d)
             li = gs.labels().index(
                 f"leftMinor[{m};{','.join(str(i) for i in range(1, m + 1))}]"
@@ -530,7 +530,7 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
             if vec is None:
                 return False, {"missing": "no relation meets the minor product"}
             reports = {
-                dp: relation_space(gs, dp, seed=cfg.seed, cap=cfg.monomial_cap)
+                dp: relation_space(gs, dp, cap=cfg.monomial_cap)
                 for dp in range(2, d)
             }
             span = product_relations(gs, reports, d)
@@ -545,9 +545,9 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def quadratic_closure_check(gs, d: int, seed: int, cap: int | None) -> tuple[bool, None]:
+def quadratic_closure_check(gs, d: int, cap: int | None) -> tuple[bool, None]:
     """Relations on two generator factors generate all degree-d relations."""
-    return quadratic_relation_closure(gs, d, seed=seed, cap=cap), None
+    return quadratic_relation_closure(gs, d, cap=cap), None
 
 
 def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
@@ -559,7 +559,7 @@ def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
             gs = build_generators(Scenario("gl", n, l, 0))
             for d in (3, 4):
                 def run(gs=gs, d=d):
-                    return quadratic_closure_check(gs, d, cfg.seed, cfg.monomial_cap)
+                    return quadratic_closure_check(gs, d, cfg.monomial_cap)
 
                 out.append(_timed(f"quadratic-closure gl n={n} l={l} d={d}", run))
     return out

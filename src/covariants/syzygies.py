@@ -2,10 +2,11 @@
 minor-product identity, and exact relation spaces by degree.
 
 ``relation_space`` is the workhorse: it enumerates the generator monomials
-of one polynomial degree, computes the exact kernel of their evaluation
-matrix at two independently seeded point sets (which must agree), and then
-re-expands every kernel vector symbolically — a reported relation is the
-identically-zero element of the coordinate ring, unconditionally.
+of one polynomial degree, expands each once, and takes the exact kernel of
+their integer coefficient matrix, which by definition is the relation
+space.  No point is sampled and no seed is involved; every kernel vector is
+still confirmed by summing the expanded monomials it combines, so a
+reported relation is the identically-zero element of the coordinate ring.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dimensions import CapExceeded, SeedDisagreement, monomial_cap
+from .dimensions import CapExceeded, monomial_cap
 from .generators import (
     GeneratorSet,
     generator_monomials,
@@ -24,7 +25,6 @@ from .generators import (
 )
 from .linalg import kernel_basis, minor, rank
 from .polynomial import Polynomial
-from .rng import random_point, substream
 from .scenario import Scenario
 
 
@@ -159,7 +159,6 @@ class RelationReport:
     monomials: list  # generator monomials of the degree, index order
     labels: list
     basis: list  # exact coefficient vectors over the monomials
-    seed: int
 
     @property
     def ambient_dim(self) -> int:
@@ -184,43 +183,25 @@ class RelationReport:
     def to_json(self) -> dict:
         return {
             "check": "relation-space",
-            "inputs": {"degree": self.degree, "seed": self.seed},
+            "inputs": {"degree": self.degree},
             "ambient_dim": self.ambient_dim,
             "relation_dim": self.relation_dim,
             "basis": self.pretty_basis(),
         }
 
 
-def _monomial_values(gs: GeneratorSet, monomials, points) -> list[list]:
-    """Exact evaluation rows (one per point) of the generator monomials."""
-    gen_vals = [
-        [g.poly.evaluate(pt) for g in gs.gens] for pt in points
-    ]
-    rows = []
-    for vals in gen_vals:
-        row = []
-        for mono in monomials:
-            v = Fraction(1)
-            for idx, mult in mono:
-                v = v * vals[idx] ** mult
-            row.append(v)
-        rows.append(row)
-    return rows
-
-
 def relation_space(
     gs: GeneratorSet,
     d: int,
-    seed: int = 0,
     cap: int | None = None,
-    confirm: bool = True,
     factors: int | None = None,
 ) -> RelationReport:
     """Exact basis of the degree-d relations among the generators.
 
-    Evaluation at R >= 2x(monomial count) random rational points per seed;
-    the two seeds must agree on the nullity, and every kernel vector is
-    confirmed by full symbolic expansion.
+    A relation is a kernel vector of the coefficient matrix of the expanded
+    generator monomials: one row per term of the coordinate ring, one column
+    per monomial.  Every kernel vector is confirmed by summing the expanded
+    monomials it combines.
 
     ``factors`` restricts the ambient monomials to those with exactly that
     many generator factors (2 recovers the quadratic relation subspace).
@@ -236,36 +217,21 @@ def relation_space(
     cap_val = monomial_cap(cap)
     if len(monomials) > cap_val:
         raise CapExceeded(f"{len(monomials)} generator monomials (cap {cap_val})")
-    if not monomials:
-        return RelationReport(d, [], [], [], seed)
-    npts = 2 * len(monomials)
-    nv = gs.scenario.nvars
-    rows = []
-    dims = []
-    for stream in ("a", "b"):
-        rng = substream(seed, f"relspace:{d}:{stream}")
-        pts = [random_point(rng, nv) for _ in range(npts)]
-        block = _monomial_values(gs, monomials, pts)
-        dims.append(len(monomials) - rank(block))
-        rows.extend(block)
-    kernel = kernel_basis(rows, len(monomials))
-    if dims[0] != dims[1] or len(kernel) != dims[0]:
-        raise SeedDisagreement(
-            f"seeded relation nullities disagree at degree {d}: {dims} vs {len(kernel)}"
-        )
-    if confirm:
-        for vec in kernel:
-            total = Polynomial.zero(nv)
-            for c, mono in zip(vec, monomials):
-                if c:
-                    total = total + c * monomial_poly(gs, mono)
-            if total:
-                raise RuntimeError(
-                    "an evaluation-kernel vector failed symbolic confirmation; "
-                    "rerun with a different seed"
-                )
+    polys = [monomial_poly(gs, mu) for mu in monomials]
+    rows: dict[int, list] = {}
+    for j, poly in enumerate(polys):
+        for key, c in poly.packed_terms().items():
+            rows.setdefault(key, [0] * len(polys))[j] = c
+    kernel = kernel_basis([rows[key] for key in sorted(rows)], len(monomials))
+    for vec in kernel:
+        total = Polynomial.zero(gs.scenario.nvars)
+        for c, poly in zip(vec, polys):
+            if c:
+                total = total + c * poly
+        if total:
+            raise RuntimeError(f"a degree-{d} kernel vector failed symbolic confirmation")
     labels = [monomial_label(gs, mu) for mu in monomials]
-    return RelationReport(d, list(monomials), labels, kernel, seed)
+    return RelationReport(d, list(monomials), labels, kernel)
 
 
 def _merge_monomials(m1, m2):
@@ -303,7 +269,7 @@ def product_relations(
 
 
 def quadratic_relation_closure(
-    gs: GeneratorSet, d: int, seed: int = 0, cap: int | None = None
+    gs: GeneratorSet, d: int, cap: int | None = None
 ) -> bool:
     """Do generator-quadratic relations generate all degree-d relations?
 
@@ -314,11 +280,11 @@ def quadratic_relation_closure(
     """
     if d < 3:
         raise ValueError("the closure question starts at degree 3")
-    target = relation_space(gs, d, seed=seed, cap=cap)
+    target = relation_space(gs, d, cap=cap)
     if target.relation_dim == 0:
         return True
     reports = {
-        dp: relation_space(gs, dp, seed=seed, cap=cap, factors=2)
+        dp: relation_space(gs, dp, cap=cap, factors=2)
         for dp in range(2, d + 1)
     }
     span = product_relations(gs, reports, d)

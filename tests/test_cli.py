@@ -417,6 +417,28 @@ def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
 
+def test_full_suite_reports_an_indecomposable_flag_component(capsys, monkeypatch):
+    # replace every wedge^2 k^4 component by e1^e2 + e3^e4 on its way to the
+    # incidence test; only the l=4 checks see it, and they name component 2
+    from covariants.flags import FlagPoint, incidence_holds
+
+    def tampered(f):
+        if f.l == 4:
+            f = FlagPoint(4, (f.components[0], (1, 0, 0, 0, 0, 1)) + f.components[2:])
+        return incidence_holds(f)
+
+    monkeypatch.setattr(suite, "incidence_holds", tampered)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "9", "--seed", "1")
+    assert code == 1
+    verdicts = {c["name"]: (c["verdict"], c.get("witness")) for c in json.loads(out)["checks"]}
+    for n in (2, 3, 4):
+        assert verdicts.pop(f"flag-quotient n={n} l=4") == (
+            "fail", {"case": "indecomposable", "iteration": 0, "k": 2}
+        )
+    assert all(v == ("pass", None) for v in verdicts.values()) and len(verdicts) == 6
+    assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
+
+
 def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch):
     # drop delta's vertex e_1 for gl n=3; the hull stays full-dimensional, so
     # the facet test runs and must reject the samples near e_1

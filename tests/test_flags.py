@@ -102,8 +102,9 @@ def test_nonzero_after_zero_outside_image():
 
 def test_indecomposable_input_rejected():
     f = FlagPoint(4, ((1, 0, 0, 0), (1, 0, 0, 0, 0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="component 2 is not decomposable") as exc:
         incidence_holds(f)
+    assert exc.value.k == 2
 
 
 def test_equivariance_under_copy_transformations():

@@ -8,6 +8,7 @@ import json
 
 from covariants.generators import build_generators
 from covariants.scenario import Scenario
+from covariants.syzygies import relation_space
 
 
 def test_generator_set_golden():
@@ -47,3 +48,20 @@ def test_generator_set_json_serializable():
     for s in (Scenario("gl", 2, 1, 1), Scenario("o", 3, 2)):
         text = json.dumps(build_generators(s).to_json())
         assert json.loads(text)["scenario"]["group"] == s.group
+
+
+def test_relation_space_golden():
+    gs = build_generators(Scenario("gl", 2, 2, 1))
+    assert relation_space(gs, 3).to_json() == {
+        "check": "relation-space",
+        "inputs": {"degree": 3},
+        "ambient_dim": 19,
+        "relation_dim": 1,
+        "basis": [
+            {
+                "C[1][1]*lowMinor[1;2]": "-1",
+                "C[1][2]*lowMinor[1;1]": "1",
+                "lowMinor[2;1,2]*leftMinor[1;1]": "1",
+            }
+        ],
+    }

@@ -1,5 +1,6 @@
 import pytest
 
+from covariants import suite, syzygies
 from covariants.generators import build_generators, generator_monomials, monomial_poly
 from covariants.linalg import minor, rank
 from covariants.polynomial import Polynomial
@@ -101,6 +102,29 @@ def test_relation_space_contains_mixed_relation():
             if c:
                 total = total + c * monomial_poly(gs, mono)
         assert not total
+
+
+def test_overlapping_mixed_relation_is_the_only_degree_four_relation():
+    gs = build_generators(Scenario("gl", 3, 2, 2))
+    rep = relation_space(gs, 4)
+    assert rep.ambient_dim == 116
+    assert rep.relation_dim == 1
+    li = gs.labels().index("leftMinor[2;1,2]")
+    lo = gs.labels().index("lowMinor[2;1,2]")
+    (vec,) = rep.basis
+    assert vec[rep.monomials.index(tuple(sorted(((li, 1), (lo, 1)))))]
+
+
+def test_relation_space_rejects_a_non_kernel_vector(monkeypatch):
+    # the first monomial alone is a nonzero polynomial, so never a relation
+    monkeypatch.setattr(syzygies, "kernel_basis", lambda rows, ncols: [[1] + [0] * (ncols - 1)])
+    gs = build_generators(Scenario("gl", 2, 2, 1))
+    with pytest.raises(RuntimeError, match="failed symbolic confirmation"):
+        relation_space(gs, 3)
+    report = suite.full_suite(suite.SuiteConfig(groups=("gl",)), [13])
+    checks = report.results[13]
+    assert checks and all(c.verdict == "error" for c in checks)
+    assert all("failed symbolic confirmation" in c.witness for c in checks)
 
 
 def test_three_term_relation_found_symbolically():
