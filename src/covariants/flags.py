@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_basis, minor, rank
+from .linalg import Matrix, kernel_basis, lower_minors, rank
 from .polynomial import canon_coeff
 from .scenario import Scenario
 
@@ -60,27 +60,24 @@ def flag_map(rows, s: Scenario) -> FlagPoint:
     """Send an n x l point to its tuple of lower-row wedges.
 
     ``rows`` is the matrix of a point of W (n rows of length l, exact
-    entries).  Component k's coordinates are the order-k lower minors, which
-    is asserted against ``minor`` in the test-suite rather than assumed.
+    entries).  Component k's coordinates are the order-k lower minors, read
+    from one ``lower_minors`` table; criterion 9 checks them against
+    ``minor`` and against a wedge product that uses no determinant.
     """
     mat = rows if isinstance(rows, Matrix) else Matrix(rows)
     if (mat.m, mat.n) != (s.n, s.l):
         raise ValueError(f"expected an {s.n} x {s.l} matrix")
-    p = min(s.l, s.n)
-    comps = []
-    for k in range(1, p + 1):
-        rows_idx = list(range(s.n - k, s.n))
-        comps.append(
-            tuple(minor(mat, rows_idx, cols) for cols in wedge_basis(s.l, k))
-        )
-    return FlagPoint(s.l, tuple(comps))
+    table = lower_minors(mat, min(s.l, s.n))
+    return FlagPoint(s.l, tuple(tuple(order.values()) for order in table[1:]))
 
 
 def wedge_action_matrix(g: Matrix, k: int) -> Matrix:
     """The induced action of g on wedge^k (minors on lexicographic subsets)."""
-    basis = wedge_basis(g.n, k)
     return Matrix(
-        [[minor(g, list(rs), list(cs)) for cs in basis] for rs in basis]
+        [
+            list(lower_minors(Matrix([g.rows[i] for i in rs]), k)[k].values())
+            for rs in wedge_basis(g.n, k)
+        ]
     )
 
 

@@ -30,7 +30,7 @@ from .groups import (
     substitution_images,
     torus_weight,
 )
-from .linalg import minor, solve
+from .linalg import lower_minors, minor, solve
 from .polynomial import Polynomial, unpack
 from .rng import substream
 from .scenario import Scenario
@@ -105,18 +105,21 @@ def build_generators(s: Scenario) -> GeneratorSet:
         assert poly.is_homogeneous(degree), label
         gens.append(Generator(label, poly, degree, torus_weight(poly, s)))
 
+    vbar = s.v_matrix()
+
+    def add_lower_minors(p: int):
+        for k, order in enumerate(lower_minors(vbar, p)[1:], start=1):
+            for cols, poly in order.items():
+                add(f"lowMinor[{k};{_cols_label(cols)}]", poly, k)
+
     if s.group == "gl":
-        vbar = s.v_matrix()
         for i in range(m):
             for j in range(l):
                 entry = Polynomial.zero(s.nvars)
                 for k in range(n):
                     entry = entry + s.a_poly(i, k) * s.x_poly(k, j)
                 add(f"C[{i + 1}][{j + 1}]", entry, 2)
-        for k in range(1, min(l, n) + 1):
-            rows = list(range(n - k, n))
-            for cols in itertools.combinations(range(l), k):
-                add(f"lowMinor[{k};{_cols_label(cols)}]", minor(vbar, rows, cols), k)
+        add_lower_minors(min(l, n))
         if m:
             vstar = s.vstar_matrix()
             for p in range(1, min(m, n) + 1):
@@ -130,7 +133,6 @@ def build_generators(s: Scenario) -> GeneratorSet:
         return GeneratorSet(s, tuple(gens))
 
     # orthogonal / symplectic
-    vbar = s.v_matrix()
     r = s.r
     if s.group == "o":
         pairs = [(i, j) for i in range(l) for j in range(i, l)]
@@ -138,11 +140,7 @@ def build_generators(s: Scenario) -> GeneratorSet:
         pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
     for i, j in pairs:
         add(f"Q[{i + 1}][{j + 1}]", form_value_poly(s, i, j), 2)
-    max_order = min(l, r) if s.group == "sp" else min(l, n)
-    for k in range(1, max_order + 1):
-        rows = list(range(n - k, n))
-        for cols in itertools.combinations(range(l), k):
-            add(f"lowMinor[{k};{_cols_label(cols)}]", minor(vbar, rows, cols), k)
+    add_lower_minors(min(l, r) if s.group == "sp" else min(l, n))
     if s.case == "D" and l >= r and r >= 1:
         rows = [r - 1] + list(range(n - r + 1, n))
         for cols in itertools.combinations(range(l), r):
@@ -362,12 +360,10 @@ def sp_high_minor_membership(s: Scenario, k: int) -> tuple[bool, dict]:
     monomials = generator_monomials(gs, k)
     columns = [monomial_poly(gs, mu).packed_terms() for mu in monomials]
     column_support = set().union(*columns)
-    vbar = s.v_matrix()
-    rows_idx = list(range(s.n - k, s.n))
     certificate = {}
     ok = True
-    for cols in itertools.combinations(range(s.l), k):
-        target = minor(vbar, rows_idx, cols).packed_terms()
+    for cols, poly in lower_minors(s.v_matrix(), k)[k].items():
+        target = poly.packed_terms()
         # rows in the order of the exponent tuples
         support = sorted(column_support.union(target), key=lambda m: unpack(m, s.nvars))
         a_rows = [[c.get(m, 0) for c in columns] for m in support]

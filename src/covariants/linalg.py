@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals (entries may also be polynomials).
 
 Dense routines use Fraction/int arithmetic and are meant for the small
-matrices that dominate this package (dimensions <= a few hundred).  Two
+matrices that dominate this package (dimensions <= a few hundred).
+``lower_minors`` builds the minors on the last k rows order by order;
+``Matrix.det`` reads its full-column entry, and ``minor`` (any row and
+column subsets) goes through ``det``.  Two
 specialized helpers exist for the large probabilistic rank computations:
 ``rank_mod_p`` (numpy, single large prime) and ``sparse_rank_int``
 (fraction-free elimination on sparse integer rows).
@@ -9,6 +12,7 @@ specialized helpers exist for the large probabilistic rank computations:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -100,39 +104,13 @@ class Matrix:
         return all(not a for row in self.rows for a in row)
 
     def det(self):
-        """Determinant by cofactor expansion, memoized on column subsets.
+        """Determinant: the full-column entry of ``lower_minors``.
 
         Works for numeric and polynomial entries alike; intended for n <= 8.
         """
         if self.m != self.n:
             raise ValueError("determinant of a non-square matrix")
-        if self.n == 0:
-            return 1
-        rows = self.rows
-        n = self.n
-        memo: dict = {}
-
-        def expand(cols: tuple) -> object:
-            if len(cols) == 1:
-                return rows[n - 1][cols[0]]
-            cached = memo.get(cols)
-            if cached is not None:
-                return cached
-            i = n - len(cols)
-            total = None
-            for pos, j in enumerate(cols):
-                a = rows[i][j]
-                if not a:
-                    continue
-                sub = expand(cols[:pos] + cols[pos + 1 :])
-                term = a * sub if pos % 2 == 0 else -(a * sub)
-                total = term if total is None else total + term
-            if total is None:
-                total = 0 * rows[0][0]
-            memo[cols] = total
-            return total
-
-        return expand(tuple(range(n)))
+        return lower_minors(self, self.n)[self.n][tuple(range(self.n))]
 
     def inverse(self) -> "Matrix":
         """Exact inverse for numeric entries; raises on singular input.
@@ -201,6 +179,39 @@ def minor(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]):
             raise ValueError(f"{kind} indices must be strictly increasing")
     sub = Matrix([[matrix.rows[i][j] for j in cols] for i in rows])
     return sub.det()
+
+
+def lower_minors(matrix: Matrix, p: int) -> list[dict]:
+    """The minors on the last k rows, for k = 0..p: ``table[k][cols]``.
+
+    ``cols`` runs over the increasing k-subsets of the columns, in
+    lexicographic order (the wedge basis).  Order 1 is the last row; order
+    k is the Laplace expansion of order k-1 along row m - k, so every minor
+    is built once.  One with no nonzero term is ``0 * entry``, so polynomial
+    matrices give a zero polynomial.
+    """
+    if not 0 <= p <= matrix.m:
+        raise ValueError(f"minor order must satisfy 0 <= p <= {matrix.m}, got {p}")
+    rows, m = matrix.rows, matrix.m
+    table: list[dict] = [{(): 1}]
+    if p:
+        table.append({(j,): a for j, a in enumerate(rows[m - 1])})
+    for k in range(2, p + 1):
+        row = rows[m - k]
+        prev = table[-1]
+        cur = {}
+        for cols in itertools.combinations(range(matrix.n), k):
+            total = None
+            for pos, j in enumerate(cols):
+                a = row[j]
+                if not a:
+                    continue
+                sub = prev[cols[:pos] + cols[pos + 1 :]]
+                term = a * sub if pos % 2 == 0 else -(a * sub)
+                total = term if total is None else total + term
+            cur[cols] = 0 * rows[0][0] if total is None else total
+        table.append(cur)
+    return table
 
 
 # -- elimination over the rationals -----------------------------------------

@@ -23,7 +23,7 @@ from .generators import (
     monomial_label,
     monomial_poly,
 )
-from .linalg import kernel_basis, minor, rank
+from .linalg import kernel_basis, lower_minors, minor, rank
 from .polynomial import Polynomial
 from .scenario import Scenario
 
@@ -75,9 +75,7 @@ def bilinear_relations(s: Scenario, i: int, j: int) -> list[BilinearRelation]:
     p = min(s.l, s.n)
     if not (1 <= i and 1 <= j and i + j <= p):
         raise ValueError(f"need i, j >= 1 with i + j <= min(l, n) = {p}")
-    vbar = s.v_matrix()
-    rows_i = list(range(s.n - i, s.n))
-    rows_j = list(range(s.n - j, s.n))
+    table = lower_minors(s.v_matrix(), max(i, j))
     out = []
     for cols in itertools.combinations(range(s.l), i + j):
         total = Polynomial.zero(s.nvars)
@@ -86,9 +84,7 @@ def bilinear_relations(s: Scenario, i: int, j: int) -> list[BilinearRelation]:
             t1 = tuple(cols[p_] for p_ in positions)
             t2 = tuple(c for c in cols if c not in t1)
             sign = -1 if (sum(positions) + (i * (i - 1)) // 2) % 2 else 1
-            m1 = minor(vbar, rows_i, t1)
-            m2 = minor(vbar, rows_j, t2)
-            total = total + sign * (m1 * m2)
+            total = total + sign * (table[i][t1] * table[j][t2])
             terms.append((sign, tuple(c + 1 for c in t1), tuple(c + 1 for c in t2)))
         if total:
             raise ExpansionDoesNotVanish(tuple(c + 1 for c in cols))

@@ -439,6 +439,64 @@ def test_full_suite_reports_an_indecomposable_flag_component(capsys, monkeypatch
     assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
 
 
+def _criterion_9_with_6(capsys):
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "9,6", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
+    assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
+    return {c["name"]: (c["verdict"], c.get("witness")) for c in checks if c["criterion"] == 9}
+
+
+def test_full_suite_reports_a_flag_coordinate_off_the_wedge(capsys, monkeypatch):
+    from covariants.flags import FlagPoint
+
+    flag_map = suite.flag_map
+
+    def shifted(rows, s):
+        f = flag_map(rows, s)
+        first = (f.components[0][0] + 1,) + f.components[0][1:]
+        return FlagPoint(f.l, (first,) + f.components[1:])
+
+    monkeypatch.setattr(suite, "flag_map", shifted)
+    verdicts = _criterion_9_with_6(capsys)
+    assert len(verdicts) == 9
+    assert all(v == ("fail", {"case": "wedge-mismatch", "iteration": 0}) for v in verdicts.values())
+
+
+def test_full_suite_reports_a_flag_coordinate_that_is_not_its_minor(capsys, monkeypatch):
+    # shift the minor on all n rows: only the checks with n <= l use it, at k = n
+    minor = suite.minor
+    monkeypatch.setattr(suite, "minor", lambda mat, rows, cols: minor(mat, rows, cols) + int(rows[0] == 0))
+    verdicts = _criterion_9_with_6(capsys)
+    for n in (2, 3, 4):
+        for l in (2, 3, 4):
+            expected = ("fail", {"case": "minor-mismatch", "iteration": 0, "k": n}) if n <= l else ("pass", None)
+            assert verdicts.pop(f"flag-quotient n={n} l={l}") == expected
+    assert not verdicts
+
+
+def test_full_suite_reports_a_wedge_action_that_breaks_equivariance(capsys, monkeypatch):
+    # shift the action on the top wedge of k^l: only the checks with n >= l reach it, at k = l
+    from covariants.linalg import Matrix
+
+    action = suite.wedge_action_matrix
+    monkeypatch.setattr(
+        suite, "wedge_action_matrix",
+        lambda g, k: action(g, k) + Matrix.identity(1) if k == g.n else action(g, k),
+    )
+    verdicts = _criterion_9_with_6(capsys)
+    for n in (2, 3, 4):
+        for l in (2, 3, 4):
+            verdict, witness = verdicts.pop(f"flag-quotient n={n} l={l}")
+            if n >= l:
+                assert verdict == "fail"
+                assert witness["case"] == "equivariance" and witness["k"] == l
+            else:
+                assert (verdict, witness) == ("pass", None)
+    assert not verdicts
+
+
 def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch):
     # drop delta's vertex e_1 for gl n=3; the hull stays full-dimensional, so
     # the facet test runs and must reject the samples near e_1
@@ -500,10 +558,14 @@ def _perturbed_minor(monkeypatch):
     """The order-1 lower minor of column 1 shifted by 1, as bilinear_relations sees it."""
     from covariants import syzygies
 
-    minor = syzygies.minor
-    monkeypatch.setattr(
-        syzygies, "minor", lambda mat, rows, cols: minor(mat, rows, cols) + int(tuple(cols) == (0,))
-    )
+    lower_minors = syzygies.lower_minors
+
+    def shifted(mat, p):
+        table = lower_minors(mat, p)
+        table[1][(0,)] = table[1][(0,)] + 1
+        return table
+
+    monkeypatch.setattr(syzygies, "lower_minors", shifted)
 
 
 def test_full_suite_reports_a_bilinear_expansion_that_does_not_vanish(capsys, monkeypatch):

@@ -4,10 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covariants.linalg import PRIME_A, PRIME_B, Matrix, kernel_basis, minor, rank, rank_mod_p, solve
+from covariants.linalg import (
+    PRIME_A,
+    PRIME_B,
+    Matrix,
+    kernel_basis,
+    lower_minors,
+    minor,
+    rank,
+    rank_mod_p,
+    solve,
+)
 from covariants.polynomial import Polynomial
 
-from conftest import random_frac
+from conftest import random_frac, random_poly
 
 
 def permutation_expansion_det(rows):
@@ -108,6 +118,60 @@ def test_minor_validation():
         minor(m, [1, 0], [0, 1])
     with pytest.raises(ValueError):
         minor(m, [0, 5], [0, 1])
+
+
+def _entries(kind, rng):
+    if kind == "int":
+        return lambda: rng.randint(-3, 3)
+    if kind == "fraction":
+        return lambda: random_frac(rng)
+    return lambda: random_poly(rng, 4, max_degree=2, max_terms=2)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "symbolic"])
+@pytest.mark.parametrize("m, n", [(2, 4), (3, 3), (4, 2)])
+def test_lower_minors_against_minor_and_permutation_oracle(rng, kind, m, n):
+    draw = _entries(kind, rng)
+    for _ in range(2 if kind == "symbolic" else 5):
+        rows = [[draw() for _ in range(n)] for _ in range(m)]
+        mat = Matrix(rows)
+        p = min(m, n)
+        table = lower_minors(mat, p)
+        assert len(table) == p + 1
+        for k in range(p + 1):
+            # lexicographic column subsets, in the order of the wedge basis
+            assert list(table[k]) == list(itertools.combinations(range(n), k))
+        for k in range(1, p + 1):
+            lower = list(range(m - k, m))
+            for cols, value in table[k].items():
+                assert value == minor(mat, lower, cols)
+                assert value == permutation_expansion_det([[rows[i][j] for j in cols] for i in lower])
+
+
+def test_lower_minors_zero_column_and_zero_row_are_typed_zeros():
+    nvars = 6
+    x = [Polynomial.variable(nvars, i) for i in range(nvars)]
+    zero = Polynomial.zero(nvars)
+    table = lower_minors(Matrix([[x[0], zero, x[1]], [x[2], zero, x[3]], [x[4], zero, x[5]]]), 3)
+    for k in (1, 2, 3):
+        for cols, value in table[k].items():
+            if 1 in cols:
+                assert isinstance(value, Polynomial) and not value
+    assert table[2][(0, 2)] == x[2] * x[5] - x[3] * x[4]
+    # a zero row: no nonzero term at its order
+    table = lower_minors(Matrix([[zero, zero], [x[0], x[1]]]), 2)
+    assert isinstance(table[2][(0, 1)], Polynomial) and not table[2][(0, 1)]
+    assert lower_minors(Matrix([[0, 0], [1, 2]]), 2)[2] == {(0, 1): 0}
+
+
+def test_lower_minors_order_bounds():
+    mat = Matrix([[1, 2, 3], [4, 5, 6]])
+    assert lower_minors(mat, 0) == [{(): 1}]
+    assert lower_minors(mat, 1) == [{(): 1}, {(0,): 4, (1,): 5, (2,): 6}]
+    for p in (-1, 3):
+        with pytest.raises(ValueError, match="minor order"):
+            lower_minors(mat, p)
+    assert Matrix([]).det() == 1
 
 
 def test_kernel_of_identity_empty():
