@@ -6,16 +6,12 @@ weight, since every generator monomial is a weight vector:
 * ``generated_dimension``: per weight, the dimension of the degree-t piece
   of the subalgebra generated by the generator system, measured as the rank
   over F_p of the evaluation matrix of that weight's degree-t generator
-  monomials (one block of ``weight_blocks``, as in minimality).  The
-  points are uniform nonzero residues mod p drawn from a named substream,
-  and the matrix is built on residues throughout (numpy).  The rank is
-  taken at two independent streams with two distinct primes; a
-  disagreement aborts.  It can only undercount: the generator coefficients
-  have no p in a denominator (``_frac_mod`` refuses one that has), so the
-  vanishing over Q of every larger minor of the monomials' coefficient
-  matrix carries over mod p, and evaluation cannot raise a rank.  It is a
-  certified lower bound for the weight space, and by Schwartz-Zippel it
-  is exact except with probability at most (matrix rank x degree) / (p - 1).
+  monomials (one block of ``weight_blocks``, as in minimality).  It can
+  only undercount: the generator coefficients have no p in a denominator
+  (``_frac_mod`` refuses one that has), so the vanishing over Q of every
+  larger minor of the monomials' coefficient matrix carries over mod p, and
+  evaluation cannot raise a rank.  It is a certified lower bound for the
+  weight space.
 
 * ``invariant_dimension``: the dimension of the space of degree-t (and
   optionally fixed-weight) polynomials annihilated by the whole nilradical,
@@ -26,10 +22,25 @@ weight, since every generator monomial is a weight vector:
 Since the generated subalgebra always sits inside the invariant ring, weight
 by weight, equality of each lower bound with the exact dimension pins both
 quantities — the comparison is an unconditional certificate whenever it succeeds.
+
+The evaluation ranks of one call (every weight block of one degree in
+``generated_dimension``, every (degree, weight) block in the first pass of
+``minimality_check``) share one point set per prime: the points are
+uniform nonzero residues mod p drawn from a named substream, one matrix
+holds all the blocks' monomial rows at the largest point count any block
+asks for, and each block ranks its own rows on a prefix of the columns.
+The matrix is built on residues throughout (numpy).  The ranks are taken
+at two independent streams with two distinct primes; a disagreement
+aborts, naming the block.  Sharing points changes no bound: a rank mod p
+at any points is at most the rank over Q, and each block's Schwartz-Zippel
+bound (a shortfall with probability at most rank x degree / (p - 1)) holds
+for any points drawn independently of that block's matrix, so the chance
+that some block falls short is at most the sum of the blocks' bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -194,6 +205,15 @@ def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, p: int) -> 
     return (running[bounds[1:]] - running[bounds[:-1]]) % p
 
 
+def _exponent_matrix(gs: GeneratorSet, monomials: Sequence) -> np.ndarray:
+    """Row k = the exponents of monomial k in the generators."""
+    exponents = np.zeros((len(monomials), len(gs.gens)), dtype=np.int64)
+    for ri, mono in enumerate(monomials):
+        for idx, mult in mono:
+            exponents[ri, idx] = mult
+    return exponents
+
+
 def monomial_eval_matrix(
     gs: GeneratorSet,
     monomials: Sequence,
@@ -207,38 +227,58 @@ def monomial_eval_matrix(
     The points are uniform nonzero residues mod p from the named substream
     ``(seed, stream)``; only the generators the monomials use are evaluated.
     """
-    exponents = np.zeros((len(monomials), len(gs.gens)), dtype=np.int64)
-    for ri, mono in enumerate(monomials):
-        for idx, mult in mono:
-            exponents[ri, idx] = mult
+    exponents = _exponent_matrix(gs, monomials)
     used = np.flatnonzero(exponents.any(axis=0))
     points = residue_points(seed, stream, gs.scenario.nvars, npoints, p)
     gen_vals = _gen_values_mod([gs.gens[i].poly for i in used], points, p)
     return _products_mod(gen_vals, _factor_rows(exponents[:, used]), p)
 
 
-def _two_seed_ranks(
-    gs: GeneratorSet, monomials: Sequence, npoints: int, seed: int, stream: str, heads: Sequence[int] = ()
-) -> tuple[int, ...]:
-    """Ranks of the leading ``heads`` rows, then of all rows, of the
-    evaluation matrix at two seeds/primes; abort loudly on disagreement."""
+def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) -> list[tuple[int, ...]]:
+    """Per block ``(monomials, npoints, heads)``: the ranks of its leading
+    ``heads`` rows, then of all its rows, at its first ``npoints`` points.
+
+    Per seed/prime, one evaluation matrix holds every block's rows, in
+    order, at the largest ``npoints``; a block ranks its own rows on its
+    column prefix.  The two primes must agree block by block; the first
+    block that does not aborts loudly with its degree, weight and ranks.
+    """
+    if not blocks:
+        return []
+    monomials = [m for ms, _, _ in blocks for m in ms]
+    npoints = max(n for _, n, _ in blocks)
+    starts = itertools.accumulate((len(ms) for ms, _, _ in blocks), initial=0)
+    rows = [(lo, lo + len(ms), n, heads) for (ms, n, heads), lo in zip(blocks, starts)]
     found = []
     for tag, prime in ((":1", PRIME_A), (":2", PRIME_B)):
         mat = monomial_eval_matrix(gs, monomials, npoints, seed, stream + tag, prime)
-        found.append(tuple(rank_mod_p(mat[:h], prime) for h in heads) + (rank_mod_p(mat, prime),))
-    if found[0] != found[1]:
-        raise SeedDisagreement(
-            f"evaluation ranks disagree ({found[0]} vs {found[1]}) for stream {stream!r}; "
-            "rerun with a different seed and report if it persists"
-        )
+        ranks = []
+        for lo, hi, n, heads in rows:
+            sub = mat[lo:hi, :n]
+            ranks.append(tuple(rank_mod_p(sub[:h], prime) for h in heads) + (rank_mod_p(sub, prime),))
+        found.append(ranks)
+    for (ms, _, _), a, b in zip(blocks, *found):
+        if a != b:
+            degree = sum(mult * gs.gens[idx].degree for idx, mult in ms[0])
+            raise SeedDisagreement(
+                f"evaluation ranks disagree for the degree-{degree} block of weight "
+                f"{monomial_weight(gs, ms[0])} ({a} vs {b}) in stream {stream!r}; "
+                "rerun with a different seed and report if it persists"
+            )
     return found[0]
 
 
 def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
-    """The degree-t generator monomials grouped by weight, in their original order."""
+    """The degree-t generator monomials grouped by weight, in their original order.
+
+    The weights are the rows of the monomials' exponent matrix times the
+    generators' matrix of eps-coordinates.
+    """
+    monomials = generator_monomials(gs, t)
+    eps = np.array([g.weight.eps for g in gs.gens], dtype=np.int64).reshape(len(gs.gens), gs.scenario.rank)
     blocks: dict[tuple, list] = {}
-    for m in generator_monomials(gs, t):
-        blocks.setdefault(monomial_weight(gs, m), []).append(m)
+    for m, w in zip(monomials, (_exponent_matrix(gs, monomials) @ eps).tolist()):
+        blocks.setdefault(tuple(w), []).append(m)
     return blocks
 
 
@@ -246,11 +286,14 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     """Nonzero weight-space dimensions ``{weight: dim}`` of the degree-t generated piece.
 
     Rank over F_p of the evaluation matrix of each weight block of degree-t
-    generator monomials at 2x(block size) points of uniform nonzero residues,
-    at two streams and two primes.  A rank mod p never exceeds the rank over
-    Q, so this is a certified lower bound; it equals the true dimension
-    unless the points fall on the zero set of a nonzero minor, which
-    Schwartz-Zippel makes improbable for primes near 2**31.
+    generator monomials at 2x(block size) points of uniform nonzero
+    residues, at two streams and two primes.  All blocks of the degree read
+    their points from one matrix per prime (stream ``genrank:{t}``): a
+    block of size k ranks its own rows on the first 2k columns.  A rank mod
+    p never exceeds the rank over Q, so each rank is a certified lower
+    bound; it equals the true dimension unless the points fall on the zero
+    set of a nonzero minor, which Schwartz-Zippel makes improbable for
+    primes near 2**31, for every block at once by a union bound.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -258,8 +301,8 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     count, cap_val = sum(map(len, blocks.values())), monomial_cap(cap)
     if count > cap_val:
         raise CapExceeded(f"{count} generator monomials (cap {cap_val})")
-    ranks = {w: _two_seed_ranks(gs, ms, 2 * len(ms), seed, f"genrank:{t}:{w}")[0] for w, ms in blocks.items()}
-    return {w: r for w, r in sorted(ranks.items()) if r}
+    ranks = _two_seed_ranks(gs, [(ms, 2 * len(ms), ()) for ms in blocks.values()], seed, f"genrank:{t}")
+    return {w: r for w, (r,) in sorted(zip(blocks, ranks)) if r}
 
 
 # -- minimality ------------------------------------------------------------------
@@ -273,28 +316,35 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     degree-d monomials of its own weight.  Block by (degree, weight): the
     generators of the block are essential iff appending their evaluation
     rows to the rows of the block's decomposable monomials raises the rank
-    by the number of generators.  Rank increases observed mod p prove
-    essentiality exactly; shortfalls are pinned down per generator.
+    by the number of generators.  All blocks are ranked from one matrix per
+    prime (stream ``min``), each block on its own rows and a prefix of the
+    shared points (block size + 32 columns); the union bound over the
+    blocks keeps every rank increase observed mod p an exact proof of
+    essentiality.  Shortfalls are pinned down per generator, each on its
+    own stream ``min:{d}:{w}:g{idx}``.
     """
     verdicts: dict[str, bool] = {}
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight.eps), []).append(idx)
     by_degree = {d: weight_blocks(gs, d) for d, _ in blocks}
-    for (d, w), gen_indices in sorted(blocks.items()):
-        singles = {((idx, 1),) for idx in gen_indices}
-        block_monos = [m for m in by_degree[d][w] if m not in singles]
-        ordered = block_monos + [((idx, 1),) for idx in gen_indices]
-        base, full = _two_seed_ranks(gs, ordered, len(ordered) + 32, seed, f"min:{d}:{w}", (len(block_monos),))
+    keys, batch = sorted(blocks), []
+    for d, w in keys:
+        singles = [((idx, 1),) for idx in blocks[d, w]]
+        rows = [m for m in by_degree[d][w] if m not in singles] + singles
+        batch.append((rows, len(rows) + 32, (len(rows) - len(singles),)))
+    first = _two_seed_ranks(gs, batch, seed, "min")
+    for (d, w), (rows, _, (nbase,)), (base, full) in zip(keys, batch, first):
+        gen_indices = blocks[d, w]
         if full == base + len(gen_indices):
             verdicts.update((gs.gens[idx].label, True) for idx in gen_indices)
             continue
         # at least one generator is spanned by the rest: identify which
         for idx in gen_indices:
-            others = block_monos + [((j, 1),) for j in gen_indices if j != idx]
-            rows = others + [((idx, 1),)]
-            r_without, r_with = _two_seed_ranks(
-                gs, rows, len(rows) + 32, seed, f"min:{d}:{w}:g{idx}", (len(others),)
+            others = rows[:nbase] + [((j, 1),) for j in gen_indices if j != idx]
+            ordered = others + [((idx, 1),)]
+            ((r_without, r_with),) = _two_seed_ranks(
+                gs, [(ordered, len(ordered) + 32, (len(others),))], seed, f"min:{d}:{w}:g{idx}"
             )
             verdicts[gs.gens[idx].label] = r_with == r_without + 1
     return MinimalityReport(verdicts)

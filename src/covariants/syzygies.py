@@ -112,9 +112,7 @@ def mixed_minor_relation(n: int, l: int, m: int) -> tuple[bool, Polynomial, Poly
     vbar = sc.v_matrix()
     vstar = sc.vstar_matrix()
     r = n - l + 1  # first row index (1-based) of the full lower minor
-    lhs = minor(vstar, list(range(m)), list(range(m))) * minor(
-        vbar, list(range(n - l, n)), list(range(l))
-    )
+    lhs = minor(vstar, list(range(m)), list(range(m))) * lower_minors(vbar, l)[l][tuple(range(l))]
     cmat = [
         [
             sum(

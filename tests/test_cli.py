@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from covariants.generators import Generator
 from covariants.linalg import PRIME_B
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +303,19 @@ def test_seed_disagreement_is_an_error_verdict(capsys, monkeypatch):
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "minimality o n=3 l=1 m=0"
     assert check["verdict"] == "error" and check["witness"].startswith("SeedDisagreement: ")
+    # every block disagrees, so the witness names the first (degree, weight) block
+    degree, weight = min((g.degree, g.weight.eps) for g in suite.build_generators(Scenario("o", 3, 1)).gens)
+    assert f"degree-{degree} block of weight {weight} " in check["witness"]
+
+
+def test_module_entry_point_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "covariants", "full-suite", "--groups", "sp", "--criteria", "7"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {c["criterion"] for c in json.loads(proc.stdout)["checks"]} == {7}
 
 
 def test_degree2_gen_over_cap_is_skipped(capsys, monkeypatch):

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from covariants import dimensions
 from covariants.dimensions import (
     CapExceeded,
+    SeedDisagreement,
     _frac_mod,
     _gen_values_mod,
+    _two_seed_ranks,
     degree_monomial_count,
     degree_monomials,
     generated_dimension,
@@ -18,7 +21,7 @@ from covariants.dimensions import (
     weight_blocks,
 )
 from covariants.generators import Generator, GeneratorSet, build_generators, generator_monomials, monomial_weight
-from covariants.linalg import PRIME_A, PRIME_B
+from covariants.linalg import PRIME_A, PRIME_B, rank_mod_p
 from covariants.polynomial import Polynomial
 from covariants.rng import residue_points
 from covariants.scenario import Scenario
@@ -74,13 +77,75 @@ def test_generation_matches_on_small_grid():
 
 
 def test_weight_blocks_partition_the_generator_monomials():
+    for s in (Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("sp", 4, 3)):
+        gs = build_generators(s)
+        for t in range(4):
+            blocks, monos = weight_blocks(gs, t), generator_monomials(gs, t)
+            assert sorted(m for ms in blocks.values() for m in ms) == monos
+            for w, ms in blocks.items():
+                assert all(type(x) is int for x in w)
+                assert ms == [m for m in monos if monomial_weight(gs, m) == w]
+        assert weight_blocks(gs, 0) == {(0,) * s.rank: [()]}
+
+
+def test_empty_generator_set():
+    s = Scenario("o", 4, 3)
+    empty = GeneratorSet(s, ())
+    assert weight_blocks(empty, 0) == {(0, 0): [()]}
+    assert generated_dimension(empty, 0) == {(0, 0): 1}
+    for t in (1, 2):
+        assert weight_blocks(empty, t) == {}
+        assert generated_dimension(empty, t) == {}
+
+
+def _gl_degree_3_blocks():
     gs = build_generators(Scenario("gl", 3, 2, 2))
-    for t in range(4):
-        blocks, monos = weight_blocks(gs, t), generator_monomials(gs, t)
-        assert sorted(m for ms in blocks.values() for m in ms) == monos
-        for w, ms in blocks.items():
-            assert ms == [m for m in monos if monomial_weight(gs, m) == w]
-    assert weight_blocks(gs, 0) == {(0, 0, 0): [()]}
+    return gs, [(ms, 2 * len(ms), ()) for ms in weight_blocks(gs, 3).values()]
+
+
+def _o_minimality_blocks():
+    """The first-pass blocks of ``minimality_check`` on o (4,3), built here."""
+    gs = build_generators(Scenario("o", 4, 3))
+    batch = []
+    for d, w in sorted({(g.degree, g.weight.eps) for g in gs.gens}):
+        gens = [((i, 1),) for i, g in enumerate(gs.gens) if (g.degree, g.weight.eps) == (d, w)]
+        base = [m for m in weight_blocks(gs, d)[w] if m not in gens]
+        batch.append((base + gens, len(base) + len(gens) + 32, (len(base),)))
+    return gs, batch
+
+
+@pytest.mark.parametrize("blocks", [_gl_degree_3_blocks, _o_minimality_blocks])
+def test_batched_ranks_match_blocks_ranked_alone(blocks, monkeypatch):
+    gs, batch = blocks()
+    assert len(batch) > 1 and len({n for _, n, _ in batch}) > 1
+    alone = [_two_seed_ranks(gs, [block], 3, f"alone:{k}")[0] for k, block in enumerate(batch)]
+    seen = []
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mat, p: seen.append((mat, p)) or rank_mod_p(mat, p))
+    assert _two_seed_ranks(gs, batch, 3, "batch") == alone
+
+    # each block is ranked on its own rows of the shared matrix, at its own column prefix
+    monomials = [m for ms, _, _ in batch for m in ms]
+    npoints = max(n for _, n, _ in batch)
+    expected = []
+    for tag, p in ((":1", PRIME_A), (":2", PRIME_B)):
+        shared = monomial_eval_matrix(gs, monomials, npoints, 3, "batch" + tag, p)
+        lo = 0
+        for ms, n, heads in batch:
+            sub = shared[lo : lo + len(ms), :n]
+            expected += [(sub[:h], p) for h in heads] + [(sub, p)]
+            lo += len(ms)
+    assert len(seen) == len(expected)
+    for (got, p), (want, q) in zip(seen, expected):
+        assert p == q and np.array_equal(got, want)
+
+
+def test_seed_disagreement_names_the_first_block(monkeypatch):
+    gs = build_generators(Scenario("gl", 3, 2, 2))
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mat, p: rank_mod_p(mat, p) + (p == PRIME_B))
+    first = next(iter(weight_blocks(gs, 2)))
+    with pytest.raises(SeedDisagreement) as exc:
+        generated_dimension(gs, 2)
+    assert f"degree-2 block of weight {first} (" in str(exc.value) and "'genrank:2'" in str(exc.value)
 
 
 def test_generated_dimension_leaves_out_zero_ranks():
