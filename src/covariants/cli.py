@@ -8,9 +8,11 @@ prints a verdict runs the suite's check for that claim through
 expansion does not vanish.
 Exit codes: 0 all checks passed, 1 a check failed (witnesses are in the
 report), 2 usage or resource errors (also a single check skipped by the
-cap; ``full-suite`` reports skipped checks and exits 0), 3 an internal
-error: a check that raised has the verdict ``error``, and a data command
-that raises prints ``error: <Type>: <message>`` instead of a traceback.
+cap, while ``full-suite`` reports skipped checks and exits 0, and a reader
+that closed stdout early, as ``| head`` does: the rest of the report is
+dropped silently), 3 an internal error: a check that raised has the verdict
+``error``, and a data command that raises prints ``error: <Type>:
+<message>`` instead of a traceback.
 
 Reports are byte-identical for identical configs; per-check timings are
 only embedded when ``--timings`` is passed since they would break that.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -42,15 +45,10 @@ INTERNAL_ERROR = 3
 
 
 def parse_scenario(args) -> Scenario:
+    """The scenario of ``--group/--n/--l/--m``; ``Scenario`` validates it."""
     if args.group is None or args.n is None:
         raise ValueError("--group and --n are required")
-    group = args.group.lower()
-    m = getattr(args, "m", 0) or 0
-    if group in ("o", "sp") and m:
-        raise ValueError(f"{group} takes no copies of the dual space (drop --m)")
-    if group == "sp" and args.n % 2:
-        raise ValueError("sp requires even n")
-    return Scenario(group, args.n, getattr(args, "l", 0) or 0, m if group == "gl" else 0)
+    return Scenario(args.group, args.n, args.l, args.m)
 
 
 def parse_chi(text: str) -> tuple[int, ...]:
@@ -320,9 +318,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:  # the reader closed stdout (`| head`): silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
     except Exception as exc:  # an internal error of a data command: a line, not a traceback
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -10,8 +10,13 @@ The recipe depends on the group and the parity of n = dim V:
   o, even n: as for odd n, plus (when l >= r) the order-r minors through
              row r and the last r-1 rows ("cross minors").
 
-Every generator carries its degree and torus weight; labels are canonical
-(column subsets in lexicographic order) so JSON output is reproducible.
+Every generator carries its degree and torus weight.  Its label names its
+recipe, 1-based: ``C[i][j]`` and ``Q[i][j]`` for a pair of copies, and
+``lowMinor[k;c1,...,ck]``, ``leftMinor[k;r1,...,rk]`` and
+``crossMinor[k;c1,...,ck]`` for an order-k minor on an ascending column (or,
+for left minors, row) subset.  ``generator_label`` is the one formatter and
+``GeneratorSet.find`` the one lookup; subsets come in lexicographic order, so
+JSON output is reproducible.
 """
 
 from __future__ import annotations
@@ -67,11 +72,9 @@ class GeneratorSet:
     def labels(self) -> list[str]:
         return [g.label for g in self.gens]
 
-    def by_label(self, label: str) -> Generator:
-        for g in self.gens:
-            if g.label == label:
-                return g
-        raise KeyError(label)
+    def find(self, kind: str, index) -> int:
+        """Position of the generator ``generator_label(kind, index)``."""
+        return self.labels().index(generator_label(kind, index))
 
     def to_json(self) -> dict:
         return {
@@ -80,8 +83,13 @@ class GeneratorSet:
         }
 
 
-def _cols_label(cols) -> str:
-    return ",".join(str(c + 1) for c in cols)
+def generator_label(kind: str, index) -> str:
+    """The 1-based label of a recipe: ``"C"``/``"Q"`` take a 0-based pair
+    (i, j); ``"lowMinor"``/``"leftMinor"``/``"crossMinor"`` a 0-based subset."""
+    if kind in ("C", "Q"):
+        i, j = index
+        return f"{kind}[{i + 1}][{j + 1}]"
+    return f"{kind}[{len(index)};{','.join(str(c + 1) for c in index)}]"
 
 
 def form_value_poly(s: Scenario, i: int, j: int) -> Polynomial:
@@ -101,7 +109,8 @@ def build_generators(s: Scenario) -> GeneratorSet:
     gens: list[Generator] = []
     n, l, m = s.n, s.l, s.m
 
-    def add(label: str, poly: Polynomial, degree: int):
+    def add(kind: str, index, poly: Polynomial, degree: int):
+        label = generator_label(kind, index)
         assert poly.is_homogeneous(degree), label
         gens.append(Generator(label, poly, degree, torus_weight(poly, s)))
 
@@ -110,7 +119,7 @@ def build_generators(s: Scenario) -> GeneratorSet:
     def add_lower_minors(p: int):
         for k, order in enumerate(lower_minors(vbar, p)[1:], start=1):
             for cols, poly in order.items():
-                add(f"lowMinor[{k};{_cols_label(cols)}]", poly, k)
+                add("lowMinor", cols, poly, k)
 
     if s.group == "gl":
         for i in range(m):
@@ -118,18 +127,14 @@ def build_generators(s: Scenario) -> GeneratorSet:
                 entry = Polynomial.zero(s.nvars)
                 for k in range(n):
                     entry = entry + s.a_poly(i, k) * s.x_poly(k, j)
-                add(f"C[{i + 1}][{j + 1}]", entry, 2)
+                add("C", (i, j), entry, 2)
         add_lower_minors(min(l, n))
         if m:
             vstar = s.vstar_matrix()
             for p in range(1, min(m, n) + 1):
                 cols = list(range(p))
                 for rows in itertools.combinations(range(m), p):
-                    add(
-                        f"leftMinor[{p};{_cols_label(rows)}]",
-                        minor(vstar, rows, cols),
-                        p,
-                    )
+                    add("leftMinor", rows, minor(vstar, rows, cols), p)
         return GeneratorSet(s, tuple(gens))
 
     # orthogonal / symplectic
@@ -139,12 +144,12 @@ def build_generators(s: Scenario) -> GeneratorSet:
     else:
         pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
     for i, j in pairs:
-        add(f"Q[{i + 1}][{j + 1}]", form_value_poly(s, i, j), 2)
+        add("Q", (i, j), form_value_poly(s, i, j), 2)
     add_lower_minors(min(l, r) if s.group == "sp" else min(l, n))
     if s.case == "D" and l >= r and r >= 1:
         rows = [r - 1] + list(range(n - r + 1, n))
         for cols in itertools.combinations(range(l), r):
-            add(f"crossMinor[{r};{_cols_label(cols)}]", minor(vbar, rows, cols), r)
+            add("crossMinor", cols, minor(vbar, rows, cols), r)
     return GeneratorSet(s, tuple(gens))
 
 
@@ -160,18 +165,18 @@ def expected_weight_table(s: Scenario) -> list[tuple[int, tuple[int, ...]]]:
     if s.l < n or (s.group == "gl" and s.m < n):
         raise ValueError("the degree/weight table is stated for l >= n (and m >= n for gl)")
 
-    def phi(**kw) -> tuple[int, ...]:
-        q = s.rank
-        out = [0] * q
-        for key, val in kw.items():
-            out[int(key[1:]) - 1] += val
+    def phi(coeffs: dict[int, int]) -> tuple[int, ...]:
+        """phi-coordinates from {1-based index: coefficient}."""
+        out = [0] * s.rank
+        for i, c in coeffs.items():
+            out[i - 1] += c
         return tuple(out)
 
     table: list[tuple[int, tuple[int, ...]]] = []
     if s.group == "gl":
-        table.append((2, phi()))
+        table.append((2, phi({})))
         for i in range(1, n + 1):
-            table.append((i, phi(**{f"k{i}": 1})))
+            table.append((i, phi({i: 1})))
         for k in range(1, n + 1):
             w = [0] * n
             if k < n:
@@ -180,31 +185,31 @@ def expected_weight_table(s: Scenario) -> list[tuple[int, tuple[int, ...]]]:
             table.append((k, tuple(w)))
         return table
     if s.case == "C":
-        table.append((2, phi()))
+        table.append((2, phi({})))
         for k in range(1, r + 1):
-            table.append((k, phi(**{f"k{k}": 1})))
+            table.append((k, phi({k: 1})))
         return table
     if s.case == "B":
-        table.append((2, phi()))
+        table.append((2, phi({})))
         for k in range(1, r):
-            table.append((k, phi(**{f"k{k}": 1})))
-        table.append((r, phi(**{f"k{r}": 2})))
-        table.append((r + 1, phi(**{f"k{r}": 2})))
+            table.append((k, phi({k: 1})))
+        table.append((r, phi({r: 2})))
+        table.append((r + 1, phi({r: 2})))
         for k in range(r + 2, n + 1):
-            table.append((k, phi(**{f"k{n - k}": 1}) if k < n else phi()))
+            table.append((k, phi({n - k: 1}) if k < n else phi({})))
         return table
     # case D
     if r < 2:
         raise ValueError("the even orthogonal table needs n >= 4")
-    table.append((2, phi()))
+    table.append((2, phi({})))
     for k in range(1, r - 1):
-        table.append((k, phi(**{f"k{k}": 1})))
-    table.append((r - 1, phi(**{f"k{r - 1}": 1, f"k{r}": 1})))
-    table.append((r, phi(**{f"k{r - 1}": 2})))
-    table.append((r, phi(**{f"k{r}": 2})))
-    table.append((r + 1, phi(**{f"k{r - 1}": 1, f"k{r}": 1})))
+        table.append((k, phi({k: 1})))
+    table.append((r - 1, phi({r - 1: 1, r: 1})))
+    table.append((r, phi({r - 1: 2})))
+    table.append((r, phi({r: 2})))
+    table.append((r + 1, phi({r - 1: 1, r: 1})))
     for k in range(r + 2, n + 1):
-        table.append((k, phi(**{f"k{n - k}": 1}) if k < n else phi()))
+        table.append((k, phi({n - k: 1}) if k < n else phi({})))
     return table
 
 
@@ -352,7 +357,7 @@ def sp_high_minor_membership(s: Scenario, k: int) -> tuple[bool, dict]:
     if k <= s.r:
         # the order-k minors are themselves generators
         labels = [
-            f"lowMinor[{k};{_cols_label(cols)}]"
+            generator_label("lowMinor", cols)
             for cols in itertools.combinations(range(s.l), k)
         ]
         return True, {lbl: {lbl: "1"} for lbl in labels}
@@ -369,7 +374,7 @@ def sp_high_minor_membership(s: Scenario, k: int) -> tuple[bool, dict]:
         a_rows = [[c.get(m, 0) for c in columns] for m in support]
         rhs = [target.get(m, 0) for m in support]
         sol = solve(a_rows, rhs)
-        label = f"lowMinor[{k};{_cols_label(cols)}]"
+        label = generator_label("lowMinor", cols)
         if sol is None:
             ok = False
             certificate[label] = None

@@ -175,9 +175,6 @@ def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
 
 @dataclass
 class PolytopeReport:
-    scenario: Scenario
-    samples: int
-    seed: int
     sample_failures: list = field(default_factory=list)
     vertex_failures: list = field(default_factory=list)
     sampler_failures: list = field(default_factory=list)  # samples outside Phi or the chamber
@@ -186,23 +183,17 @@ class PolytopeReport:
     def passed(self) -> bool:
         return not (self.sample_failures or self.vertex_failures or self.sampler_failures)
 
-    def to_json(self) -> dict:
+    def witness(self) -> dict | None:
+        """The failing points by kind as fraction strings, None on a pass."""
+        if self.passed:
+            return None
         return {
-            "check": "chamber-inclusion",
-            "inputs": {
-                "scenario": self.scenario.to_json(),
-                "samples": self.samples,
-                "seed": self.seed,
-            },
-            "verdict": "pass" if self.passed else "fail",
-            "witness": None if self.passed else {
-                key: [[str(Fraction(x)) for x in pt] for pt in points]
-                for key, points in (
-                    ("points_outside_delta", self.sample_failures),
-                    ("delta_vertices_outside", self.vertex_failures),
-                    ("points_outside_phi", self.sampler_failures),
-                )
-            },
+            key: [[str(Fraction(x)) for x in pt] for pt in points]
+            for key, points in (
+                ("points_outside_delta", self.sample_failures),
+                ("delta_vertices_outside", self.vertex_failures),
+                ("points_outside_phi", self.sampler_failures),
+            )
         }
 
 
@@ -214,7 +205,7 @@ def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> P
     sample outside Phi or the chamber is reported as ``points_outside_phi``.
     """
     spec = build_polytopes(s)
-    report = PolytopeReport(s, samples, seed)
+    report = PolytopeReport()
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
         pt = sample_chamber_point(s, spec, rng)

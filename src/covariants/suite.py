@@ -356,7 +356,7 @@ def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
 def polytope_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
     """delta = Phi intersect the chamber, on samples and on delta's vertices."""
     rep = chamber_inclusion_check(s, samples, seed)
-    return rep.passed, None if rep.passed else rep.to_json()["witness"]
+    return rep.passed, rep.witness()
 
 
 def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
@@ -516,12 +516,8 @@ def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
             d = l + m
             rep = relation_space(gs, d, cap=cfg.monomial_cap)
             monomials = generator_monomials(gs, d)
-            li = gs.labels().index(
-                f"leftMinor[{m};{','.join(str(i) for i in range(1, m + 1))}]"
-            )
-            lo = gs.labels().index(
-                f"lowMinor[{l};{','.join(str(i) for i in range(1, l + 1))}]"
-            )
+            li = gs.find("leftMinor", range(m))
+            lo = gs.find("lowMinor", range(l))
             target = monomials.index(tuple(sorted(((li, 1), (lo, 1)))))
             vec = next((v for v in rep.basis if v[target]), None)
             if vec is None:

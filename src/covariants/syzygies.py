@@ -19,11 +19,13 @@ from fractions import Fraction
 from .dimensions import CapExceeded, monomial_cap
 from .generators import (
     GeneratorSet,
+    build_generators,
+    generator_label,
     generator_monomials,
     monomial_label,
     monomial_poly,
 )
-from .linalg import kernel_basis, lower_minors, minor, rank
+from .linalg import kernel_basis, lower_minors, rank
 from .polynomial import Polynomial
 from .scenario import Scenario
 
@@ -49,8 +51,8 @@ class BilinearRelation:
         return [
             (
                 sign,
-                f"lowMinor[{len(t1)};{','.join(map(str, t1))}]",
-                f"lowMinor[{len(t2)};{','.join(map(str, t2))}]",
+                generator_label("lowMinor", [c - 1 for c in t1]),
+                generator_label("lowMinor", [c - 1 for c in t2]),
             )
             for sign, t1, t2 in self.terms
         ]
@@ -109,20 +111,10 @@ def mixed_minor_relation(n: int, l: int, m: int) -> tuple[bool, Polynomial, Poly
     if s_overlap <= 0:
         raise ValueError("the identity lives in the overlapping regime l + m > n")
     sc = Scenario("gl", n, l, m)
-    vbar = sc.v_matrix()
-    vstar = sc.vstar_matrix()
+    gs = build_generators(sc)
     r = n - l + 1  # first row index (1-based) of the full lower minor
-    lhs = minor(vstar, list(range(m)), list(range(m))) * lower_minors(vbar, l)[l][tuple(range(l))]
-    cmat = [
-        [
-            sum(
-                (sc.a_poly(i, k) * sc.x_poly(k, j) for k in range(n)),
-                start=Polynomial.zero(sc.nvars),
-            )
-            for j in range(l)
-        ]
-        for i in range(m)
-    ]
+    lhs = gs.gens[gs.find("leftMinor", range(m))].poly * gs.gens[gs.find("lowMinor", range(l))].poly
+    cmat = [[gs.gens[gs.find("C", (i, j))].poly for j in range(l)] for i in range(m)]
     rhs = Polynomial.zero(sc.nvars)
     nv = sc.nvars
     for sigma in itertools.permutations(range(m)):

@@ -98,13 +98,10 @@ def eps_to_phi(s: Scenario, eps: Sequence) -> tuple:
         phi = [w[i] - w[i + 1] for i in range(q - 1)] + [w[q - 1]]
     elif s.n % 2:
         phi = [w[i] - w[i + 1] for i in range(q - 1)] + [2 * w[q - 1]]
-    else:
-        phi = [w[i] - w[i + 1] for i in range(q - 2)] if q >= 2 else []
-        if q >= 2:
-            phi += [w[q - 2] + w[q - 1], w[q - 2] - w[q - 1]]
-        else:  # rank-1 even orthogonal is degenerate; kept for completeness
-            phi = [w[0], w[0]]
-            phi = phi[:1]
+    elif q >= 2:
+        phi = [w[i] - w[i + 1] for i in range(q - 2)] + [w[q - 2] + w[q - 1], w[q - 2] - w[q - 1]]
+    else:  # rank-1 even orthogonal is degenerate; kept for completeness
+        phi = [w[0]]
     return tuple(canon_coeff(p) for p in phi)
 
 

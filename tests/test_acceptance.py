@@ -5,14 +5,23 @@ line (run pytest with -s to see them inline).  Everything is exact — zero
 tolerance: a criterion passes only if every one of its checks passes, so a
 check that fails or raises (verdict ``error``) fails the gate, and so does a
 check skipped by the cap (with the default cap nothing on the grid is
-skipped).
+skipped).  Each criterion's report entries must also serialize to the same
+JSON as its slice of ``golden/full_suite_seed1.json``, the ``checks`` of
+``covariants full-suite --seed 1``.  A change that means to alter the report
+regenerates the golden from a checkout with
+
+    PYTHONPATH=src python -m covariants full-suite --seed 1 2>/dev/null | python -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["checks"], indent=2))' > tests/golden/full_suite_seed1.json
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from covariants.suite import CRITERIA, SuiteConfig, full_suite
 
 CFG = SuiteConfig(seed=1)
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "full_suite_seed1.json").read_text())
 
 
 def _run(num):
@@ -21,6 +30,8 @@ def _run(num):
     results = report.results[num]
     assert report.passed, [(r.name, r.verdict, r.witness) for r in results if not r.passed]
     assert not [r.name for r in results if r.verdict == "skipped (cap)"]
+    entries = [{"criterion": num, **r.to_json()} for r in results]
+    assert [json.dumps(e) for e in entries] == [json.dumps(c) for c in GOLDEN if c["criterion"] == num]
 
 
 @pytest.mark.parametrize("num", sorted(CRITERIA))

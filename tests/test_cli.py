@@ -38,6 +38,12 @@ def test_sp_odd_n_is_usage_error(capsys):
     assert "sp requires even n" in err
 
 
+def test_dual_copies_for_o_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "generate", "--group", "o", "--n", "3", "--l", "1", "--m", "2")
+    assert code == USAGE_ERROR and not out
+    assert "o and sp act on copies of V only (m must be 0)" in err
+
+
 def test_generate_json(capsys):
     code, out, _ = run_cli(capsys, "gen", "--group", "gl", "--n", "2", "--l", "2", "--m", "1")
     assert code == 0
@@ -316,6 +322,18 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert {c["criterion"] for c in json.loads(proc.stdout)["checks"]} == {7}
+
+
+def test_closed_stdout_is_a_quiet_usage_exit():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covariants", "full-suite", "--groups", "sp", "--criteria", "7"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the report is written, as `| head` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == USAGE_ERROR, err
+    assert "BrokenPipe" not in err and "Traceback" not in err
 
 
 def test_degree2_gen_over_cap_is_skipped(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from covariants.generators import (
     GeneratorSet,
     build_generators,
     check_invariance,
+    generator_label,
     expected_weight_table,
     generator_monomials,
     monomial_poly,
@@ -30,9 +31,9 @@ def test_gl_2_2_1_generators():
         "leftMinor[1;1]",
     ]
     s = gs.scenario
-    assert gs.by_label("lowMinor[1;1]").poly == s.x_poly(1, 0)
+    assert gs.gens[gs.find("lowMinor", (0,))].poly == s.x_poly(1, 0)
     v = s.v_matrix()
-    assert gs.by_label("lowMinor[2;1,2]").poly == v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    assert gs.gens[gs.find("lowMinor", (0, 1))].poly == v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
 
 
 def test_sp_2_2_generators():
@@ -43,6 +44,42 @@ def test_sp_2_2_generators():
 def test_o_3_1_generators():
     gs = build_generators(Scenario("o", 3, 1))
     assert gs.labels() == ["Q[1][1]", "lowMinor[1;1]"]
+
+
+def test_pinned_labels_with_cross_minors_and_truncated_sp_minors():
+    assert build_generators(Scenario("o", 4, 2)).labels() == [
+        "Q[1][1]",
+        "Q[1][2]",
+        "Q[2][2]",
+        "lowMinor[1;1]",
+        "lowMinor[1;2]",
+        "lowMinor[2;1,2]",
+        "crossMinor[2;1,2]",
+    ]
+    # sp stops the lower minors at order r = 2 although l = 3
+    assert build_generators(Scenario("sp", 4, 3)).labels() == [
+        "Q[1][2]",
+        "Q[1][3]",
+        "Q[2][3]",
+        "lowMinor[1;1]",
+        "lowMinor[1;2]",
+        "lowMinor[1;3]",
+        "lowMinor[2;1,2]",
+        "lowMinor[2;1,3]",
+        "lowMinor[2;2,3]",
+    ]
+
+
+def test_generator_label_and_find():
+    assert generator_label("C", (0, 2)) == "C[1][3]"
+    assert generator_label("Q", (1, 1)) == "Q[2][2]"
+    assert generator_label("leftMinor", (0, 2)) == "leftMinor[2;1,3]"
+    assert generator_label("crossMinor", range(3)) == "crossMinor[3;1,2,3]"
+    gs = build_generators(Scenario("o", 4, 3))
+    assert gs.find("crossMinor", (1, 2)) == gs.labels().index("crossMinor[2;2,3]")
+    assert gs.find("Q", (0, 2)) == 2
+    with pytest.raises(ValueError):
+        gs.find("lowMinor", (0, 1, 2, 3))
 
 
 def test_even_o_cross_minors_present():

@@ -82,12 +82,16 @@ def test_inclusion_across_groups():
         assert chamber_inclusion_check(s, samples=120, seed=2).passed
 
 
-def test_report_json_shape():
+def test_report_witness():
     rep = chamber_inclusion_check(Scenario("sp", 2, 1), samples=10, seed=0)
-    data = rep.to_json()
-    assert data["check"] == "chamber-inclusion"
-    assert data["verdict"] == "pass"
-    assert data["inputs"]["seed"] == 0
+    assert rep.passed and rep.witness() is None
+    rep.vertex_failures.append((Fraction(3, 2),))
+    assert not rep.passed
+    assert rep.witness() == {
+        "points_outside_delta": [],
+        "delta_vertices_outside": [["3/2"]],
+        "points_outside_phi": [],
+    }
 
 
 FACET_SCENARIOS = (

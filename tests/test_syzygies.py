@@ -91,8 +91,8 @@ def test_relation_space_contains_mixed_relation():
     rep = relation_space(gs, 3)
     assert rep.relation_dim >= 1
     monomials = generator_monomials(gs, 3)
-    li = gs.labels().index("leftMinor[1;1]")
-    lo = gs.labels().index("lowMinor[2;1,2]")
+    li = gs.find("leftMinor", (0,))
+    lo = gs.find("lowMinor", (0, 1))
     target = monomials.index(tuple(sorted(((li, 1), (lo, 1)))))
     assert any(v[target] for v in rep.basis)
     # every reported relation expands to the zero polynomial
@@ -109,8 +109,8 @@ def test_overlapping_mixed_relation_is_the_only_degree_four_relation():
     rep = relation_space(gs, 4)
     assert rep.ambient_dim == 116
     assert rep.relation_dim == 1
-    li = gs.labels().index("leftMinor[2;1,2]")
-    lo = gs.labels().index("lowMinor[2;1,2]")
+    li = gs.find("leftMinor", (0, 1))
+    lo = gs.find("lowMinor", (0, 1))
     (vec,) = rep.basis
     assert vec[rep.monomials.index(tuple(sorted(((li, 1), (lo, 1)))))]
 
