@@ -17,7 +17,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_basis, lower_minors, rank
+# ``rank`` is no longer called here; the binding stays because
+# bench/selftest.py checks that the tracer wraps ``flags.rank``.
+from .linalg import Matrix, kernel_basis, lower_minors, rank  # noqa: F401
 from .polynomial import canon_coeff
 from .scenario import Scenario
 
@@ -63,6 +65,10 @@ def flag_map(rows, s: Scenario) -> FlagPoint:
     entries).  Component k's coordinates are the order-k lower minors, read
     from one ``lower_minors`` table; criterion 9 checks them against
     ``minor`` and against a wedge product that uses no determinant.
+
+    Entries may be integers or rationals.  Scaling the rows by c scales
+    component k by c^k, so criterion 9 clears each sample's denominators
+    once and maps the integer matrix, with no ``Fraction`` arithmetic.
     """
     mat = rows if isinstance(rows, Matrix) else Matrix(rows)
     if (mat.m, mat.n) != (s.n, s.l):
@@ -81,31 +87,34 @@ def wedge_action_matrix(g: Matrix, k: int) -> Matrix:
     )
 
 
-def annihilator(q, k: int, l: int) -> list[list]:
-    """Exact basis of {x : q ^ x = 0} for q in wedge^k k^l.
+def _wedge_matrix(q, k: int, l: int) -> list[list]:
+    """Matrix of x -> q ^ x from k^l to wedge^{k+1} k^l.
 
-    The wedge-by-x map goes to wedge^{k+1}; its matrix rows are indexed by
-    (k+1)-subsets and the kernel is computed exactly.
+    Rows are indexed by the (k+1)-subsets in lexicographic order; there are
+    none when k >= l, since wedge^{l+1} k^l is zero.
     """
     basis_k = wedge_basis(l, k)
     if len(q) != len(basis_k):
         raise ValueError(f"component has {len(q)} coordinates, expected {len(basis_k)}")
-    if k >= l:
-        # wedging into wedge^{l+1} k^l is identically zero
-        return [[int(i == j) for j in range(l)] for i in range(l)]
     index_k = {S: i for i, S in enumerate(basis_k)}
-    basis_k1 = wedge_basis(l, k + 1)
     rows = []
-    for T in basis_k1:
+    for T in wedge_basis(l, k + 1):
         row = [0] * l
         for pos, i in enumerate(T):
-            S = T[:pos] + T[pos + 1 :]
-            c = q[index_k[S]]
+            c = q[index_k[T[:pos] + T[pos + 1 :]]]
             if c:
-                sign = -1 if (len(T) - 1 - pos) % 2 else 1
-                row[i] = sign * c
+                row[i] = -c if (len(T) - 1 - pos) % 2 else c
         rows.append(row)
-    return kernel_basis(rows, l)
+    return rows
+
+
+def annihilator(q, k: int, l: int) -> list[list]:
+    """Exact basis of {x : q ^ x = 0} for q in wedge^k k^l.
+
+    The kernel of the wedge-by-x matrix, computed exactly; for k >= l it is
+    all of k^l.
+    """
+    return kernel_basis(_wedge_matrix(q, k, l), l)
 
 
 def is_decomposable(q, k: int, l: int) -> bool:
@@ -128,25 +137,30 @@ def incidence_holds(f: FlagPoint) -> bool:
 
     A nonzero component after a zero one can never happen on the image, and
     fails here; trailing zero components are fine.  The first indecomposable
-    component raises ``IndecomposableComponent``.
+    component raises ``IndecomposableComponent``.  Nesting
+    ann(q_k) <= ann(q_{k+1}) is read off the wedge matrix of q_{k+1}: it
+    holds iff that matrix kills every basis vector of ann(q_k).
+
+    Exact input of any kind is accepted.  The predicate is projective: it
+    is unchanged when component k is multiplied by c^k, so criterion 9 runs
+    it on the flag of a sample whose denominators were cleared.
     """
     l = f.l
-    anns = []
+    kernels = []  # per component: (wedge matrix, annihilator basis), or None if zero
     for k, q in enumerate(f.components, start=1):
         if not any(q):
-            anns.append(None)
+            kernels.append(None)
             continue
-        ann = annihilator(q, k, l)
+        mat = _wedge_matrix(q, k, l)
+        ann = kernel_basis(mat, l)
         if len(ann) != k:
             raise IndecomposableComponent(k)
-        anns.append(ann)
-    for k in range(1, f.p):
-        cur, prev = anns[k], anns[k - 1]
+        kernels.append((mat, ann))
+    for prev, cur in zip(kernels, kernels[1:]):
         if cur is None:
             continue  # zero component: no constraint at this step
         if prev is None:
             return False  # nonzero after zero: outside the image
-        stacked = [list(v) for v in cur] + [list(v) for v in prev]
-        if rank(stacked) != len(cur):
+        if any(sum(a * x for a, x in zip(row, v)) for v in prev[1] for row in cur[0]):
             return False
     return True

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 
 from .degrees import (
     generator_pairs_for,
@@ -393,6 +393,16 @@ def _independent_wedge(mat_rows, n: int, l: int) -> list[tuple]:
 
 
 def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
+    """The flag map on random points: coordinates, image predicates, action.
+
+    Each sample is a matrix of rationals a/b, but it is checked as the
+    integer matrix ``c * rows`` with c the lcm of its denominators: every
+    component k of the flag map, of the wedge oracle and of the minors is
+    then c^k times its value at ``rows``, and decomposability and nesting
+    are projective, so every verdict is the one the rational sample gets
+    (criterion 1 scales its samples the same way).  The draws are the same
+    calls in the same order, so the streams ``flags:{n}:{l}`` are unchanged.
+    """
     if "gl" not in cfg.groups:
         return []
     out = []
@@ -403,14 +413,13 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
                 rng = substream(cfg.seed, f"flags:{n}:{l}")
                 p = min(l, n)
                 for it in range(cfg.flag_samples):
-                    rows = [
-                        [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)]
-                        for _ in range(n)
-                    ]
-                    f = flag_map(rows, s)
+                    draws = [[(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
+                    c = lcm(*(b for row in draws for _, b in row))
+                    rows = [[a * (c // b) for a, b in row] for row in draws]
+                    mat = Matrix(rows)
+                    f = flag_map(mat, s)
                     if tuple(f.components) != tuple(map(tuple, _independent_wedge(rows, n, l))):
                         return False, {"case": "wedge-mismatch", "iteration": it}
-                    mat = Matrix(rows)
                     for k in range(1, p + 1):
                         minors = tuple(
                             minor(mat, list(range(n - k, n)), list(cols))

@@ -476,6 +476,27 @@ def test_full_suite_reports_an_indecomposable_flag_component(capsys, monkeypatch
     assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
 
 
+def test_full_suite_reports_a_flag_that_is_not_nested(capsys, monkeypatch):
+    # replace the first two components of every l=3 point by e1 and e2^e3 on
+    # their way to the incidence test: both decomposable, ann(e1) not inside
+    # ann(e2^e3), so the l=3 checks fail at iteration 0 with case "incidence"
+    from covariants.flags import FlagPoint, incidence_holds
+
+    def tampered(f):
+        if f.l == 3:
+            f = FlagPoint(3, ((1, 0, 0), (0, 0, 1)) + f.components[2:])
+        return incidence_holds(f)
+
+    monkeypatch.setattr(suite, "incidence_holds", tampered)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "9", "--seed", "1")
+    assert code == 1
+    verdicts = {c["name"]: (c["verdict"], c.get("witness")) for c in json.loads(out)["checks"]}
+    for n in (2, 3, 4):
+        assert verdicts.pop(f"flag-quotient n={n} l=3") == ("fail", {"case": "incidence", "iteration": 0})
+    assert all(v == ("pass", None) for v in verdicts.values()) and len(verdicts) == 6
+    assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
+
+
 def _criterion_9_with_6(capsys):
     code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", "9,6", "--seed", "1")
     assert code == 1

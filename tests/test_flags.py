@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -14,6 +15,7 @@ from covariants.flags import (
 )
 from covariants.linalg import Matrix, minor, rank
 from covariants.scenario import Scenario
+from covariants.suite import _independent_wedge
 
 
 def test_identity_flag():
@@ -134,3 +136,64 @@ def test_equivariance_under_copy_transformations():
 def test_flag_json_round_trip():
     f = flag_map([[1, 2], [3, 4], [5, 6]], Scenario("gl", 3, 2))
     assert FlagPoint.from_json(f.to_json()) == f
+
+
+def test_clearing_denominators_scales_component_k_by_c_to_the_k():
+    # criterion 9 checks c * rows in place of rows: component k of the flag
+    # map and of the wedge oracle scale by c^k, and incidence is projective
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        for l in (2, 3, 4):
+            s = Scenario("gl", n, l)
+            for _ in range(10):
+                rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
+                c = lcm(*(x.denominator for row in rows for x in row))
+                scaled = [[int(c * x) for x in row] for row in rows]
+                f, g = flag_map(rows, s), flag_map(scaled, s)
+                assert all(type(x) is int for comp in g.components for x in comp)
+                for k, (q, r) in enumerate(zip(f.components, g.components), start=1):
+                    assert r == tuple(c**k * x for x in q)
+                assert tuple(map(tuple, _independent_wedge(scaled, n, l))) == g.components
+                assert incidence_holds(g) == incidence_holds(f)
+
+
+def _rank_nesting(f):
+    """The former nesting test: span(ann q_k) inside span(ann q_{k+1}) by rank."""
+    anns = [annihilator(q, k, f.l) if any(q) else None for k, q in enumerate(f.components, start=1)]
+    for prev, cur in zip(anns, anns[1:]):
+        if cur is None:
+            continue
+        if prev is None:
+            return False
+        if rank(cur + prev) != len(cur):
+            return False
+    return True
+
+
+def _wedges(vectors, l):
+    """Coordinates of v_1 ^ ... ^ v_k in the lexicographic wedge basis."""
+    k = len(vectors)
+    return tuple(minor(Matrix(vectors), list(range(k)), list(cols)) for cols in wedge_basis(l, k))
+
+
+def test_matrix_nesting_agrees_with_the_rank_test():
+    points = [
+        FlagPoint(3, ((1, 0, 0), _wedges([[0, 1, 0], [0, 0, 1]], 3))),  # e1 against e2 ^ e3: the counterexample
+        FlagPoint(3, ((1, 0, 0), _wedges([[1, 0, 0], [0, 0, 1]], 3))),  # e1 against e1 ^ e3
+        FlagPoint(3, ((1, 2, 0), (0, 0, 0), (0,))),  # zero tail
+        FlagPoint(3, ((0, 0, 0), (1, 0, 0))),  # nonzero after zero
+    ]
+    rng = random.Random(43)
+    for n, l in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 2)):
+        s = Scenario("gl", n, l)
+        for _ in range(10):
+            points.append(flag_map([[rng.randint(-3, 3) for _ in range(l)] for _ in range(n)], s))
+        for _ in range(20):
+            # each component the wedge of its own fresh vectors: decomposable, rarely nested
+            points.append(FlagPoint(l, tuple(
+                _wedges([[rng.randint(-1, 1) for _ in range(l)] for _ in range(k)], l)
+                for k in range(1, min(n, l) + 1)
+            )))
+    verdicts = [incidence_holds(f) for f in points]
+    assert verdicts == [_rank_nesting(f) for f in points]
+    assert verdicts.count(True) > 60 and verdicts.count(False) > 30
