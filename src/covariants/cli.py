@@ -148,16 +148,23 @@ def cmd_nchi(args) -> int:
     return _emit(args, _report(args, {"minimal_degree": value}))
 
 
+def _cap(args, least: int) -> int:
+    """``--cap``; one below ``least`` is a usage error."""
+    if args.cap < least:
+        raise ValueError(f"{args.command} needs --cap >= {least}, got {args.cap}")
+    return args.cap
+
+
 def cmd_nchi_oracle(args) -> int:
     s = parse_scenario(args)
-    value = min_degree_generated(generator_pairs_for(s), parse_chi(args.chi), cap=args.cap or 8)
+    value = min_degree_generated(generator_pairs_for(s), parse_chi(args.chi), cap=_cap(args, 0))
     payload = {"minimal_degree": value if value is not None else "not found"}
     return _emit(args, _report(args, payload))
 
 
 def cmd_mchi_oracle(args) -> int:
     s = parse_scenario(args)
-    value = min_degree_invariant(s, parse_chi(args.chi), cap=args.cap or 4)
+    value = min_degree_invariant(s, parse_chi(args.chi), cap=_cap(args, 0))
     payload = {"minimal_degree": value if value is not None else "not found"}
     return _emit(args, _report(args, payload))
 
@@ -166,13 +173,14 @@ def cmd_lemma3(args) -> int:
     s = parse_scenario(args)
     chi = parse_chi(args.chi)
     min_degree_formula(s, chi)  # a weight the formula cannot take is a usage error
-    return _run_check(args, f"degree-linearity {s.group} n={s.n}", lambda: suite.linearity_check(s, [chi], args.cap or 4))
+    cap = _cap(args, 1)  # c = 1..cap: no multiple to check below 1
+    return _run_check(args, suite.linearity_name(s), lambda: suite.linearity_check(s, [chi], cap))
 
 
 def cmd_lemma4(args) -> int:
     s = parse_scenario(args)
     samples = args.samples if args.samples is not None else 500
-    return _run_check(args, f"polytope {s.group} n={s.n}", lambda: suite.polytope_check(s, samples, args.seed))
+    return _run_check(args, suite.polytope_name(s), lambda: suite.polytope_check(s, samples, args.seed))
 
 
 def cmd_flag_map(args) -> int:
@@ -189,9 +197,7 @@ def cmd_bilinear(args) -> int:
     try:
         rels = bilinear_relations(s, args.i, args.j)
     except ExpansionDoesNotVanish:  # report it as criterion 11's failed check
-        return _run_check(
-            args, f"bilinear n={s.n} l={s.l} i={args.i} j={args.j}", lambda: suite.bilinear_check(s, args.i, args.j)
-        )
+        return _run_check(args, suite.bilinear_name(s, args.i, args.j), lambda: suite.bilinear_check(s, args.i, args.j))
     relations = [{"columns": list(r.cols), "terms": r.labels()} for r in rels]
     return _emit(args, _report(args, {"relations": relations}))
 
@@ -202,7 +208,7 @@ def cmd_zacep(args) -> int:
         raise ValueError("zacep needs 1 <= l, m <= n < l + m")
     return _run_check(
         args,
-        f"mixed-identity n={n} l={l} m={m}",
+        suite.mixed_identity_name(n, l, m),
         lambda: suite.mixed_identity_check(n, l, m),
         lambda r: {"verdict": "equal" if r.passed else "unequal"},
     )
@@ -220,7 +226,7 @@ def cmd_degree2_gen(args) -> int:
         raise ValueError("the closure question starts at degree 3")
     return _run_check(
         args,
-        f"quadratic-closure {s.group} n={s.n} l={s.l} d={args.degree}",
+        suite.quadratic_closure_name(s, args.degree),
         lambda: suite.quadratic_closure_check(build_generators(s), args.degree, None),
     )
 
@@ -231,7 +237,7 @@ def cmd_sp_minor(args) -> int:
     if s.group != "sp" or not 1 <= k <= min(s.l, s.n):
         raise ValueError("sp-minor needs --group sp and 1 <= order <= min(l, n)")
     return _run_check(
-        args, f"sp-high-minor n={s.n} l={s.l} k={k}", lambda: suite.sp_high_minor_membership(s, k),
+        args, suite.sp_high_minor_name(s, k), lambda: suite.sp_high_minor_membership(s, k),
         lambda r: {"certificate": r.witness},
         pass_witness=False,
     )
@@ -287,10 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("generate", cmd_generate, aliases=("gen",))
     add("check-invariance", cmd_check_invariance)
     add("weights-table", cmd_weights_table)
-    for name, fn in (("nchi", cmd_nchi), ("nchi-oracle", cmd_nchi_oracle), ("mchi-oracle", cmd_mchi_oracle), ("lemma3", cmd_lemma3)):
+    for name, fn, cap in (("nchi", cmd_nchi, None), ("nchi-oracle", cmd_nchi_oracle, 8),
+                          ("mchi-oracle", cmd_mchi_oracle, 4), ("lemma3", cmd_lemma3, 4)):
         p = add(name, fn)
         p.add_argument("--chi", required=True, help="comma-separated phi-coordinates, e.g. 1,0,2")
-        p.add_argument("--cap", type=int, default=None, help="degree cap for oracle searches")
+        p.add_argument("--cap", type=int, default=cap, help="degree cap for oracle searches")
     add("lemma4", cmd_lemma4)
     p = add("flag-map", cmd_flag_map)
     p.add_argument("--matrix", required=True, help="rows split by ';', entries by ',', fraction syntax allowed")

@@ -23,11 +23,10 @@ and for the weight blocks of those kernels).
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, primitive_row
 from .polynomial import Polynomial, canon_coeff, variable_key
 from .scenario import Scenario
 from .weights import Weight
@@ -83,11 +82,7 @@ def _nilradical_basis(s: Scenario) -> tuple[Matrix, ...]:
     basis = kernel_basis(constraint_rows, len(positions))
     out = []
     for vec in basis:
-        denom = math.lcm(*(Fraction(v).denominator for v in vec))
-        ints = [int(Fraction(v) * denom) for v in vec]
-        g = math.gcd(*(abs(v) for v in ints))
-        if g > 1:
-            ints = [v // g for v in ints]
+        ints = primitive_row(vec)
         rows = [[0] * n for _ in range(n)]
         for idx, (i, j) in enumerate(positions):
             rows[i][j] = ints[idx]

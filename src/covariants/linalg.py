@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals (entries may also be polynomials).
 
-Dense routines use Fraction/int arithmetic and are meant for the small
-matrices that dominate this package (dimensions <= a few hundred).
-``lower_minors`` builds the minors on the last k rows order by order;
-``Matrix.det`` reads its full-column entry, and ``minor`` (any row and
-column subsets) goes through ``det``.  Two
-specialized helpers exist for the large probabilistic rank computations:
-``rank_mod_p`` (numpy, single large prime) and ``sparse_rank_int``
-(fraction-free elimination on sparse integer rows).
+Matrices are meant for the small sizes that dominate this package
+(dimensions <= a few hundred).  ``lower_minors`` builds the minors on the
+last k rows order by order; ``Matrix.det`` reads its full-column entry, and
+``minor`` (any row and column subsets) goes through ``det``.
+
+One exact elimination engine serves everything else: ``_echelon_form``
+brings sparse primitive integer rows to fraction-free echelon form, and
+``_back_substitute`` reads unknowns off it.  ``rank``, ``kernel_basis``,
+``solve`` and ``Matrix.inverse`` convert their dense rational rows with
+``primitive_row``; ``sparse_rank_int`` takes sparse integer rows as they
+are.  ``rank_mod_p`` (numpy, one large prime) is the one inexact rank: a
+lower bound that callers pair with an exact side.
 """
 
 from __future__ import annotations
@@ -117,26 +121,18 @@ class Matrix:
 
         ``[A | I]`` is brought to echelon form ``[U | L]`` with ``U = M A``
         and ``L = M`` for some invertible M, so ``A^-1 = U^-1 L``, found by
-        back-substitution.  A is singular iff a pivot lands right of column n.
+        back-substitution, one column of I at a time.  A is singular iff the
+        pivot columns are not ``0..n-1``.
         """
         if self.m != self.n:
             raise ValueError("inverse of a non-square matrix")
         n = self.n
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
-        ech, pivots = _echelon(aug, 2 * n)
-        if pivots != list(range(n)):
+        ech = _echelon_form(_sparse_rows(aug))
+        if [c for c, _ in ech] != list(range(n)):
             raise ValueError("singular matrix")
-        inv: list = [None] * n
-        for i in range(n - 1, -1, -1):
-            row = ech[i]
-            d = row[i]
-            later = [(row[j], inv[j]) for j in range(i + 1, n) if row[j]]
-            out = []
-            for c in range(n):
-                s = row[n + c] - sum(a * x[c] for a, x in later)
-                out.append(s // d if type(s) is int and s % d == 0 else canon_coeff(Fraction(s, d)))
-            inv[i] = out
-        return Matrix(inv)
+        cols = [_back_substitute(ech, [0] * n, n + c) for c in range(n)]
+        return Matrix(list(zip(*cols)))
 
     def to_json(self) -> list:
         return [[str(Fraction(x)) for x in row] for row in self.rows]
@@ -214,103 +210,128 @@ def lower_minors(matrix: Matrix, p: int) -> list[dict]:
     return table
 
 
-# -- elimination over the rationals -----------------------------------------
+# -- exact elimination --------------------------------------------------------
 
 
-def _intify(row: list) -> list:
-    """Scale a rational row to a primitive integer row (kernel unchanged)."""
-    if all(isinstance(x, int) for x in row):
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    return row
-        return [x // g for x in row] if g > 1 else row
-    mult = lcm(*(x.denominator for x in row))
-    return [x.numerator * (mult // x.denominator) for x in row]
+def primitive_row(row: Sequence) -> list[int]:
+    """Scale a rational row by a positive rational to a primitive integer row.
 
-
-def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Fraction-free row echelon form; returns (rows, pivot column list).
-
-    Rows are scaled to primitive integer vectors up front; elimination uses
-    cross-multiplication with gcd reduction, which is much faster than
-    Fraction pivoting on the kernels this package needs.
+    The entries are ints or Fractions; the result has gcd 1 (a zero row stays
+    zero), so the row's kernel and the sign of every entry are unchanged.
     """
-    work = [_intify(list(r)) for r in rows if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row] if den > 1 else [x.numerator for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _sparse_rows(rows) -> list[dict[int, int]]:
+    """Dense rational rows as sparse primitive integer rows."""
+    return [{j: x for j, x in enumerate(primitive_row(r)) if x} for r in rows]
+
+
+def _echelon_form(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """Fraction-free echelon form of sparse integer rows: ``(column, row)`` per pivot.
+
+    Rows are dicts column -> nonzero int; the elimination consumes them.
+    Rows wait in buckets keyed by their leading column.  The buckets are
+    taken in column order: the sparsest row of a bucket becomes the pivot
+    row, which keeps fill-in tame, and the others are cross-multiplied
+    against it, divided by their gcd and re-bucketed.  The pivot columns are
+    the leftmost independent columns whichever row is chosen, so the kernel
+    basis and solutions read off this form do not depend on that choice.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    ech = []
+    while buckets:
+        c = min(buckets)
+        cands = buckets.pop(c)
+        cands.sort(key=len)
+        prow = cands[0]
         pval = prow[c]
-        for i in range(r + 1, len(work)):
-            row = work[i]
-            v = row[c]
-            if v:
-                work[i] = _combine(row, prow, pval, v, c)
-        work = work[: r + 1] + [row for row in work[r + 1 :] if any(row)]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
+        ech.append((c, prow))
+        for row in cands[1:]:
+            v = row.pop(c)
+            out: dict[int, int] = {}
+            for j, a in row.items():
+                out[j] = pval * a
+            for j, b in prow.items():
+                if j == c:
+                    continue
+                s = out.get(j, 0) - v * b
+                if s:
+                    out[j] = s
+                else:
+                    out.pop(j, None)
+            if out:
+                g = 0
+                for x in out.values():
+                    g = gcd(g, x)
+                    if g == 1:
+                        break
+                if g > 1:
+                    for j in list(out):
+                        out[j] //= g
+                buckets.setdefault(min(out), []).append(out)
+    return ech
 
 
-def _combine(row, prow, pval, v, c):
-    out = [pval * a - v * b for a, b in zip(row, prow)]
-    out[c] = 0
-    if all(isinstance(x, int) for x in out):
-        g = 0
-        for x in out:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if g > 1:
-            out = [x // g for x in out]
-    return out
+def _back_substitute(ech, x: list, rhs: int | None = None) -> list:
+    """Set the pivot unknowns of ``x`` so that every echelon row holds.
+
+    ``x`` holds the unknowns (columns ``0..len(x)-1``) with the free ones
+    already set; ``rhs`` is the column of the right-hand side in the echelon
+    rows, or None for a zero right-hand side.  Quotients stay ints when they
+    divide exactly.
+    """
+    n = len(x)
+    for c, row in reversed(ech):
+        s = row.get(rhs, 0)
+        for j, a in row.items():
+            if c < j < n and x[j]:
+                s -= a * x[j]
+        d = row[c]
+        x[c] = s // d if type(s) is int and s % d == 0 else canon_coeff(Fraction(s, d))
+    return x
+
+
+def sparse_rank_int(rows: list[dict[int, int]]) -> int:
+    """Exact rank of sparse integer rows (dicts column -> nonzero int).
+
+    The number of pivots of ``_echelon_form``, which consumes the rows.
+    """
+    return len(_echelon_form(rows))
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, pivots = _echelon(list(rows), len(rows[0]))
-    return len(pivots)
+    return len(_echelon_form(_sparse_rows(rows)))
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[list]:
     """Exact basis of the right null space of the matrix given by ``rows``.
 
     Returns one vector per free column, in ascending free-column order, with
-    a 1 in the free position.  Empty list iff the matrix has full column
-    rank.
+    a 1 in its own free position and 0 in the other free positions.  Empty
+    list iff the matrix has full column rank.
     """
     rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("cannot infer the number of columns")
         ncols = len(rows[0])
-    ech, pivots = _echelon(rows, ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    ech = _echelon_form(_sparse_rows(rows))
     basis = []
-    for f in free:
+    k = 0  # pivots left of f: the pivot unknowns right of f stay 0
+    for f in range(ncols):
+        if k < len(ech) and ech[k][0] == f:
+            k += 1
+            continue
         v: list = [0] * ncols
         v[f] = 1
-        for i in range(len(pivots) - 1, -1, -1):
-            c = pivots[i]
-            row = ech[i]
-            s = sum((row[j] * v[j] for j in range(c + 1, ncols) if v[j] and row[j]), start=0)
-            if s:
-                v[c] = canon_coeff(Fraction(-s) / row[c])
-        basis.append(v)
+        basis.append(_back_substitute(ech[:k], v))
     return basis
 
 
@@ -318,19 +339,13 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
     """One exact solution of ``A x = b`` (free variables set to 0), or None."""
     rows = [list(r) + [b] for r, b in zip(rows, rhs)]
     ncols = len(rows[0]) - 1
-    ech, pivots = _echelon(rows, ncols + 1)
-    if ncols in pivots:
+    ech = _echelon_form(_sparse_rows(rows))
+    if ech and ech[-1][0] == ncols:
         return None  # inconsistent: pivot in the augmented column
-    x: list = [0] * ncols
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = ech[i]
-        s = sum((row[j] * x[j] for j in range(c + 1, ncols) if x[j] and row[j]), start=0)
-        x[c] = canon_coeff(Fraction(row[ncols] - s, 1) / row[c])
-    return x
+    return _back_substitute(ech, [0] * ncols, ncols)
 
 
-# -- large probabilistic ranks -----------------------------------------------
+# -- ranks modulo a prime -----------------------------------------------------
 
 
 def rank_mod_p(matrix: np.ndarray, p: int = PRIME_A) -> int:
@@ -363,47 +378,3 @@ def rank_mod_p(matrix: np.ndarray, p: int = PRIME_A) -> int:
             a[idx, c:] = (a[idx, c:] - factors * a[r, c:]) % p
         r += 1
     return r
-
-
-def sparse_rank_int(rows: list[dict[int, int]]) -> int:
-    """Exact rank of sparse integer rows via fraction-free elimination.
-
-    Rows are dicts column -> nonzero int.  Pivot selection prefers sparse
-    rows, which keeps fill-in tame on the derivation matrices this serves.
-    """
-    buckets: dict[int, list[dict[int, int]]] = {}
-    for row in rows:
-        if row:
-            buckets.setdefault(min(row), []).append(row)
-    rank_count = 0
-    while buckets:
-        c = min(buckets)
-        cands = buckets.pop(c)
-        cands.sort(key=len)
-        prow = cands[0]
-        pval = prow[c]
-        rank_count += 1
-        for row in cands[1:]:
-            v = row.pop(c)
-            out: dict[int, int] = {}
-            for j, a in row.items():
-                out[j] = pval * a
-            for j, b in prow.items():
-                if j == c:
-                    continue
-                s = out.get(j, 0) - v * b
-                if s:
-                    out[j] = s
-                else:
-                    out.pop(j, None)
-            if out:
-                g = 0
-                for x in out.values():
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-                if g > 1:
-                    for j in list(out):
-                        out[j] //= g
-                buckets.setdefault(min(out), []).append(out)
-    return rank_count

@@ -205,6 +205,30 @@ def scenario_name(kind: str, s: Scenario) -> str:
     return f"{kind} {s.group} n={s.n} l={s.l} m={s.m}"
 
 
+def linearity_name(s: Scenario) -> str:
+    return f"degree-linearity {s.group} n={s.n}"
+
+
+def polytope_name(s: Scenario) -> str:
+    return f"polytope {s.group} n={s.n}"
+
+
+def mixed_identity_name(n: int, l: int, m: int) -> str:
+    return f"mixed-identity n={n} l={l} m={m}"
+
+
+def bilinear_name(s: Scenario, i: int, j: int) -> str:
+    return f"bilinear n={s.n} l={s.l} i={i} j={j}"
+
+
+def quadratic_closure_name(s: Scenario, d: int) -> str:
+    return f"quadratic-closure {s.group} n={s.n} l={s.l} d={d}"
+
+
+def sp_high_minor_name(s: Scenario, k: int) -> str:
+    return f"sp-high-minor n={s.n} l={s.l} k={k}"
+
+
 def invariance_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
     """Nilradical annihilation and unipotent-sample fixedness of every generator."""
     rep = check_invariance(build_generators(s), samples, seed)
@@ -320,7 +344,7 @@ def linearity_check(s: Scenario, chis, cmax: int) -> tuple[bool, list | None]:
 
 def criterion_6_linearity(cfg: SuiteConfig) -> list[CheckResult]:
     return [
-        _timed(f"degree-linearity {s.group} n={s.n}", lambda s=s: linearity_check(s, chi_grid(s), 4))
+        _timed(linearity_name(s), lambda s=s: linearity_check(s, chi_grid(s), 4))
         for s in formula_scenarios(cfg.groups)
     ]
 
@@ -367,7 +391,7 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
         if key in seen:
             continue  # the polytopes depend only on the group and n
         seen.add(key)
-        out.append(_timed(f"polytope {s.group} n={s.n}", lambda s=s: polytope_check(s, cfg.polytope_samples, cfg.seed)))
+        out.append(_timed(polytope_name(s), lambda s=s: polytope_check(s, cfg.polytope_samples, cfg.seed)))
     return out
 
 
@@ -469,7 +493,7 @@ def criterion_10_mixed_identity(cfg: SuiteConfig) -> list[CheckResult]:
             for m in range(1, n + 1):
                 if l + m <= n:
                     continue
-                out.append(_timed(f"mixed-identity n={n} l={l} m={m}", lambda n=n, l=l, m=m: mixed_identity_check(n, l, m)))
+                out.append(_timed(mixed_identity_name(n, l, m), lambda n=n, l=l, m=m: mixed_identity_check(n, l, m)))
     return out
 
 
@@ -492,10 +516,8 @@ def criterion_11_bilinear(cfg: SuiteConfig) -> list[CheckResult]:
             p = min(l, n)
             for i in range(1, p):
                 for j in range(1, p - i + 1):
-                    out.append(_timed(
-                        f"bilinear n={n} l={l} i={i} j={j}",
-                        lambda n=n, l=l, i=i, j=j: bilinear_check(Scenario("gl", n, l), i, j),
-                    ))
+                    s = Scenario("gl", n, l)
+                    out.append(_timed(bilinear_name(s, i, j), lambda s=s, i=i, j=j: bilinear_check(s, i, j)))
     return out
 
 
@@ -558,12 +580,13 @@ def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     for n in (1, 2, 3):
         for l in (1, 2, 3):
-            gs = build_generators(Scenario("gl", n, l, 0))
+            s = Scenario("gl", n, l, 0)
+            gs = build_generators(s)
             for d in (3, 4):
                 def run(gs=gs, d=d):
                     return quadratic_closure_check(gs, d, cfg.monomial_cap)
 
-                out.append(_timed(f"quadratic-closure gl n={n} l={l} d={d}", run))
+                out.append(_timed(quadratic_closure_name(s, d), run))
     return out
 
 
@@ -571,8 +594,8 @@ def criterion_14_high_minors(cfg: SuiteConfig) -> list[CheckResult]:
     if "sp" not in cfg.groups:
         return []
     return [
-        _timed(f"sp-high-minor n={n} l={l} k={k}", lambda n=n, l=l, k=k: sp_high_minor_membership(Scenario("sp", n, l), k))
-        for n, l, k in ((2, 2, 2), (4, 3, 3))
+        _timed(sp_high_minor_name(s, k), lambda s=s, k=k: sp_high_minor_membership(s, k))
+        for s, k in ((Scenario("sp", 2, 2), 2), (Scenario("sp", 4, 3), 3))
     ]
 
 

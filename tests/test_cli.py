@@ -65,6 +65,35 @@ def test_nchi_oracle_and_mchi(capsys):
     assert code == 0 and json.loads(out)["minimal_degree"] == 2
 
 
+def test_degree_cap_zero_is_a_cap_not_the_default(capsys):
+    chi3 = ("--group", "sp", "--n", "2", "--l", "2", "--chi", "3")
+    code, out, _ = run_cli(capsys, "nchi-oracle", *chi3)
+    assert code == 0 and json.loads(out)["minimal_degree"] == 3
+    assert json.loads(out)["config"]["cap"] == 8
+    for cap in ("0", "1"):
+        code, out, _ = run_cli(capsys, "nchi-oracle", *chi3, "--cap", cap)
+        assert code == 0 and json.loads(out)["minimal_degree"] == "not found"
+    code, out, _ = run_cli(capsys, "mchi-oracle", "--group", "sp", "--n", "2", "--l", "2", "--chi", "2", "--cap", "0")
+    assert code == 0 and json.loads(out)["minimal_degree"] == "not found"
+    code, out, _ = run_cli(capsys, "lemma3", "--group", "sp", "--n", "4", "--chi", "1,2", "--cap", "1")
+    assert code == 0 and json.loads(out)["config"]["cap"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nchi-oracle", "--group", "sp", "--n", "2", "--chi", "3", "--cap", "-1"],
+        ["mchi-oracle", "--group", "sp", "--n", "2", "--l", "2", "--chi", "2", "--cap", "-1"],
+        ["lemma3", "--group", "sp", "--n", "4", "--chi", "1,2", "--cap", "0"],
+        ["lemma3", "--group", "sp", "--n", "4", "--chi", "1,2", "--cap", "-3"],
+    ],
+)
+def test_degree_cap_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == USAGE_ERROR and out == ""
+    assert f"error: {argv[0]} needs --cap >= " in err
+
+
 def test_zacep_verdict(capsys):
     code, out, _ = run_cli(capsys, "zacep", "--n", "3", "--l", "2", "--m", "2")
     assert code == 0

@@ -1,5 +1,7 @@
+import copy
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from covariants.linalg import (
     kernel_basis,
     lower_minors,
     minor,
+    primitive_row,
     rank,
     rank_mod_p,
     solve,
+    sparse_rank_int,
 )
 from covariants.polynomial import Polynomial
 
@@ -194,6 +198,98 @@ def test_rank_plus_nullity(rng):
         for v in kernel_basis(rows, 7):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def _random_rows(rng, m, n, kind):
+    """m x n rows of random rank k <= min(m, n), often with zero rows and columns."""
+    k = rng.randint(0, min(m, n))
+    draw = (lambda: rng.randint(-3, 3)) if kind == "int" else (lambda: random_frac(rng))
+    left = [[draw() for _ in range(k)] for _ in range(m)]
+    right = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(n)] for _ in range(k)]
+    rows = [[sum((a * b for a, b in zip(lr, col)), 0) for col in zip(*right)] for lr in left]
+    return [[x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x for x in row] for row in rows]
+
+
+def _is_canonical(x):
+    """An exact entry is an int exactly when it is integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _free_columns(rows, ncols):
+    """Columns that depend on the columns left of them, by the rank oracle."""
+    prefix = [row_reduce_rank([row[: c + 1] for row in rows]) for c in range(ncols)]
+    return [c for c in range(ncols) if prefix[c] == (prefix[c - 1] if c else 0)]
+
+
+def test_sparse_rank_int_against_both_oracles(rng):
+    for _ in range(80):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        rows = _random_rows(rng, m, n, "int")
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert sparse_rank_int(sparse) == row_reduce_rank(rows) == rank(rows)
+    assert sparse_rank_int([]) == 0 == rank([])
+    assert sparse_rank_int([{}, {}]) == 0 == rank([[0, 0], [0, 0]])
+    assert sparse_rank_int([{}, {2: 4}, {}, {0: 1, 2: -1}, {0: -3, 2: 7}]) == 2
+
+
+def test_kernel_basis_contract(rng):
+    for kind in ("int", "fraction"):
+        for _ in range(30):
+            m, n = rng.randint(0, 5), rng.randint(1, 7)
+            rows = _random_rows(rng, m, n, kind)
+            basis = kernel_basis(rows, n)
+            free = _free_columns(rows, n)
+            assert len(basis) == len(free)
+            for f, v in zip(free, basis):
+                assert [v[g] for g in free] == [int(g == f) for g in free]
+                assert all(_is_canonical(x) for x in v)
+                for row in rows:
+                    assert sum(a * b for a, b in zip(row, v)) == 0
+    # rank-one rows: every column but the first is free
+    assert kernel_basis([[2, 4, 6], [1, 2, 3]]) == [[-2, 1, 0], [-3, 0, 1]]
+    assert kernel_basis([[0, 2, 1]]) == [[1, 0, 0], [0, Fraction(-1, 2), 1]]
+    assert kernel_basis([[3, 1]]) == [[Fraction(-1, 3), 1]]
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+
+
+def test_solve_and_inverse_keep_integral_entries_int(rng):
+    for kind in ("int", "fraction"):
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            rows = _random_rows(rng, rng.randint(1, 5), n, kind)
+            x0 = [rng.randint(-3, 3) for _ in range(n)]
+            x = solve(rows, [sum((a * b for a, b in zip(row, x0)), 0) for row in rows])
+            assert x is not None and all(_is_canonical(v) for v in x)
+            sq = _random_rows(rng, n, n, kind)
+            try:
+                inv = Matrix(sq).inverse()
+            except ValueError:
+                continue
+            assert all(_is_canonical(v) for row in inv.rows for v in row)
+    assert solve([[2, 0], [0, 3]], [4, 1]) == [2, Fraction(1, 3)]
+    assert Matrix([[2, 0], [0, 1]]).inverse() == Matrix([[Fraction(1, 2), 0], [0, 1]])
+
+
+def test_elimination_keeps_its_input(rng):
+    for _ in range(20):
+        rows = _random_rows(rng, rng.randint(1, 5), rng.randint(1, 5), "fraction")
+        rhs = [random_frac(rng) for _ in rows]
+        before = copy.deepcopy(rows), list(rhs)
+        rank(rows)
+        kernel_basis(rows, len(rows[0]))
+        solve(rows, rhs)
+        assert (rows, rhs) == before
+
+
+def test_primitive_row():
+    assert primitive_row([Fraction(1, 2), Fraction(-1, 3), 0]) == [3, -2, 0]
+    assert primitive_row([4, -6, 0, 10]) == [2, -3, 0, 5]
+    assert primitive_row([0, 0]) == [0, 0]
+    assert primitive_row([]) == []
+    row = [Fraction(-4, 9), 2, Fraction(8, 3)]
+    out = primitive_row(row)
+    assert all(type(x) is int for x in out) and gcd(*out) == 1
+    assert len({Fraction(x) / y for x, y in zip(out, row)}) == 1 and out[1] > 0
 
 
 def test_inverse_is_exact(rng):
