@@ -280,25 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, aliases=(), **scen):
+    def add(name, fn, aliases=(), samples=False, **scen):
         p = sub.add_parser(name, aliases=list(aliases))
         _add_scenario_args(p, **scen)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=None)
+        if samples:
+            p.add_argument("--samples", type=int, default=None)
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--out", default=None, help="also write the report to this path")
         p.set_defaults(fn=fn)
         return p
 
     add("generate", cmd_generate, aliases=("gen",))
-    add("check-invariance", cmd_check_invariance)
+    add("check-invariance", cmd_check_invariance, samples=True)
     add("weights-table", cmd_weights_table)
     for name, fn, cap in (("nchi", cmd_nchi, None), ("nchi-oracle", cmd_nchi_oracle, 8),
                           ("mchi-oracle", cmd_mchi_oracle, 4), ("lemma3", cmd_lemma3, 4)):
         p = add(name, fn)
         p.add_argument("--chi", required=True, help="comma-separated phi-coordinates, e.g. 1,0,2")
-        p.add_argument("--cap", type=int, default=cap, help="degree cap for oracle searches")
-    add("lemma4", cmd_lemma4)
+        if cap is not None:
+            p.add_argument("--cap", type=int, default=cap, help="degree cap for oracle searches")
+    add("lemma4", cmd_lemma4, samples=True)
     p = add("flag-map", cmd_flag_map)
     p.add_argument("--matrix", required=True, help="rows split by ';', entries by ',', fraction syntax allowed")
     p = add("bilinear", cmd_bilinear)
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sp-minor", cmd_sp_minor)
     p.add_argument("--order", "-k", type=int, required=True)
     add("minimality", cmd_minimality)
-    p = add("full-suite", cmd_full_suite, need_l=False, need_m=False)
+    p = add("full-suite", cmd_full_suite, samples=True, need_l=False, need_m=False)
     p.add_argument("--groups", default=None, help="comma-separated subset of gl,o,sp")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     p.add_argument("--cap", type=int, default=None, help="monomial cap override")

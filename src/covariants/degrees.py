@@ -209,16 +209,15 @@ def weight_degree_pairs(gs: GeneratorSet) -> tuple:
     return tuple(sorted((d, phi) for d, phi in weight_table_of(gs) if any(phi)))
 
 
-def min_degree_generated(gs_or_pairs, chi, cap: int = 8) -> int | None:
+def min_degree_generated(pairs, chi, cap: int = 8) -> int | None:
     """Bounded enumeration of generator-weight combinations summing to chi.
 
-    Returns the minimal total degree, or None when nothing within the cap
-    reaches the weight.  Weight-0 generators never help and are skipped.
+    ``pairs`` are (degree, phi-weight) pairs, as ``generator_pairs_for``
+    gives them.  Returns the minimal total degree, or None when nothing
+    within the cap reaches the weight.  Weight-0 generators never help and
+    are skipped.
     """
-    if isinstance(gs_or_pairs, GeneratorSet):
-        pairs = weight_degree_pairs(gs_or_pairs)
-    else:
-        pairs = tuple(sorted((d, tuple(w)) for d, w in gs_or_pairs))
+    pairs = tuple(sorted((d, tuple(w)) for d, w in pairs))
     k = tuple(_as_phi(chi))
     if not any(k):
         return 0

@@ -16,8 +16,11 @@ weight, since every generator monomial is a weight vector:
 * ``invariant_dimension``: the dimension of the space of degree-t (and
   optionally fixed-weight) polynomials annihilated by the whole nilradical,
   computed as an exact sparse kernel over the integers, block by weight.
-  The derivation images and the monomial weights are those of ``groups``,
-  which owns both conventions.
+  The blocks come from the same enumerator and weight bucketing as the
+  generator monomials' (``_weight_blocks``), with each variable a letter
+  of degree 1 whose weight is ``groups.monomial_torus_weight`` of that
+  variable; the derivation images are those of ``groups`` too, which owns
+  both conventions.
 
 Since the generated subalgebra always sits inside the invariant ring, weight
 by weight, equality of each lower bound with the exact dimension pins both
@@ -45,14 +48,14 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .generators import GeneratorSet, generator_monomials, monomial_weight
+from .generators import GeneratorSet, monomial_weight, weighted_monomials
 from .groups import derivation_images, derive_monomial, monomial_torus_weight, nilradical_basis
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
-from .polynomial import Polynomial, pack
+from .polynomial import Polynomial, variable_key
 from .rng import residue_points
 from .scenario import Scenario
 
@@ -76,28 +79,7 @@ def monomial_cap(cap: int | None = None) -> int:
 
 
 def degree_monomial_count(nvars: int, t: int) -> int:
-    return math.comb(nvars + t - 1, t)
-
-
-def degree_monomials(nvars: int, t: int) -> Iterable[tuple[int, ...]]:
-    """All exponent tuples of total degree t, lexicographically."""
-
-    def rec(pos: int, remaining: int, acc: list):
-        if pos == nvars - 1:
-            acc.append(remaining)
-            yield tuple(acc)
-            acc.pop()
-            return
-        for e in range(remaining + 1):
-            acc.append(e)
-            yield from rec(pos + 1, remaining - e, acc)
-            acc.pop()
-
-    if nvars == 0:
-        if t == 0:
-            yield ()
-        return
-    yield from rec(0, t, [])
+    return math.comb(nvars + t - 1, t) if nvars else int(t == 0)
 
 
 # -- exact invariant dimensions -------------------------------------------------
@@ -110,15 +92,15 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
         raise CapExceeded(
             f"degree-{t} monomial basis has {count} elements (cap {cap})"
         )
-    blocks: dict[tuple, list] = {}  # weight -> (packed monomial, nonzero exponents)
-    for exps in degree_monomials(s.nvars, t):
-        factors = tuple((v, e) for v, e in enumerate(exps) if e)
-        blocks.setdefault(monomial_torus_weight(s, exps), []).append((pack(exps), factors))
+    variables = range(s.nvars)
+    eps = [monomial_torus_weight(s, tuple(int(u == v) for u in variables)) for v in variables]
+    blocks = _weight_blocks([1] * s.nvars, eps, s.rank, t)
     images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
     dims: dict[tuple, int] = {}
     for wkey, monos in sorted(blocks.items()):
         rows: dict[tuple, dict[int, int]] = {}
-        for col, (m, factors) in enumerate(monos):
+        for col, factors in enumerate(monos):
+            m = sum(e * variable_key(v) for v, e in factors)
             for xi_idx, images in enumerate(images_per_xi):
                 # the targets of one monomial are distinct (see derive_monomial)
                 for target, coeff in derive_monomial(m, factors, images):
@@ -205,9 +187,9 @@ def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, p: int) -> 
     return (running[bounds[1:]] - running[bounds[:-1]]) % p
 
 
-def _exponent_matrix(gs: GeneratorSet, monomials: Sequence) -> np.ndarray:
-    """Row k = the exponents of monomial k in the generators."""
-    exponents = np.zeros((len(monomials), len(gs.gens)), dtype=np.int64)
+def _exponent_matrix(nletters: int, monomials: Sequence) -> np.ndarray:
+    """Row k = the exponents of monomial k in the ``nletters`` letters."""
+    exponents = np.zeros((len(monomials), nletters), dtype=np.int64)
     for ri, mono in enumerate(monomials):
         for idx, mult in mono:
             exponents[ri, idx] = mult
@@ -227,7 +209,7 @@ def monomial_eval_matrix(
     The points are uniform nonzero residues mod p from the named substream
     ``(seed, stream)``; only the generators the monomials use are evaluated.
     """
-    exponents = _exponent_matrix(gs, monomials)
+    exponents = _exponent_matrix(len(gs.gens), monomials)
     used = np.flatnonzero(exponents.any(axis=0))
     points = residue_points(seed, stream, gs.scenario.nvars, npoints, p)
     gen_vals = _gen_values_mod([gs.gens[i].poly for i in used], points, p)
@@ -268,18 +250,24 @@ def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) 
     return found[0]
 
 
-def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
-    """The degree-t generator monomials grouped by weight, in their original order.
+def _weight_blocks(degrees: Sequence[int], eps: Sequence, rank: int, t: int) -> dict[tuple, list]:
+    """The degree-t monomials in letters of the given degrees grouped by
+    weight, each block in ``weighted_monomials`` order.
 
     The weights are the rows of the monomials' exponent matrix times the
-    generators' matrix of eps-coordinates.
+    letters' matrix ``eps`` of eps-coordinates (one row per letter).
     """
-    monomials = generator_monomials(gs, t)
-    eps = np.array([g.weight.eps for g in gs.gens], dtype=np.int64).reshape(len(gs.gens), gs.scenario.rank)
+    monomials = weighted_monomials(degrees, t)
+    eps_matrix = np.array(eps, dtype=np.int64).reshape(len(degrees), rank)
     blocks: dict[tuple, list] = {}
-    for m, w in zip(monomials, (_exponent_matrix(gs, monomials) @ eps).tolist()):
+    for m, w in zip(monomials, (_exponent_matrix(len(degrees), monomials) @ eps_matrix).tolist()):
         blocks.setdefault(tuple(w), []).append(m)
     return blocks
+
+
+def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
+    """The degree-t generator monomials grouped by weight, in their original order."""
+    return _weight_blocks([g.degree for g in gs.gens], [g.weight.eps for g in gs.gens], gs.scenario.rank, t)
 
 
 def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> dict:

@@ -286,13 +286,14 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
 # -- monomials in the generators ----------------------------------------------
 
 
-def generator_monomials(gs: GeneratorSet, t: int) -> list[tuple[tuple[int, int], ...]]:
-    """All monomials in the generators of total polynomial degree t.
+def weighted_monomials(degrees, t: int) -> list[tuple[tuple[int, int], ...]]:
+    """All monomials of total degree t in letters of the given degrees.
 
-    A monomial is a tuple of (generator index, multiplicity) pairs with
-    indices ascending; the empty tuple is the degree-0 monomial.
+    A monomial is a tuple of (letter index, multiplicity) pairs with indices
+    ascending; the empty tuple is the degree-0 monomial.  The list is
+    sorted.  Letters of degree 1 are variables: a monomial is then the
+    sparse exponent pairs that ``groups.derive_monomial`` takes.
     """
-    degrees = [g.degree for g in gs.gens]
     out: list[tuple[tuple[int, int], ...]] = []
 
     def rec(start: int, remaining: int, acc: list):
@@ -312,6 +313,12 @@ def generator_monomials(gs: GeneratorSet, t: int) -> list[tuple[tuple[int, int],
     rec(0, t, [])
     out.sort()
     return out
+
+
+def generator_monomials(gs: GeneratorSet, t: int) -> list[tuple[tuple[int, int], ...]]:
+    """All monomials in the generators of total polynomial degree t, as
+    (generator index, multiplicity) pairs (see ``weighted_monomials``)."""
+    return weighted_monomials([g.degree for g in gs.gens], t)
 
 
 def monomial_poly(gs: GeneratorSet, monomial) -> Polynomial:

@@ -28,7 +28,6 @@ from .degrees import (
 )
 from .dimensions import (
     CapExceeded,
-    degree_monomial_count,
     generated_dimension,
     invariant_weight_dims,
     minimality_check,
@@ -265,26 +264,16 @@ def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
     for s in generation_grid(cfg.groups):
         gs = build_generators(s)
         for t in range(cfg.tmax + 1):
-            count = degree_monomial_count(s.nvars, t)
-            if count > monomial_cap(cfg.monomial_cap):
-                out.append(
-                    CheckResult(
-                        f"generation {s.group} n={s.n} l={s.l} m={s.m} t={t}",
-                        "skipped (cap)",
-                        f"{count} ambient monomials",
-                    )
-                )
-                continue
-
             def run(s=s, gs=gs, t=t):
-                gen = generated_dimension(gs, t, seed=cfg.seed, cap=cfg.monomial_cap)
+                # a degree over the cap raises CapExceeded here, before any evaluation
                 inv = invariant_weight_dims(s, t, cap=cfg.monomial_cap)
+                gen = generated_dimension(gs, t, seed=cfg.seed, cap=cfg.monomial_cap)
                 if gen == inv:
                     return True, None
                 w = min(w for w in gen.keys() | inv.keys() if gen.get(w) != inv.get(w))
                 return False, {"weight": list(w), "generated": gen.get(w, 0), "invariant": inv.get(w, 0)}
 
-            out.append(_timed(f"generation {s.group} n={s.n} l={s.l} m={s.m} t={t}", run))
+            out.append(_timed(scenario_name("generation", s) + f" t={t}", run))
     return out
 
 
@@ -373,7 +362,7 @@ def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
                     mismatches.append({"chi": list(chi), "ambient": m_val, "formula": n_val})
             return not mismatches, mismatches or None
 
-        out.append(_timed(f"ambient-degree {s.group} n={s.n} l={s.l} m={s.m}", run))
+        out.append(_timed(scenario_name("ambient-degree", s), run))
     return out
 
 

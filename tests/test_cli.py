@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -94,6 +95,33 @@ def test_degree_cap_out_of_range_is_usage_error(capsys, argv):
     assert f"error: {argv[0]} needs --cap >= " in err
 
 
+def test_each_command_takes_only_the_cap_and_samples_it_reads():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    takes = {
+        flag: {name for name, p in commands.items() if flag in p._option_string_actions}
+        for flag in ("--cap", "--samples")
+    }
+    assert takes == {
+        "--cap": {"nchi-oracle", "mchi-oracle", "lemma3", "full-suite"},
+        "--samples": {"check-invariance", "lemma4", "full-suite"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nchi", "--group", "o", "--n", "5", "--chi", "1,2", "--cap", "0"],
+        ["generate", "--group", "gl", "--n", "2", "--l", "2", "--samples", "3"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == USAGE_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_zacep_verdict(capsys):
     code, out, _ = run_cli(capsys, "zacep", "--n", "3", "--l", "2", "--m", "2")
     assert code == 0
@@ -184,7 +212,8 @@ def test_full_suite_cap_skips(capsys):
     )
     assert code == 0  # skipped entries are reported, not failed
     data = json.loads(out)
-    assert any(c["verdict"] == "skipped (cap)" for c in data["checks"])
+    skipped = [c for c in data["checks"] if c["verdict"] == "skipped (cap)"]
+    assert skipped and all(c["witness"].endswith("(cap 10)") for c in skipped)
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from covariants.dimensions import (
     _gen_values_mod,
     _two_seed_ranks,
     degree_monomial_count,
-    degree_monomials,
     generated_dimension,
     invariant_dimension,
     invariant_weight_dims,
@@ -20,24 +20,79 @@ from covariants.dimensions import (
     monomial_eval_matrix,
     weight_blocks,
 )
-from covariants.generators import Generator, GeneratorSet, build_generators, generator_monomials, monomial_weight
-from covariants.linalg import PRIME_A, PRIME_B, rank_mod_p
+from covariants.generators import (
+    Generator,
+    GeneratorSet,
+    build_generators,
+    generator_monomials,
+    monomial_weight,
+    weighted_monomials,
+)
+from covariants.groups import lie_act_on_polynomial, monomial_torus_weight, nilradical_basis
+from covariants.linalg import PRIME_A, PRIME_B, rank, rank_mod_p
 from covariants.polynomial import Polynomial
 from covariants.rng import residue_points
 from covariants.scenario import Scenario
 
 
-def test_degree_monomials_enumeration():
-    monos = list(degree_monomials(3, 2))
+def test_weighted_monomials_enumeration():
+    monos = weighted_monomials([1, 1, 1], 2)
     assert len(monos) == degree_monomial_count(3, 2) == 6
-    assert all(sum(e) == 2 for e in monos)
+    assert all(sum(e for _, e in m) == 2 for m in monos)
     assert len(set(monos)) == 6
+    for nvars in range(5):
+        for t in range(5):
+            assert len(weighted_monomials([1] * nvars, t)) == degree_monomial_count(nvars, t), (nvars, t)
+    assert weighted_monomials([], 0) == [()] and weighted_monomials([], 2) == []
+    # letters of degrees 2, 1, 3: the degree-4 monomials
+    mixed = weighted_monomials([2, 1, 3], 4)
+    assert mixed == [((0, 1), (1, 2)), ((0, 2),), ((1, 1), (2, 1)), ((1, 4),)]
+    for m in weighted_monomials([1, 2, 1, 3], 6):
+        assert [i for i, _ in m] == sorted(set(i for i, _ in m))
+        assert all(e > 0 for _, e in m)
+
+
+def _brute_force_weight_dims(s: Scenario, t: int) -> dict:
+    """Degree-t invariant dimension per weight from dense exponent tuples,
+    ``lie_act_on_polynomial`` and a dense exact rank."""
+    blocks: dict[tuple, list] = {}
+    for exps in itertools.product(range(t + 1), repeat=s.nvars):
+        if sum(exps) == t:
+            blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
+    basis = nilradical_basis(s)
+    dims = {}
+    for w, block in blocks.items():
+        images = [[lie_act_on_polynomial(xi, Polynomial(s.nvars, {e: 1}), s) for e in block] for xi in basis]
+        targets = sorted({e for row in images for q in row for e in q.terms})
+        rows = [[q.terms.get(e, 0) for q in row] for row in images for e in targets]
+        nullity = len(block) - rank(rows)
+        if nullity:
+            dims[w] = nullity
+    return dims
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        Scenario("gl", 2, 1, 1),
+        Scenario("gl", 3, 1, 1),
+        Scenario("o", 3, 2),
+        Scenario("o", 4, 2),
+        Scenario("sp", 4, 1),
+        Scenario("sp", 2, 2),
+    ],
+)
+def test_invariant_weight_dims_match_a_brute_force_oracle(s):
+    for t in range(4):
+        assert invariant_weight_dims(s, t) == _brute_force_weight_dims(s, t), (s, t)
 
 
 def test_degree_zero_dimensions():
     s = Scenario("sp", 2, 1)
     assert invariant_dimension(s, 0) == 1
     assert generated_dimension(build_generators(s), 0) == {(0,): 1}
+    empty = Scenario("gl", 2, 0, 0)  # no variables: only the constants
+    assert invariant_weight_dims(empty, 0) == {(0, 0): 1} and invariant_weight_dims(empty, 1) == {}
 
 
 def test_single_copy_gl_line():
