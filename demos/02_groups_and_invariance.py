@@ -31,16 +31,18 @@ print("first basis element:")
 for row in basis[0].rows:
     print("   ", list(row))
 
-g = sample_unipotent(s, 42)
-print("\nrandom unipotent sample (seed 42) preserves the form exactly:",
-      (g.transpose() * q * g) == q)
+# a sample u comes as the integer matrix g = c*u, c the lcm of u's denominators
+c, g = sample_unipotent(s, 42)
+print("\nrandom unipotent sample (seed 42): c =", c)
+print("  c*u preserves the form up to c^2 exactly:",
+      (g.transpose() * q * g) == (c * c) * q)
 
 # the bottom coordinate of a V-copy is a highest-weight vector ...
 bottom = s.x_poly(s.n - 1, 0)
 print("\nbottom coordinate:")
 print("  killed by the nilradical:",
       all(not lie_act_on_polynomial(xi, bottom, s) for xi in basis))
-print("  fixed by the sample:", act_on_polynomial(g, bottom, s) == bottom)
+print("  fixed by the sample (c*u scales it by c):", act_on_polynomial(g, bottom, s) == c * bottom)
 print("  weight:", torus_weight(bottom, s).eps,
       "=", eps_to_phi(s, torus_weight(bottom, s).eps), "in fundamental-weight coordinates")
 

@@ -19,7 +19,6 @@ from .lp import convex_combination, convex_membership
 from .weights import DominantWeight, Weight, convert_weight, eps_to_phi, phi_to_eps
 from .groups import (
     act_on_polynomial,
-    exp_nilpotent,
     form_matrix,
     lie_act_on_polynomial,
     nilradical_basis,

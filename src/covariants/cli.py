@@ -280,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, aliases=(), samples=False, **scen):
+    def add(name, fn, aliases=(), seed=False, samples=False, **scen):
         p = sub.add_parser(name, aliases=list(aliases))
         _add_scenario_args(p, **scen)
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if samples:
             p.add_argument("--samples", type=int, default=None)
         p.add_argument("--format", choices=["json", "text"], default="json")
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("generate", cmd_generate, aliases=("gen",))
-    add("check-invariance", cmd_check_invariance, samples=True)
+    add("check-invariance", cmd_check_invariance, seed=True, samples=True)
     add("weights-table", cmd_weights_table)
     for name, fn, cap in (("nchi", cmd_nchi, None), ("nchi-oracle", cmd_nchi_oracle, 8),
                           ("mchi-oracle", cmd_mchi_oracle, 4), ("lemma3", cmd_lemma3, 4)):
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chi", required=True, help="comma-separated phi-coordinates, e.g. 1,0,2")
         if cap is not None:
             p.add_argument("--cap", type=int, default=cap, help="degree cap for oracle searches")
-    add("lemma4", cmd_lemma4, samples=True)
+    add("lemma4", cmd_lemma4, seed=True, samples=True)
     p = add("flag-map", cmd_flag_map)
     p.add_argument("--matrix", required=True, help="rows split by ';', entries by ',', fraction syntax allowed")
     p = add("bilinear", cmd_bilinear)
@@ -314,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degree", "-t", type=int, required=True)
     p = add("sp-minor", cmd_sp_minor)
     p.add_argument("--order", "-k", type=int, required=True)
-    add("minimality", cmd_minimality)
-    p = add("full-suite", cmd_full_suite, samples=True, need_l=False, need_m=False)
+    add("minimality", cmd_minimality, seed=True)
+    p = add("full-suite", cmd_full_suite, seed=True, samples=True, need_l=False, need_m=False)
     p.add_argument("--groups", default=None, help="comma-separated subset of gl,o,sp")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
     p.add_argument("--cap", type=int, default=None, help="monomial cap override")

@@ -22,7 +22,6 @@ JSON output is reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -252,7 +251,13 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
 
     Two independent certificates: annihilation by the whole nilradical basis
     (exact and complete) and fixedness under random unipotent samples (exact
-    per sample).  Violations are reported with their witnessing element.
+    per sample).  Each sample u comes as the integer matrix ``c*u``
+    (``sample_unipotent``); for f homogeneous of degree d in the V-copies,
+    f(c u x) = c^d f(u x), so u fixes f exactly when substituting ``c*u``
+    gives ``c^d * f``.  That identity does not hold for the V*-copies, which
+    transform by the inverse, so a sample with c != 1 on a scenario with
+    m > 0 raises ``ValueError``.  Violations are reported with their
+    witnessing element: the basis element xi, or the rational sample u.
     """
     s = gs.scenario
     report = InvarianceReport()
@@ -264,22 +269,14 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
                 report.lie_violations.append((g.label, idx, xi))
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
-        u = sample_unipotent(s, rng)
-        scale = 1
-        work = u
-        if s.m == 0:
-            # Clear denominators: for f homogeneous of degree d in the x's,
-            # f(c g x) = c^d f(g x), so the fixedness check can run on the
-            # integer matrix c*g and compare against c^d * f.  Exact, and much
-            # faster than Fraction substitution.
-            scale = math.lcm(*(Fraction(x).denominator for row in u.rows for x in row))
-            if scale != 1:
-                work = u.scale(scale).map(int)
-        images = substitution_images(work, s)  # shared across the generators
+        c, cu = sample_unipotent(s, rng)
+        if s.m and c != 1:
+            raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
+        images = substitution_images(cu, s)  # shared across the generators
         for g in gs.gens:
-            expected = g.poly if scale == 1 else (scale ** g.degree) * g.poly
+            expected = g.poly if c == 1 else c ** g.degree * g.poly
             if g.poly.substitute(images) != expected:
-                report.sample_violations.append((g.label, k, u))
+                report.sample_violations.append((g.label, k, cu * Fraction(1, c)))
     return report
 
 

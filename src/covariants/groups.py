@@ -6,7 +6,9 @@ Conventions (fixed so that every downstream artifact is reproducible):
   Symplectic: +1 in rows 1..r, -1 in rows r+1..n.
 * The maximal unipotent subgroup consists of the upper unitriangular
   elements of the group; its Lie algebra (the nilradical) is cut out of the
-  strictly upper triangular matrices by xi^T Q + Q xi = 0.
+  strictly upper triangular matrices by xi^T Q + Q xi = 0.  A random
+  element u is drawn as ``(c, c*u)`` with c the lcm of its denominators,
+  so a sample is built and used on integers only (``sample_unipotent``).
 * A group element g acts on a polynomial by substitution: every V-copy
   column transforms by v -> g v (so x[i,j] -> sum_k g[i][k] x[k,j]) and
   every V*-copy row by w -> w g^{-1}.  The Lie algebra acts by the
@@ -23,11 +25,11 @@ and for the weight blocks of those kernels).
 
 from __future__ import annotations
 
+import math
 import random
-from fractions import Fraction
 from functools import lru_cache
 from .linalg import Matrix, kernel_basis, primitive_row
-from .polynomial import Polynomial, canon_coeff, variable_key
+from .polynomial import Polynomial, variable_key
 from .scenario import Scenario
 from .weights import Weight
 
@@ -90,29 +92,18 @@ def _nilradical_basis(s: Scenario) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
-def exp_nilpotent(xi: Matrix) -> Matrix:
-    """Exact exponential of a nilpotent matrix (the series terminates)."""
-    n = xi.n
-    g = Matrix.identity(n)
-    term = Matrix.identity(n)
-    k = 1
-    while True:
-        term = (term * xi).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        g = g + term
-        k += 1
-        if k > n + 1:
-            raise ValueError("matrix is not nilpotent")
-    return g.map(canon_coeff)
+def sample_unipotent(s: Scenario, rng, entry_range: tuple[int, int] = (-3, 3)) -> tuple[int, Matrix]:
+    """A random element u of the maximal unipotent subgroup, as ``(c, c*u)``.
 
-
-def sample_unipotent(s: Scenario, rng, entry_range: tuple[int, int] = (-3, 3)) -> Matrix:
-    """A random element of the maximal unipotent subgroup (exact entries).
-
-    gl: unitriangular with uniform integer entries.  o/sp: exp of a random
-    integer combination of the nilradical basis, which preserves the form
-    exactly because the exponential series terminates.
+    c is the least positive integer that makes ``c*u`` integral, and the
+    returned matrix is that integer matrix.  gl: u is unitriangular with
+    uniform integer entries, so c = 1.  o/sp: u = exp(xi) for a random
+    integer combination xi of the nilradical basis; it preserves the form
+    exactly because the series terminates (xi^n = 0).  With N = n!, the
+    matrix N*exp(xi) = sum_{k<n} (N/k!) xi^k is integral, and each term is
+    the previous one times xi, divided exactly by k.  An entry e/N of exp(xi)
+    has denominator N/gcd(N, e), and the lcm of those is N/gcd(N, all e), so
+    c = N/gcd(N, all e) and ``c*u`` is N*exp(xi) divided by that gcd.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -124,13 +115,19 @@ def sample_unipotent(s: Scenario, rng, entry_range: tuple[int, int] = (-3, 3)) -
             rows[i][i] = 1
             for j in range(i + 1, n):
                 rows[i][j] = rng.randint(lo, hi)
-        return Matrix(rows)
+        return 1, Matrix(rows)
     xi = Matrix.zero(n, n)
     for b in nilradical_basis(s):
         c = rng.randint(lo, hi)
         if c:
-            xi = xi + b.scale(c)
-    return exp_nilpotent(xi)
+            xi = xi + c * b
+    big = math.factorial(n)
+    term = total = big * Matrix.identity(n)  # (N/k!) xi^k at k = 0
+    for k in range(1, n):
+        term = (term * xi).map(lambda x: x // k)
+        total = total + term
+    g = math.gcd(big, *(x for row in total.rows for x in row))
+    return big // g, total.map(lambda x: x // g)
 
 
 # -- actions on polynomials ---------------------------------------------------

@@ -95,9 +95,6 @@ class Matrix:
     def __rmul__(self, other):
         return Matrix([[other * a for a in row] for row in self.rows])
 
-    def scale(self, c) -> "Matrix":
-        return Matrix([[a * c for a in row] for row in self.rows])
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 

@@ -372,18 +372,6 @@ class Polynomial:
             _product(pre, power(factors[-1]), out, c)  # the last factor goes straight into out
         return Polynomial._make(n, _clean(n, out))
 
-    def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
-        """Relabel variables: old index i becomes ``perm[i]`` (a bijection)."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise ValueError("perm must be a permutation of the variable indices")
-        out = {}
-        for exps, c in self.terms.items():
-            e = [0] * self.nvars
-            for i, ei in enumerate(exps):
-                e[perm[i]] = ei
-            out[tuple(e)] = c
-        return Polynomial(self.nvars, out)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:

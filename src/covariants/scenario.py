@@ -79,15 +79,6 @@ class Scenario:
             raise ValueError("a variable index out of range")
         return self.n * self.l + i * self.n + j
 
-    def var_label(self, idx: int) -> str:
-        nx = self.n * self.l
-        if idx < nx:
-            j, i = divmod(idx, self.n)
-            return f"x[{i + 1},{j + 1}]"
-        idx -= nx
-        i, j = divmod(idx, self.n)
-        return f"a[{i + 1},{j + 1}]"
-
     def x_poly(self, i: int, j: int) -> Polynomial:
         return Polynomial.variable(self.nvars, self.x_var(i, j))
 

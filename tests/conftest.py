@@ -18,6 +18,19 @@ def random_poly(rng: random.Random, nvars: int, max_degree: int = 3, max_terms: 
     return Polynomial(nvars, terms)
 
 
+def permute_variables(p: Polynomial, perm) -> Polynomial:
+    """Relabel variables: old index i becomes ``perm[i]`` (a bijection)."""
+    if sorted(perm) != list(range(p.nvars)):
+        raise ValueError("perm must be a permutation of the variable indices")
+    out = {}
+    for exps, c in p.terms.items():
+        e = [0] * p.nvars
+        for i, ei in enumerate(exps):
+            e[perm[i]] = ei
+        out[tuple(e)] = c
+    return Polynomial(p.nvars, out)
+
+
 def random_frac(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
 

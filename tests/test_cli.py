@@ -100,11 +100,12 @@ def test_each_command_takes_only_the_cap_and_samples_it_reads():
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     takes = {
         flag: {name for name, p in commands.items() if flag in p._option_string_actions}
-        for flag in ("--cap", "--samples")
+        for flag in ("--cap", "--samples", "--seed")
     }
     assert takes == {
         "--cap": {"nchi-oracle", "mchi-oracle", "lemma3", "full-suite"},
         "--samples": {"check-invariance", "lemma4", "full-suite"},
+        "--seed": {"check-invariance", "lemma4", "minimality", "full-suite"},
     }
 
 
@@ -113,6 +114,7 @@ def test_each_command_takes_only_the_cap_and_samples_it_reads():
     [
         ["nchi", "--group", "o", "--n", "5", "--chi", "1,2", "--cap", "0"],
         ["generate", "--group", "gl", "--n", "2", "--l", "2", "--samples", "3"],
+        ["generate", "--group", "gl", "--n", "2", "--l", "2", "--seed", "3"],
     ],
 )
 def test_a_flag_the_command_does_not_read_is_usage_error(capsys, argv):
@@ -719,3 +721,75 @@ def test_sp_minor_prints_the_certificate_once(capsys, monkeypatch):
     assert code == 1
     (check,) = json.loads(out)["checks"]
     assert check["verdict"] == "fail" and check["witness"] == {"lowMinor[3;1,2,3]": None}
+
+
+# -- injected faults: criteria 6, 10 and 13 fail through full-suite -----------------
+
+
+def _run_with_criterion_2(capsys, num):
+    """``full-suite --groups gl --criteria num,2``: exit 1, criterion 2 still
+    passing; returns criterion num's checks by name."""
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl", "--criteria", f"{num},2", "--seed", "1")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    crit_2 = [c for c in checks if c["criterion"] == 2]
+    assert crit_2 and all(c["verdict"] == "pass" for c in crit_2)
+    assert f"criterion  2 (degree/weight tables): PASS ({len(crit_2)}/{len(crit_2)} checks)" in err
+    return {c["name"]: c for c in checks if c["criterion"] == num}
+
+
+def test_full_suite_reports_a_formula_that_is_not_linear(capsys, monkeypatch):
+    # the formula is off by one at chi = e_1 only, so its multiples c = 2..4 break linearity
+    formula = suite.min_degree_formula
+
+    def bent(s, chi):
+        return formula(s, chi) + (tuple(chi) == (1,) + (0,) * (len(chi) - 1))
+
+    monkeypatch.setattr(suite, "min_degree_formula", bent)
+    crit_6 = _run_with_criterion_2(capsys, 6)
+    assert list(crit_6) == ["degree-linearity gl n=2", "degree-linearity gl n=3", "degree-linearity gl n=4"]
+    for name, c in crit_6.items():
+        e1 = [1] + [0] * (int(name[-1]) - 1)
+        assert c["verdict"] == "fail"
+        assert c["witness"] == [{"chi": e1, "c": k} for k in (2, 3, 4)]
+
+
+def test_full_suite_reports_a_mixed_identity_with_a_moved_side(capsys, monkeypatch):
+    # C[1][1] gains x[1,1]*a[1,1] in the generators mixed_minor_relation reads:
+    # its left side (a left minor times a lower minor) stays, its right side moves
+    from covariants import syzygies
+
+    build = syzygies.build_generators
+
+    def perturbed(s):
+        gs = build(s)
+        i = gs.find("C", (0, 0))
+        moved = dataclasses.replace(gs.gens[i], poly=gs.gens[i].poly + s.x_poly(0, 0) * s.a_poly(0, 0))
+        return dataclasses.replace(gs, gens=gs.gens[:i] + (moved,) + gs.gens[i + 1:])
+
+    _, lhs, rhs = syzygies.mixed_minor_relation(3, 2, 2)
+    monkeypatch.setattr(syzygies, "build_generators", perturbed)
+    equal, moved_lhs, moved_rhs = syzygies.mixed_minor_relation(3, 2, 2)
+    assert not equal and moved_lhs == lhs and moved_rhs != rhs
+    crit_10 = _run_with_criterion_2(capsys, 10)
+    assert len(crit_10) == 20
+    assert all(c == {"name": name, "verdict": "fail", "criterion": 10} for name, c in crit_10.items())
+
+
+def test_full_suite_reports_a_quadratic_closure_that_misses_relations(capsys, monkeypatch):
+    # with no product relations, exactly the checks with degree-d relations fail
+    from covariants import syzygies
+    from covariants.generators import build_generators
+
+    expected = {}
+    for n in (1, 2, 3):
+        for l in (1, 2, 3):
+            gs = build_generators(Scenario("gl", n, l, 0))
+            for d in (3, 4):
+                has_relations = syzygies.relation_space(gs, d).relation_dim > 0
+                expected[f"quadratic-closure gl n={n} l={l} d={d}"] = "fail" if has_relations else "pass"
+    assert list(expected.values()).count("fail") == 4  # n = 2, 3 with l = 3
+    monkeypatch.setattr(syzygies, "product_relations", lambda gs, reports, d: [])
+    crit_13 = _run_with_criterion_2(capsys, 13)
+    assert {name: c["verdict"] for name, c in crit_13.items()} == expected
+    assert all("witness" not in c for c in crit_13.values())

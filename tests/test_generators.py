@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -15,9 +16,13 @@ from covariants.generators import (
     sp_high_minor_membership,
     weight_table_of,
 )
-from covariants.groups import torus_weight
+from covariants import generators
+from covariants.groups import form_matrix, torus_weight
+from covariants.linalg import Matrix
 from covariants.scenario import Scenario
 from covariants.weights import integral_phi
+
+from conftest import permute_variables
 
 
 def test_gl_2_2_1_generators():
@@ -172,6 +177,32 @@ def test_injected_non_invariant_is_caught():
     assert xi[0, 1] == 1
 
 
+def test_sample_witness_is_the_rational_unipotent_element():
+    # samples are substituted as c*u, but the report shows u itself
+    s = Scenario("o", 5, 2)
+    gs = build_generators(s)
+    bad = s.x_poly(0, 0)
+    injected = GeneratorSet(s, gs.gens + (Generator("bad", bad, 1, torus_weight(bad, s)),))
+    witness = check_invariance(injected, num_samples=3, seed=0).witness()
+    assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [("bad", 0), ("bad", 1), ("bad", 2)]
+    q = form_matrix(s)
+    u = Matrix.from_json(witness["samples"][0]["matrix"])
+    assert all(u[i, j] == (i == j) for i in range(5) for j in range(i + 1))
+    assert u.transpose() * q * u == q
+    assert any(Fraction(x).denominator != 1 for row in u.rows for x in row)
+
+
+def test_a_sample_with_denominators_cannot_act_on_dual_copies(monkeypatch):
+    from covariants.suite import _timed
+
+    monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: (2, 2 * Matrix.identity(s.n)))
+    gs = build_generators(Scenario("gl", 2, 1, 1))
+    with pytest.raises(ValueError, match="V\\*-copies"):
+        check_invariance(gs, num_samples=1)
+    result = _timed("invariance", lambda: (check_invariance(gs, num_samples=1).passed, None))
+    assert result.verdict == "error" and result.witness.startswith("ValueError: ")
+
+
 def test_copy_permutation_symmetry():
     # permuting the V-copies permutes the generating set up to minor signs
     for s in (Scenario("gl", 2, 3, 1), Scenario("o", 4, 3), Scenario("sp", 4, 3)):
@@ -186,7 +217,7 @@ def test_copy_permutation_symmetry():
                 for i in range(s.n):
                     mapping[s.x_var(i, j)] = s.x_var(i, perm[j])
             for g in gs.gens:
-                assert g.poly.permute_variables(mapping) in pool, (s, g.label, perm)
+                assert permute_variables(g.poly, mapping) in pool, (s, g.label, perm)
 
 
 def test_generator_monomials_counts():

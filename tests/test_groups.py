@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 from covariants.generators import build_generators, form_value_poly
 from covariants.groups import (
     act_on_polynomial,
-    exp_nilpotent,
     form_matrix,
     lie_act_on_polynomial,
     monomial_torus_weight,
@@ -20,6 +20,23 @@ from covariants.scenario import Scenario
 from covariants.weights import eps_to_phi
 
 from conftest import random_poly
+
+
+def exp_nilpotent(xi):
+    """Exact exponential of a nilpotent matrix by its Fraction series (oracle)."""
+    n = xi.n
+    g = Matrix.identity(n)
+    term = Matrix.identity(n)
+    k = 1
+    while True:
+        term = (term * xi) * Fraction(1, k)
+        if term.is_zero():
+            break
+        g = g + term
+        k += 1
+        if k > n + 1:
+            raise ValueError("matrix is not nilpotent")
+    return g
 
 
 def positive_root_count(s):
@@ -94,10 +111,37 @@ def test_exp_of_zero_is_identity():
     assert exp_nilpotent(Matrix.zero(3, 3)) == Matrix.identity(3)
 
 
+@pytest.mark.parametrize(
+    "s",
+    [Scenario("o", 3, 1), Scenario("o", 4, 1), Scenario("o", 5, 1), Scenario("sp", 2, 1), Scenario("sp", 4, 1)],
+    ids=lambda s: f"{s.group}-{s.n}",
+)
+def test_samples_are_the_cleared_exponential(s):
+    # rebuild each xi from an identically seeded stream; the sample must be
+    # c * exp(xi) with c the lcm of the denominators of the Fraction series
+    scales = set()
+    for seed in range(6):
+        stream, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            c, big = sample_unipotent(s, stream)
+            xi = Matrix.zero(s.n, s.n)
+            for b in nilradical_basis(s):
+                xi = xi + oracle.randint(-3, 3) * b
+            u = exp_nilpotent(xi)
+            assert c == math.lcm(*(Fraction(x).denominator for row in u.rows for x in row))
+            assert big == c * u
+            assert all(type(x) is int for row in big.rows for x in row)
+            scales.add(c)
+        assert stream.getstate() == oracle.getstate()
+    # xi^2 = 0 in the nilradicals of o4 and sp2, so their samples are integral
+    assert (scales == {1}) == ((s.group, s.n) in (("o", 4), ("sp", 2)))
+
+
 def test_gl_samples_are_unitriangular():
     s = Scenario("gl", 4, 1)
     for seed in range(5):
-        g = sample_unipotent(s, seed)
+        c, g = sample_unipotent(s, seed)
+        assert c == 1
         assert g.det() == 1
         assert all(g[i, i] == 1 for i in range(4))
         assert all(g[i, j] == 0 for i in range(4) for j in range(i))
@@ -105,9 +149,9 @@ def test_gl_samples_are_unitriangular():
 
 def test_o_sample_preserves_form_seed_42():
     s = Scenario("o", 5, 1)
-    g = sample_unipotent(s, 42)
+    c, g = sample_unipotent(s, 42)
     q = form_matrix(s)
-    assert (g.transpose() * q * g - q).is_zero()
+    assert (g.transpose() * q * g - (c * c) * q).is_zero()
 
 
 def test_symbolic_exponential_preserves_form():
@@ -150,16 +194,16 @@ def test_form_value_fixed_by_50_samples():
     qv = form_value_poly(s, 0, 0)
     rng = random.Random(3)
     for _ in range(50):
-        g = sample_unipotent(s, rng)
-        assert act_on_polynomial(g, qv, s) == qv
+        c, g = sample_unipotent(s, rng)
+        assert act_on_polynomial(g, qv, s) == (c * c) * qv
 
 
 def test_action_composes(rng):
     for s in (Scenario("gl", 3, 2, 1), Scenario("o", 4, 2), Scenario("sp", 2, 2)):
         stream = random.Random(11)
         for _ in range(4):
-            g = sample_unipotent(s, stream)
-            h = sample_unipotent(s, stream)
+            _, g = sample_unipotent(s, stream)
+            _, h = sample_unipotent(s, stream)
             for _ in range(5):
                 p = random_poly(rng, s.nvars, max_degree=2, max_terms=3)
                 assert act_on_polynomial(g * h, p, s) == act_on_polynomial(
@@ -259,4 +303,4 @@ def test_monomial_torus_weight_of_single_variables(s):
     expected.update({s.a_var(i, j): weight(j, 1) for i in range(s.m) for j in range(s.n)})
     assert sorted(expected) == list(range(s.nvars))
     for v, w in expected.items():
-        assert monomial_torus_weight(s, tuple(int(k == v) for k in range(s.nvars))) == w, s.var_label(v)
+        assert monomial_torus_weight(s, tuple(int(k == v) for k in range(s.nvars))) == w, (s, v)

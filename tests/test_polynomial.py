@@ -6,7 +6,7 @@ import pytest
 from covariants.polynomial import Polynomial
 from covariants.polynomial import MAX_EXPONENT, pack, unpack, variable_key
 
-from conftest import random_frac, random_poly
+from conftest import permute_variables, random_frac, random_poly
 
 
 def _vars(n):
@@ -103,7 +103,7 @@ def test_substitute_composes():
 def test_permute_variables():
     x, y, z = _vars(3)
     p = x * y + z
-    assert p.permute_variables([2, 0, 1]) == z * x + y
+    assert permute_variables(p, [2, 0, 1]) == z * x + y
 
 
 def test_json_round_trip(rng):

@@ -32,11 +32,9 @@ def test_variable_ordering_contract():
     # the universe is ordered x[1,1], ..., x[n,1], x[1,2], ..., x[n,l],
     # then a[1,1], ..., a[1,n], a[2,1], ..., a[m,n]
     s = Scenario("gl", 2, 2, 2)
-    labels = [s.var_label(i) for i in range(s.nvars)]
-    assert labels == [
-        "x[1,1]", "x[2,1]", "x[1,2]", "x[2,2]",
-        "a[1,1]", "a[1,2]", "a[2,1]", "a[2,2]",
-    ]
+    order = [s.x_var(i, j) for j in range(s.l) for i in range(s.n)]
+    order += [s.a_var(i, j) for i in range(s.m) for j in range(s.n)]
+    assert order == list(range(s.nvars)) == list(range(8))
     assert s.x_var(1, 0) == 1
     assert s.a_var(0, 1) == 5
 
