@@ -31,6 +31,7 @@ print("\n3x3 symbolic determinant has", len(d.terms), "terms")
 
 swapped = Matrix([m.rows[1], m.rows[0], m.rows[2]]).det()
 print("swapping two rows negates it:", swapped == -d)
+assert swapped == -d
 
 print("order-2 minor on rows {2,3}, cols {1,2}:", minor(m, [1, 2], [0, 1]))
 
@@ -40,7 +41,9 @@ rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0]]
 basis = kernel_basis(rows, 4)
 print("\nkernel of a rank-2 matrix in dimension 4 has", len(basis), "vectors:")
 for v in basis:
-    print("   ", v, "->", [sum(a * b for a, b in zip(row, v)) for row in rows])
+    image = [sum(a * b for a, b in zip(row, v)) for row in rows]
+    print("   ", v, "->", image)
+    assert not any(image)
 
 # -- convex membership -----------------------------------------------------------
 
@@ -49,7 +52,10 @@ inside = (Fraction(1, 3), Fraction(1, 3))
 boundary = (Fraction(1, 2), Fraction(1, 2))
 outside = (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**9))
 
-for pt in (inside, boundary, outside):
-    print(f"membership of {tuple(map(str, pt))}:", convex_membership(pt, square))
+# the last point is outside by 1/10^9, and exact arithmetic says so
+for pt, expected in ((inside, True), (boundary, True), (outside, False)):
+    member = convex_membership(pt, square)
+    print(f"membership of {tuple(map(str, pt))}:", member)
+    assert member == expected
 
 print("barycentric certificate for the boundary point:", convex_combination(boundary, square))

@@ -34,15 +34,18 @@ for row in basis[0].rows:
 # a sample u comes as the integer matrix g = c*u, c the lcm of u's denominators
 c, g = sample_unipotent(s, 42)
 print("\nrandom unipotent sample (seed 42): c =", c)
-print("  c*u preserves the form up to c^2 exactly:",
-      (g.transpose() * q * g) == (c * c) * q)
+preserved = (g.transpose() * q * g) == (c * c) * q
+print("  c*u preserves the form up to c^2 exactly:", preserved)
+assert preserved
 
 # the bottom coordinate of a V-copy is a highest-weight vector ...
 bottom = s.x_poly(s.n - 1, 0)
 print("\nbottom coordinate:")
-print("  killed by the nilradical:",
-      all(not lie_act_on_polynomial(xi, bottom, s) for xi in basis))
-print("  fixed by the sample (c*u scales it by c):", act_on_polynomial(g, bottom, s) == c * bottom)
+killed = all(not lie_act_on_polynomial(xi, bottom, s) for xi in basis)
+print("  killed by the nilradical:", killed)
+fixed = act_on_polynomial(g, bottom, s) == c * bottom
+print("  fixed by the sample (c*u scales it by c):", fixed)
+assert killed and fixed
 print("  weight:", torus_weight(bottom, s).eps,
       "=", eps_to_phi(s, torus_weight(bottom, s).eps), "in fundamental-weight coordinates")
 
@@ -50,3 +53,4 @@ print("  weight:", torus_weight(bottom, s).eps,
 top = s.x_poly(0, 0)
 moved = lie_act_on_polynomial(basis[0], top, s)
 print("\ntop coordinate is moved by the first raising operator:", bool(moved))
+assert moved

@@ -34,9 +34,11 @@ for s in (
     table = expected_weight_table(s)
     print("degree/weight table:", table)
     print("matches the built system:", weight_table_of(gs) == set(table))
+    assert weight_table_of(gs) == set(table)
 
     rep = check_invariance(gs, num_samples=25, seed=0)
     print("invariance (nilradical + 25 samples):", "pass" if rep.passed else "fail")
+    assert rep.passed
 
     print("graded dimensions per weight (generated == ambient invariants):")
     for t in range(4):
@@ -44,11 +46,15 @@ for s in (
         u = invariant_weight_dims(s, t)
         shown = a if len(a) <= 3 else f"{sum(a.values())} in {len(a)} weights"
         print(f"   t={t}: {shown}  {'ok' if a == u else 'MISMATCH'}")
+        assert a == u
 
-    print("minimality:", "pass" if minimality_check(gs).passed else "fail")
+    minimal = minimality_check(gs).passed
+    print("minimality:", "pass" if minimal else "fail")
+    assert minimal
 
 # the one documented boundary case: the rank-1 even orthogonal group, where
 # the recipe over-generates because the form value factors into the minors
 rep = minimality_check(build_generators(Scenario("o", 2, 1)))
 print("\nrank-1 even orthogonal minimality:", "pass" if rep.passed else "fail",
       "| inessential:", rep.inessential())
+assert not rep.passed

@@ -26,6 +26,7 @@ for chi in itertools.product(range(3), repeat=3):
     f = min_degree_formula(s, chi)
     o = min_degree_generated(pairs, chi, cap=f + 1)
     print(f"   chi={chi}: formula {f}, enumeration {o}")
+    assert f == o
 
 # the general linear presentation: which weights make up the minimum
 print("\ngeneral linear minimal presentations (n = 4):")
@@ -42,8 +43,9 @@ chi = (1, 2)
 base = min_degree_formula(s5, chi)
 print(f"\nodd orthogonal chi={chi}: degree {base}")
 for c in range(2, 5):
-    print(f"   degree({c} * chi) = {min_degree_formula(s5, tuple(c * k for k in chi))}"
-          f" = {c} * {base}")
+    scaled = min_degree_formula(s5, tuple(c * k for k in chi))
+    print(f"   degree({c} * chi) = {scaled} = {c} * {base}")
+    assert scaled == c * base
 
 # the ambient ring agrees wherever it is reachable within the cap
 s2 = Scenario("sp", 2, 2)
@@ -52,3 +54,4 @@ for chi in ((0,), (1,), (2,), (3,), (4,)):
     m = min_degree_invariant(s2, chi, cap=4)
     n = min_degree_formula(s2, chi)
     print(f"   chi={chi}: ambient {m}, formula {n}")
+    assert m == n

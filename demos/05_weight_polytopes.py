@@ -22,6 +22,7 @@ for s in (Scenario("gl", 3, 3), Scenario("sp", 4, 4), Scenario("o", 6, 6)):
 
     rep = chamber_inclusion_check(s, samples=200, seed=7)
     print("two-sided inclusion (200 samples):", "pass" if rep.passed else "fail")
+    assert rep.passed
 
 # the even orthogonal chamber allows a negative last coordinate, which is
 # exactly what the extra spin vertex covers; the sampler exercises both signs

@@ -27,9 +27,11 @@ f = flag_map(point, s)
 print("flag of a 3x4 point:")
 for k, comp in enumerate(f.components, start=1):
     print(f"   wedge^{k} coordinates: {comp}")
-print("components decomposable:",
-      all(is_decomposable(q, k + 1, 4) for k, q in enumerate(f.components)))
-print("annihilators nested:", incidence_holds(f))
+decomposable = all(is_decomposable(q, k + 1, 4) for k, q in enumerate(f.components))
+print("components decomposable:", decomposable)
+nested = incidence_holds(f)
+print("annihilators nested:", nested)
+assert decomposable and nested
 
 # -- bilinear relations ------------------------------------------------------------
 
@@ -42,6 +44,7 @@ for sign, a, b in rels[0].labels():
 
 equal, lhs, _ = mixed_minor_relation(3, 2, 2)
 print("\nmixed minor identity at n=3, l=m=2 holds:", equal)
+assert equal
 print("left-hand side has", len(lhs.terms), "monomials")
 
 # -- relation spaces by degree ----------------------------------------------------------
@@ -55,5 +58,6 @@ for d in (1, 2, 3):
 
 # minors-only systems: everything comes from the quadratic relations
 gs_minors = build_generators(Scenario("gl", 3, 3, 0))
-print("\nminors-only closure under quadratic relations:",
-      all(quadratic_relation_closure(gs_minors, d) for d in (3, 4)))
+closed = all(quadratic_relation_closure(gs_minors, d) for d in (3, 4))
+print("\nminors-only closure under quadratic relations:", closed)
+assert closed

@@ -1,8 +1,10 @@
 """The full verification suite: every checkable claim, on a fixed grid.
 
-Each criterion function returns a list of CheckResult records; ``full_suite``
-aggregates them.  A check that a CLI command also runs is a module-level
-function returning (passed, witness), which both run through ``_timed``.
+Every criterion is one module-level check, returning (passed, witness), run
+through ``_timed`` over a grid; ``full_suite`` aggregates the CheckResults and
+a CLI verdict command runs the same check under the same name.  A check's
+fault seams are the names it looks up in this module (``build_generators``,
+``integral_phi``, ``product_span``, ...): replacing one makes it fail.
 All randomness flows from one seed through named substreams, so identical
 configs reproduce identical reports.
 
@@ -44,7 +46,6 @@ from .generators import (
     build_generators,
     check_invariance,
     expected_weight_table,
-    generator_monomials,
     sp_high_minor_membership,
     weight_table_of,
 )
@@ -56,8 +57,8 @@ from .syzygies import (
     ExpansionDoesNotVanish,
     bilinear_relations,
     mixed_minor_relation,
-    product_relations,
-    quadratic_relation_closure,
+    product_span,
+    quadratic_closure_ranks,
     relation_space,
 )
 from .weights import in_weight_monoid, integral_phi
@@ -173,6 +174,17 @@ def table_grid(groups) -> list[Scenario]:
     ]
 
 
+def ambient_grid(groups) -> list[Scenario]:
+    out = []
+    if "gl" in groups:
+        out += [Scenario("gl", 2, 2, 2), Scenario("gl", 3, 3, 3)]
+    if "o" in groups:
+        out.append(Scenario("o", 3, 3))
+    if "sp" in groups:
+        out.append(Scenario("sp", 2, 2))
+    return out
+
+
 def chi_grid(s: Scenario, bound: int = 3):
     """Dominant weights with coefficients up to the bound (monoid-valid)."""
     q = s.rank
@@ -259,22 +271,26 @@ def criterion_2_weight_tables(cfg: SuiteConfig) -> list[CheckResult]:
     ]
 
 
-def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in generation_grid(cfg.groups):
-        gs = build_generators(s)
-        for t in range(cfg.tmax + 1):
-            def run(s=s, gs=gs, t=t):
-                # a degree over the cap raises CapExceeded here, before any evaluation
-                inv = invariant_weight_dims(s, t, cap=cfg.monomial_cap)
-                gen = generated_dimension(gs, t, seed=cfg.seed, cap=cfg.monomial_cap)
-                if gen == inv:
-                    return True, None
-                w = min(w for w in gen.keys() | inv.keys() if gen.get(w) != inv.get(w))
-                return False, {"weight": list(w), "generated": gen.get(w, 0), "invariant": inv.get(w, 0)}
+def generation_check(gs, t: int, seed: int, cap: int | None) -> tuple[bool, dict | None]:
+    """Generated against invariant dimension of degree t, weight by weight."""
+    # a degree over the cap raises CapExceeded here, before any evaluation
+    inv = invariant_weight_dims(gs.scenario, t, cap=cap)
+    gen = generated_dimension(gs, t, seed=seed, cap=cap)
+    if gen == inv:
+        return True, None
+    w = min(w for w in gen.keys() | inv.keys() if gen.get(w) != inv.get(w))
+    return False, {"weight": list(w), "generated": gen.get(w, 0), "invariant": inv.get(w, 0)}
 
-            out.append(_timed(scenario_name("generation", s) + f" t={t}", run))
-    return out
+
+def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(
+            scenario_name("generation", gs.scenario) + f" t={t}",
+            lambda gs=gs, t=t: generation_check(gs, t, cfg.seed, cfg.monomial_cap),
+        )
+        for gs in map(build_generators, generation_grid(cfg.groups))  # once per scenario
+        for t in range(cfg.tmax + 1)
+    ]
 
 
 def minimal_system_check(s: Scenario, seed: int) -> tuple[bool, dict | None]:
@@ -290,33 +306,35 @@ def criterion_4_minimality(cfg: SuiteConfig) -> list[CheckResult]:
     ]
 
 
-def criterion_5_degree_formulas(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    for s in formula_scenarios(cfg.groups):
-        def run(s=s):
-            mismatches = []
-            if s.group == "gl":
-                # the presentation weights must be the actual generator weights
-                expected_pairs = {(d, w) for d, w in expected_weight_table(s) if any(w)}
-                if set(generator_pairs_for(s)) != expected_pairs:
-                    mismatches.append({"chi": None, "formula": "pairs", "oracle": "mismatch"})
-                for chi in chi_grid(s):
-                    f = min_degree_formula(s, chi)
-                    oracle, count = gl_presentation_oracle(s.n, chi)
-                    if f != oracle or count != 1:
-                        mismatches.append({"chi": list(chi), "formula": f, "oracle": oracle})
-            else:
-                pairs = generator_pairs_for(s)
-                cap = max(min_degree_formula(s, chi) for chi in chi_grid(s)) + 1
-                for chi in chi_grid(s):
-                    f = min_degree_formula(s, chi)
-                    oracle = min_degree_generated(pairs, chi, cap=cap)
-                    if f != oracle:
-                        mismatches.append({"chi": list(chi), "formula": f, "oracle": oracle})
-            return not mismatches, mismatches or None
+def degree_formula_check(s: Scenario) -> tuple[bool, list | None]:
+    """The minimal-degree formula against an oracle at every chi of the grid."""
+    mismatches = []
+    if s.group == "gl":
+        # the presentation weights must be the actual generator weights
+        expected_pairs = {(d, w) for d, w in expected_weight_table(s) if any(w)}
+        if set(generator_pairs_for(s)) != expected_pairs:
+            mismatches.append({"chi": None, "formula": "pairs", "oracle": "mismatch"})
+        for chi in chi_grid(s):
+            f = min_degree_formula(s, chi)
+            oracle, count = gl_presentation_oracle(s.n, chi)
+            if f != oracle or count != 1:
+                mismatches.append({"chi": list(chi), "formula": f, "oracle": oracle})
+    else:
+        pairs = generator_pairs_for(s)
+        cap = max(min_degree_formula(s, chi) for chi in chi_grid(s)) + 1
+        for chi in chi_grid(s):
+            f = min_degree_formula(s, chi)
+            oracle = min_degree_generated(pairs, chi, cap=cap)
+            if f != oracle:
+                mismatches.append({"chi": list(chi), "formula": f, "oracle": oracle})
+    return not mismatches, mismatches or None
 
-        out.append(_timed(f"degree-formula {s.group} n={s.n}", run))
-    return out
+
+def criterion_5_degree_formulas(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(f"degree-formula {s.group} n={s.n}", lambda s=s: degree_formula_check(s))
+        for s in formula_scenarios(cfg.groups)
+    ]
 
 
 def linearity_check(s: Scenario, chis, cmax: int) -> tuple[bool, list | None]:
@@ -338,32 +356,27 @@ def criterion_6_linearity(cfg: SuiteConfig) -> list[CheckResult]:
     ]
 
 
-def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
-    out = []
-    scenarios = []
-    if "gl" in cfg.groups:
-        scenarios += [Scenario("gl", 2, 2, 2), Scenario("gl", 3, 3, 3)]
-    if "o" in cfg.groups:
-        scenarios.append(Scenario("o", 3, 3))
-    if "sp" in cfg.groups:
-        scenarios.append(Scenario("sp", 2, 2))
-    for s in scenarios:
-        def run(s=s):
-            reached: dict[tuple, int] = {}
-            for t in range(cfg.degree_cap + 1):
-                for w, dim in invariant_weight_dims(s, t, cfg.monomial_cap).items():
-                    if dim > 0 and w not in reached:
-                        reached[w] = t
-            mismatches = []
-            for w, m_val in sorted(reached.items()):
-                chi = integral_phi(s, w)
-                n_val = min_degree_formula(s, chi)
-                if n_val != m_val:
-                    mismatches.append({"chi": list(chi), "ambient": m_val, "formula": n_val})
-            return not mismatches, mismatches or None
+def ambient_degree_check(s: Scenario, degree_cap: int, cap: int | None) -> tuple[bool, list | None]:
+    """Each weight's first ambient degree up to degree_cap against the formula."""
+    reached: dict[tuple, int] = {}
+    for t in range(degree_cap + 1):
+        for w, dim in invariant_weight_dims(s, t, cap).items():
+            if dim > 0 and w not in reached:
+                reached[w] = t
+    mismatches = []
+    for w, m_val in sorted(reached.items()):
+        chi = integral_phi(s, w)
+        n_val = min_degree_formula(s, chi)
+        if n_val != m_val:
+            mismatches.append({"chi": list(chi), "ambient": m_val, "formula": n_val})
+    return not mismatches, mismatches or None
 
-        out.append(_timed(scenario_name("ambient-degree", s), run))
-    return out
+
+def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
+    return [
+        _timed(scenario_name("ambient-degree", s), lambda s=s: ambient_degree_check(s, cfg.degree_cap, cfg.monomial_cap))
+        for s in ambient_grid(cfg.groups)
+    ]
 
 
 def polytope_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
@@ -405,7 +418,7 @@ def _independent_wedge(mat_rows, n: int, l: int) -> list[tuple]:
     return comps
 
 
-def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
+def flag_quotient_check(n: int, l: int, samples: int, group_samples: int, seed: int) -> tuple[bool, dict | None]:
     """The flag map on random points: coordinates, image predicates, action.
 
     Each sample is a matrix of rationals a/b, but it is checked as the
@@ -416,61 +429,69 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
     (criterion 1 scales its samples the same way).  The draws are the same
     calls in the same order, so the streams ``flags:{n}:{l}`` are unchanged.
     """
+    s = Scenario("gl", n, l)
+    rng = substream(seed, f"flags:{n}:{l}")
+    p = min(l, n)
+    for it in range(samples):
+        draws = [[(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
+        c = lcm(*(b for row in draws for _, b in row))
+        rows = [[a * (c // b) for a, b in row] for row in draws]
+        mat = Matrix(rows)
+        f = flag_map(mat, s)
+        if tuple(f.components) != tuple(map(tuple, _independent_wedge(rows, n, l))):
+            return False, {"case": "wedge-mismatch", "iteration": it}
+        for k in range(1, p + 1):
+            minors = tuple(
+                minor(mat, list(range(n - k, n)), list(cols))
+                for cols in wedge_basis(l, k)
+            )
+            if minors != tuple(f.components[k - 1]):
+                return False, {"case": "minor-mismatch", "iteration": it, "k": k}
+        try:
+            if not incidence_holds(f):
+                return False, {"case": "incidence", "iteration": it}
+        except IndecomposableComponent as exc:
+            return False, {"case": "indecomposable", "iteration": it, "k": exc.k}
+    for it in range(group_samples):
+        rows = [[rng.randint(-4, 4) for _ in range(l)] for _ in range(n)]
+        while True:
+            g = Matrix([[rng.randint(-3, 3) for _ in range(l)] for _ in range(l)])
+            if g.det():
+                break
+        left = flag_map(Matrix(rows) * g.transpose(), s)
+        base = flag_map(rows, s)
+        for k in range(1, p + 1):
+            wk = wedge_action_matrix(g, k)
+            transported = tuple(
+                sum(wk[i, j] * base.components[k - 1][j] for j in range(wk.n))
+                for i in range(wk.m)
+            )
+            if transported != tuple(left.components[k - 1]):
+                return False, {"case": "equivariance", "iteration": it, "k": k}
+    return True, None
+
+
+def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
-    out = []
-    for n in (2, 3, 4):
-        for l in (2, 3, 4):
-            def run(n=n, l=l):
-                s = Scenario("gl", n, l)
-                rng = substream(cfg.seed, f"flags:{n}:{l}")
-                p = min(l, n)
-                for it in range(cfg.flag_samples):
-                    draws = [[(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
-                    c = lcm(*(b for row in draws for _, b in row))
-                    rows = [[a * (c // b) for a, b in row] for row in draws]
-                    mat = Matrix(rows)
-                    f = flag_map(mat, s)
-                    if tuple(f.components) != tuple(map(tuple, _independent_wedge(rows, n, l))):
-                        return False, {"case": "wedge-mismatch", "iteration": it}
-                    for k in range(1, p + 1):
-                        minors = tuple(
-                            minor(mat, list(range(n - k, n)), list(cols))
-                            for cols in wedge_basis(l, k)
-                        )
-                        if minors != tuple(f.components[k - 1]):
-                            return False, {"case": "minor-mismatch", "iteration": it, "k": k}
-                    try:
-                        if not incidence_holds(f):
-                            return False, {"case": "incidence", "iteration": it}
-                    except IndecomposableComponent as exc:
-                        return False, {"case": "indecomposable", "iteration": it, "k": exc.k}
-                for it in range(cfg.flag_group_samples):
-                    rows = [[rng.randint(-4, 4) for _ in range(l)] for _ in range(n)]
-                    while True:
-                        g = Matrix([[rng.randint(-3, 3) for _ in range(l)] for _ in range(l)])
-                        if g.det():
-                            break
-                    left = flag_map(Matrix(rows) * g.transpose(), s)
-                    base = flag_map(rows, s)
-                    for k in range(1, p + 1):
-                        wk = wedge_action_matrix(g, k)
-                        transported = tuple(
-                            sum(wk[i, j] * base.components[k - 1][j] for j in range(wk.n))
-                            for i in range(wk.m)
-                        )
-                        if transported != tuple(left.components[k - 1]):
-                            return False, {"case": "equivariance", "iteration": it, "k": k}
-                return True, None
-
-            out.append(_timed(f"flag-quotient n={n} l={l}", run))
-    return out
+    return [
+        _timed(
+            f"flag-quotient n={n} l={l}",
+            lambda n=n, l=l: flag_quotient_check(n, l, cfg.flag_samples, cfg.flag_group_samples, cfg.seed),
+        )
+        for n in (2, 3, 4)
+        for l in (2, 3, 4)
+    ]
 
 
-def mixed_identity_check(n: int, l: int, m: int) -> tuple[bool, None]:
-    """Both sides of the mixed minor-product identity expand equally."""
-    equal, _, _ = mixed_minor_relation(n, l, m)
-    return equal, None
+def mixed_identity_check(n: int, l: int, m: int) -> tuple[bool, dict | None]:
+    """Both sides of the mixed minor-product identity expand equally; the
+    witness of a failure counts the terms of lhs - rhs and gives the first."""
+    equal, lhs, rhs = mixed_minor_relation(n, l, m)
+    if equal:
+        return True, None
+    terms = (lhs - rhs).to_json()["terms"]
+    return False, {"difference_terms": len(terms), "first_term": terms[0]}
 
 
 def criterion_10_mixed_identity(cfg: SuiteConfig) -> list[CheckResult]:
@@ -510,73 +531,64 @@ def criterion_11_bilinear(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
+def relations_independent_check(cap: int | None) -> tuple[bool, dict | None]:
+    """gl (4, 2, 2) has no relation up to degree 3 and no family quadratic."""
+    gs = build_generators(Scenario("gl", 4, 2, 2))
+    for d in (1, 2, 3):
+        rep = relation_space(gs, d, cap=cap)
+        if rep.relation_dim != 0:
+            return False, {"degree": d, "relation_dim": rep.relation_dim}
+    for d in (2, 3):
+        quad = relation_space(gs, d, cap=cap, factors=2)
+        if quad.relation_dim != 0:
+            return False, {"degree": d, "family_quadratics": quad.relation_dim}
+    return True, None
+
+
+def mixed_relation_check(n: int, l: int, m: int, cap: int | None) -> tuple[bool, dict]:
+    """A relation on leftMinor x lowMinor is outside the lower relations' products."""
+    gs = build_generators(Scenario("gl", n, l, m))
+    d = l + m
+    rep = relation_space(gs, d, cap=cap)
+    li = gs.find("leftMinor", range(m))
+    lo = gs.find("lowMinor", range(l))
+    target = rep.monomials.index(tuple(sorted(((li, 1), (lo, 1)))))
+    vec = next((v for v in rep.basis if v[target]), None)
+    if vec is None:
+        return False, {"missing": "no relation meets the minor product"}
+    span = product_span(gs, d, range(2, d), cap)
+    base_rank = rank(span)
+    new_rank = rank(span + [vec])
+    return new_rank == base_rank + 1, {"span_rank": base_rank, "with_mixed_relation": new_rank}
+
+
 def criterion_12_relation_generation(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
-    out = []
-
-    def run_if():
-        gs = build_generators(Scenario("gl", 4, 2, 2))
-        for d in (1, 2, 3):
-            rep = relation_space(gs, d, cap=cfg.monomial_cap)
-            if rep.relation_dim != 0:
-                return False, {"degree": d, "relation_dim": rep.relation_dim}
-        for d in (2, 3):
-            quad = relation_space(gs, d, cap=cfg.monomial_cap, factors=2)
-            if quad.relation_dim != 0:
-                return False, {"degree": d, "family_quadratics": quad.relation_dim}
-        return True, None
-
-    out.append(_timed("relations independent when l+m<=n (n=4 l=2 m=2)", run_if))
-
-    for n, l, m in ((2, 2, 1), (3, 2, 2)):
-        def run_onlyif(n=n, l=l, m=m):
-            s = Scenario("gl", n, l, m)
-            gs = build_generators(s)
-            d = l + m
-            rep = relation_space(gs, d, cap=cfg.monomial_cap)
-            monomials = generator_monomials(gs, d)
-            li = gs.find("leftMinor", range(m))
-            lo = gs.find("lowMinor", range(l))
-            target = monomials.index(tuple(sorted(((li, 1), (lo, 1)))))
-            vec = next((v for v in rep.basis if v[target]), None)
-            if vec is None:
-                return False, {"missing": "no relation meets the minor product"}
-            reports = {
-                dp: relation_space(gs, dp, cap=cfg.monomial_cap)
-                for dp in range(2, d)
-            }
-            span = product_relations(gs, reports, d)
-            base_rank = rank(span) if span else 0
-            new_rank = rank(span + [vec])
-            return new_rank == base_rank + 1, {
-                "span_rank": base_rank,
-                "with_mixed_relation": new_rank,
-            }
-
-        out.append(_timed(f"mixed relation is new (n={n} l={l} m={m})", run_onlyif))
-    return out
+    return [
+        _timed("relations independent when l+m<=n (n=4 l=2 m=2)", lambda: relations_independent_check(cfg.monomial_cap))
+    ] + [
+        _timed(f"mixed relation is new (n={n} l={l} m={m})", lambda n=n, l=l, m=m: mixed_relation_check(n, l, m, cfg.monomial_cap))
+        for n, l, m in ((2, 2, 1), (3, 2, 2))
+    ]
 
 
-def quadratic_closure_check(gs, d: int, cap: int | None) -> tuple[bool, None]:
-    """Relations on two generator factors generate all degree-d relations."""
-    return quadratic_relation_closure(gs, d, cap=cap), None
+def quadratic_closure_check(gs, d: int, cap: int | None) -> tuple[bool, dict | None]:
+    """Relations on two generator factors generate all degree-d relations;
+    the witness of a failure gives the relation dim and the span's rank."""
+    relation_dim, span_rank = quadratic_closure_ranks(gs, d, cap)
+    passed = span_rank == relation_dim
+    return passed, None if passed else {"relation_dim": relation_dim, "span_rank": span_rank}
 
 
 def criterion_13_quadratic_closure(cfg: SuiteConfig) -> list[CheckResult]:
     if "gl" not in cfg.groups:
         return []
-    out = []
-    for n in (1, 2, 3):
-        for l in (1, 2, 3):
-            s = Scenario("gl", n, l, 0)
-            gs = build_generators(s)
-            for d in (3, 4):
-                def run(gs=gs, d=d):
-                    return quadratic_closure_check(gs, d, cfg.monomial_cap)
-
-                out.append(_timed(quadratic_closure_name(s, d), run))
-    return out
+    return [
+        _timed(quadratic_closure_name(gs.scenario, d), lambda gs=gs, d=d: quadratic_closure_check(gs, d, cfg.monomial_cap))
+        for gs in map(build_generators, [Scenario("gl", n, l, 0) for n in (1, 2, 3) for l in (1, 2, 3)])
+        for d in (3, 4)
+    ]
 
 
 def criterion_14_high_minors(cfg: SuiteConfig) -> list[CheckResult]:

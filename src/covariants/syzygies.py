@@ -7,6 +7,10 @@ their integer coefficient matrix, which by definition is the relation
 space.  No point is sampled and no seed is involved; every kernel vector is
 still confirmed by summing the expanded monomials it combines, so a
 reported relation is the identically-zero element of the coordinate ring.
+
+``product_span`` is the one path to relation products: lower-degree
+relations times generator monomials, which span degree-d relations by
+construction, so its rank tells whether the lower relations generate.
 """
 
 from __future__ import annotations
@@ -254,24 +258,32 @@ def product_relations(
     return out
 
 
-def quadratic_relation_closure(
-    gs: GeneratorSet, d: int, cap: int | None = None
-) -> bool:
-    """Do generator-quadratic relations generate all degree-d relations?
+def product_span(gs: GeneratorSet, d: int, degrees, cap: int | None = None, factors: int | None = None) -> list[list]:
+    """``product_relations`` of the relation spaces (with ``factors``, as in
+    ``relation_space``) of the given degrees."""
+    reports = {dp: relation_space(gs, dp, cap=cap, factors=factors) for dp in degrees}
+    return product_relations(gs, reports, d)
 
-    Compares the exact degree-d relation space with the span of (relations
-    supported on two-factor monomials, any polynomial degree up to d) times
-    complementary generator monomials.  Vacuously true when there are no
-    degree-d relations.
+
+def quadratic_closure_ranks(
+    gs: GeneratorSet, d: int, cap: int | None = None
+) -> tuple[int, int]:
+    """(dim of the degree-d relations, rank of their quadratic product span).
+
+    The span is that of (relations supported on two-factor monomials, any
+    polynomial degree up to d) times complementary generator monomials.  It
+    lies in the degree-d relations, so it is not built when there are none.
     """
     if d < 3:
         raise ValueError("the closure question starts at degree 3")
     target = relation_space(gs, d, cap=cap)
     if target.relation_dim == 0:
-        return True
-    reports = {
-        dp: relation_space(gs, dp, cap=cap, factors=2)
-        for dp in range(2, d + 1)
-    }
-    span = product_relations(gs, reports, d)
-    return rank(span) == target.relation_dim
+        return 0, 0
+    return target.relation_dim, rank(product_span(gs, d, range(2, d + 1), cap, factors=2))
+
+
+def quadratic_relation_closure(gs: GeneratorSet, d: int, cap: int | None = None) -> bool:
+    """Do generator-quadratic relations generate all degree-d relations?
+    (``quadratic_closure_ranks`` equal; vacuously true when there are none.)"""
+    relation_dim, span_rank = quadratic_closure_ranks(gs, d, cap)
+    return span_rank == relation_dim

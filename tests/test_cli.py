@@ -723,7 +723,7 @@ def test_sp_minor_prints_the_certificate_once(capsys, monkeypatch):
     assert check["verdict"] == "fail" and check["witness"] == {"lowMinor[3;1,2,3]": None}
 
 
-# -- injected faults: criteria 6, 10 and 13 fail through full-suite -----------------
+# -- injected faults: criteria 5, 6, 7, 10, 12 and 13 fail through full-suite -------
 
 
 def _run_with_criterion_2(capsys, num):
@@ -773,7 +773,15 @@ def test_full_suite_reports_a_mixed_identity_with_a_moved_side(capsys, monkeypat
     assert not equal and moved_lhs == lhs and moved_rhs != rhs
     crit_10 = _run_with_criterion_2(capsys, 10)
     assert len(crit_10) == 20
-    assert all(c == {"name": name, "verdict": "fail", "criterion": 10} for name, c in crit_10.items())
+    assert all(set(c) == {"name", "verdict", "criterion", "witness"} and c["verdict"] == "fail" for c in crit_10.values())
+    assert all(set(c["witness"]) == {"difference_terms", "first_term"} for c in crit_10.values())
+    # the witness counts the terms of lhs - rhs and gives the least by exponent tuple
+    diff = moved_lhs - moved_rhs
+    exps, coeff = min(diff.terms.items())
+    assert crit_10["mixed-identity n=3 l=2 m=2"]["witness"] == {
+        "difference_terms": len(diff.terms),
+        "first_term": {"coeff": str(coeff), "exps": list(exps)},
+    }
 
 
 def test_full_suite_reports_a_quadratic_closure_that_misses_relations(capsys, monkeypatch):
@@ -781,15 +789,72 @@ def test_full_suite_reports_a_quadratic_closure_that_misses_relations(capsys, mo
     from covariants import syzygies
     from covariants.generators import build_generators
 
-    expected = {}
+    expected, dims = {}, {}
     for n in (1, 2, 3):
         for l in (1, 2, 3):
             gs = build_generators(Scenario("gl", n, l, 0))
             for d in (3, 4):
-                has_relations = syzygies.relation_space(gs, d).relation_dim > 0
-                expected[f"quadratic-closure gl n={n} l={l} d={d}"] = "fail" if has_relations else "pass"
+                name = f"quadratic-closure gl n={n} l={l} d={d}"
+                dims[name] = syzygies.relation_space(gs, d).relation_dim
+                expected[name] = "fail" if dims[name] > 0 else "pass"
     assert list(expected.values()).count("fail") == 4  # n = 2, 3 with l = 3
     monkeypatch.setattr(syzygies, "product_relations", lambda gs, reports, d: [])
     crit_13 = _run_with_criterion_2(capsys, 13)
     assert {name: c["verdict"] for name, c in crit_13.items()} == expected
-    assert all("witness" not in c for c in crit_13.values())
+    # a failure gives the relation dim against the empty span's rank; a pass no witness
+    assert {name: c.get("witness") for name, c in crit_13.items()} == {
+        name: {"relation_dim": dims[name], "span_rank": 0} if verdict == "fail" else None
+        for name, verdict in expected.items()
+    }
+
+
+def test_full_suite_reports_a_presentation_oracle_off_by_one(capsys, monkeypatch):
+    # the gl presentation oracle is off by one at chi = e_1 only
+    oracle = suite.gl_presentation_oracle
+
+    def bent(n, chi):
+        degree, count = oracle(n, chi)
+        return degree + (tuple(chi) == (1,) + (0,) * (n - 1)), count
+
+    monkeypatch.setattr(suite, "gl_presentation_oracle", bent)
+    crit_5 = _run_with_criterion_2(capsys, 5)
+    assert list(crit_5) == ["degree-formula gl n=2", "degree-formula gl n=3", "degree-formula gl n=4"]
+    for name, c in crit_5.items():
+        e1 = [1] + [0] * (int(name[-1]) - 1)
+        assert c["verdict"] == "fail"
+        assert c["witness"] == [{"chi": e1, "formula": 1, "oracle": 2}]
+
+
+def test_full_suite_reports_an_ambient_weight_off_the_formula(capsys, monkeypatch):
+    # integral_phi shifts the one weight whose chi is e_1 to 2 e_1, whose formula degree is 2
+    phi = suite.integral_phi
+
+    def shifted(s, w):
+        chi = phi(s, w)
+        return (2,) + chi[1:] if chi == (1,) + (0,) * (len(chi) - 1) else chi
+
+    monkeypatch.setattr(suite, "integral_phi", shifted)
+    crit_7 = _run_with_criterion_2(capsys, 7)
+    assert list(crit_7) == ["ambient-degree gl n=2 l=2 m=2", "ambient-degree gl n=3 l=3 m=3"]
+    for name, c in crit_7.items():
+        two_e1 = [2] + [0] * (int(name.split()[2][2:]) - 1)
+        assert c["verdict"] == "fail"
+        assert c["witness"] == [{"chi": two_e1, "ambient": 1, "formula": 2}]
+
+
+def test_full_suite_reports_a_mixed_relation_inside_the_product_span(capsys, monkeypatch):
+    # the product span also carries every degree-d relation, the mixed one among them
+    span = suite.product_span
+
+    def leaky(gs, d, degrees, cap=None, factors=None):
+        return span(gs, d, degrees, cap, factors) + suite.relation_space(gs, d, cap=cap).basis
+
+    monkeypatch.setattr(suite, "product_span", leaky)
+    crit_12 = _run_with_criterion_2(capsys, 12)
+    independent = crit_12.pop("relations independent when l+m<=n (n=4 l=2 m=2)")
+    assert independent["verdict"] == "pass"
+    assert list(crit_12) == ["mixed relation is new (n=2 l=2 m=1)", "mixed relation is new (n=3 l=2 m=2)"]
+    for c in crit_12.values():
+        r = c["witness"]["span_rank"]
+        assert c["verdict"] == "fail" and r > 0
+        assert c["witness"] == {"span_rank": r, "with_mixed_relation": r}
