@@ -15,9 +15,9 @@ from covariants import (
     incidence_holds,
     is_decomposable,
     mixed_minor_relation,
-    quadratic_relation_closure,
     relation_space,
 )
+from covariants.syzygies import quadratic_closure_ranks
 
 # -- the flag map ---------------------------------------------------------------
 
@@ -58,6 +58,7 @@ for d in (1, 2, 3):
 
 # minors-only systems: everything comes from the quadratic relations
 gs_minors = build_generators(Scenario("gl", 3, 3, 0))
-closed = all(quadratic_relation_closure(gs_minors, d) for d in (3, 4))
+ranks = [quadratic_closure_ranks(gs_minors, d) for d in (3, 4)]  # (relation dim, span rank)
+closed = all(dim == span for dim, span in ranks)
 print("\nminors-only closure under quadratic relations:", closed)
 assert closed

@@ -53,7 +53,6 @@ from .flags import FlagPoint, annihilator, flag_map, incidence_holds, is_decompo
 from .syzygies import (
     bilinear_relations,
     mixed_minor_relation,
-    quadratic_relation_closure,
     relation_space,
 )
 from .suite import SuiteConfig, full_suite

@@ -36,7 +36,7 @@ from .degrees import (
 from .dimensions import CapExceeded
 from .flags import flag_map
 from .generators import build_generators, expected_weight_table
-from .scenario import Scenario
+from .scenario import GROUPS, Scenario
 from .syzygies import ExpansionDoesNotVanish, bilinear_relations, relation_space
 
 CHECK_FAILED = 1
@@ -56,6 +56,22 @@ def parse_chi(text: str) -> tuple[int, ...]:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise ValueError(f"--chi wants comma-separated integers, got {text!r}") from exc
+
+
+def parse_matrix(text: str) -> list[list[Fraction]]:
+    try:
+        return [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"--matrix has an entry with denominator 0: {text!r}") from exc
+
+
+def parse_subset(text: str, allowed, flag: str, item=str) -> tuple:
+    """The comma-separated items of ``flag``; one outside ``allowed`` is a usage error."""
+    items = tuple(map(item, text.split(",")))
+    unknown = [x for x in items if x not in allowed]
+    if unknown:
+        raise ValueError(f"{flag} takes a subset of {','.join(map(str, allowed))}, got {','.join(map(str, unknown))}")
+    return items
 
 
 def _report(args, payload: dict) -> dict:
@@ -128,9 +144,18 @@ def cmd_generate(args) -> int:
     return _emit(args, _report(args, gs.to_json()))
 
 
+def _samples(args, default: int) -> int:
+    """``--samples``, ``default`` if not given; a negative count is a usage error."""
+    if args.samples is None:
+        return default
+    if args.samples < 0:
+        raise ValueError(f"{args.command} needs --samples >= 0, got {args.samples}")
+    return args.samples
+
+
 def cmd_check_invariance(args) -> int:
     s = parse_scenario(args)
-    samples = args.samples if args.samples is not None else 100
+    samples = _samples(args, 100)
     return _run_check(args, suite.scenario_name("invariance", s), lambda: suite.invariance_check(s, samples, args.seed))
 
 
@@ -179,16 +204,13 @@ def cmd_lemma3(args) -> int:
 
 def cmd_lemma4(args) -> int:
     s = parse_scenario(args)
-    samples = args.samples if args.samples is not None else 500
-    return _run_check(args, suite.polytope_name(s), lambda: suite.polytope_check(s, samples, args.seed))
+    samples = _samples(args, 500)
+    return _run_check(args, suite.polytope_name(s), lambda: suite.chamber_inclusion_check(s, samples, args.seed))
 
 
 def cmd_flag_map(args) -> int:
     s = parse_scenario(args)
-    rows = [
-        [Fraction(x) for x in row.split(",")] for row in args.matrix.split(";")
-    ]
-    fp = flag_map(rows, s)
+    fp = flag_map(parse_matrix(args.matrix), s)
     return _emit(args, _report(args, fp.to_json()))
 
 
@@ -251,11 +273,11 @@ def cmd_minimality(args) -> int:
 def cmd_full_suite(args) -> int:
     cfg = suite.SuiteConfig(
         seed=args.seed,
-        invariance_samples=args.samples if args.samples is not None else 100,
+        invariance_samples=_samples(args, 100),
         monomial_cap=args.cap,
-        groups=tuple(args.groups.split(",")) if args.groups else ("gl", "o", "sp"),
+        groups=parse_subset(args.groups, GROUPS, "--groups") if args.groups else GROUPS,
     )
-    criteria = [int(c) for c in args.criteria.split(",")] if args.criteria else None
+    criteria = parse_subset(args.criteria, suite.CRITERIA, "--criteria", int) if args.criteria else None
     report = suite.full_suite(cfg, criteria)
     for line in report.summary_lines():
         print(line, file=sys.stderr)

@@ -39,6 +39,9 @@ at any points is at most the rank over Q, and each block's Schwartz-Zippel
 bound (a shortfall with probability at most rank x degree / (p - 1)) holds
 for any points drawn independently of that block's matrix, so the chance
 that some block falls short is at most the sum of the blocks' bounds.
+
+``minimality_check`` returns (passed, witness), the shape of every suite
+check, with the labels of the inessential generators as the witness.
 """
 
 from __future__ import annotations
@@ -296,7 +299,7 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
 # -- minimality ------------------------------------------------------------------
 
 
-def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
+def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None]:
     """Certify that no generator lies in the algebra the others generate.
 
     Every generator and every generator monomial is a weight vector, and the
@@ -309,9 +312,11 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     shared points (block size + 32 columns); the union bound over the
     blocks keeps every rank increase observed mod p an exact proof of
     essentiality.  Shortfalls are pinned down per generator, each on its
-    own stream ``min:{d}:{w}:g{idx}``.
+    own stream ``min:{d}:{w}:g{idx}``.  Returns (passed, witness): the
+    witness of a failure lists the inessential generators' labels under
+    ``inessential``, in block order.
     """
-    verdicts: dict[str, bool] = {}
+    inessential: list[str] = []
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight.eps), []).append(idx)
@@ -325,7 +330,6 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
     for (d, w), (rows, _, (nbase,)), (base, full) in zip(keys, batch, first):
         gen_indices = blocks[d, w]
         if full == base + len(gen_indices):
-            verdicts.update((gs.gens[idx].label, True) for idx in gen_indices)
             continue
         # at least one generator is spanned by the rest: identify which
         for idx in gen_indices:
@@ -334,17 +338,6 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> "MinimalityReport":
             ((r_without, r_with),) = _two_seed_ranks(
                 gs, [(ordered, len(ordered) + 32, (len(others),))], seed, f"min:{d}:{w}:g{idx}"
             )
-            verdicts[gs.gens[idx].label] = r_with == r_without + 1
-    return MinimalityReport(verdicts)
-
-
-class MinimalityReport:
-    def __init__(self, verdicts: dict[str, bool]):
-        self.verdicts = verdicts
-
-    @property
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-    def inessential(self) -> list[str]:
-        return [lbl for lbl, ok in self.verdicts.items() if not ok]
+            if r_with != r_without + 1:
+                inessential.append(gs.gens[idx].label)
+    return not inessential, {"inessential": inessential} if inessential else None

@@ -17,12 +17,15 @@ recipe, 1-based: ``C[i][j]`` and ``Q[i][j]`` for a pair of copies, and
 for left minors, row) subset.  ``generator_label`` is the one formatter and
 ``GeneratorSet.find`` the one lookup; subsets come in lexicographic order, so
 JSON output is reproducible.
+
+``check_invariance`` returns (passed, witness), the shape of every suite
+check; the witness entry of a violation is built where it is found.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import (
@@ -221,32 +224,7 @@ def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
 # -- invariance ---------------------------------------------------------------
 
 
-@dataclass
-class InvarianceReport:
-    lie_violations: list = field(default_factory=list)
-    sample_violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.lie_violations and not self.sample_violations
-
-    def witness(self) -> dict | None:
-        """The violations with their witnessing matrices, None on a pass."""
-        if self.passed:
-            return None
-        return {
-            "lie": [
-                {"label": lbl, "basis_index": idx, "matrix": xi.to_json()}
-                for lbl, idx, xi in self.lie_violations
-            ],
-            "samples": [
-                {"label": lbl, "sample_index": idx, "matrix": g.to_json()}
-                for lbl, idx, g in self.sample_violations
-            ],
-        }
-
-
-def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) -> InvarianceReport:
+def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) -> tuple[bool, dict | None]:
     """Certify invariance of every generator under the unipotent subgroup.
 
     Two independent certificates: annihilation by the whole nilradical basis
@@ -256,17 +234,19 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     f(c u x) = c^d f(u x), so u fixes f exactly when substituting ``c*u``
     gives ``c^d * f``.  That identity does not hold for the V*-copies, which
     transform by the inverse, so a sample with c != 1 on a scenario with
-    m > 0 raises ``ValueError``.  Violations are reported with their
-    witnessing element: the basis element xi, or the rational sample u.
+    m > 0 raises ``ValueError``.  Returns (passed, witness): the witness of
+    a failure lists each violation under ``lie`` or ``samples`` with its
+    generator's label and its witnessing element, the basis element xi or
+    the rational sample u.
     """
     s = gs.scenario
-    report = InvarianceReport()
+    witness = {"lie": [], "samples": []}
     basis = nilradical_basis(s)
     tables = [derivation_images(xi, s) for xi in basis]  # shared across the generators
     for g in gs.gens:
         for idx, xi in enumerate(basis):
             if lie_act_on_polynomial(xi, g.poly, s, tables[idx]):
-                report.lie_violations.append((g.label, idx, xi))
+                witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
         c, cu = sample_unipotent(s, rng)
@@ -276,8 +256,10 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
         for g in gs.gens:
             expected = g.poly if c == 1 else c ** g.degree * g.poly
             if g.poly.substitute(images) != expected:
-                report.sample_violations.append((g.label, k, cu * Fraction(1, c)))
-    return report
+                u = cu * Fraction(1, c)
+                witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u.to_json()})
+    passed = not (witness["lie"] or witness["samples"])
+    return passed, None if passed else witness
 
 
 # -- monomials in the generators ----------------------------------------------

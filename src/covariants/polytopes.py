@@ -12,6 +12,9 @@ two-sided, and each side is decided by its own exact algorithm:
 * every delta vertex must lie back in Phi (exact LP, ``lp``) and in the
   chamber.
 
+``chamber_inclusion_check`` returns (passed, witness), the shape of every
+suite check: the witness lists the failing points of each kind.
+
 The facet list is complete because delta is full-dimensional (checked):
 every facet of a full-dimensional polytope in R^q passes through q affinely
 independent points of a generating set, so the hyperplanes through such
@@ -173,47 +176,31 @@ def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
     return tuple(canon_coeff(x) for x in point)
 
 
-@dataclass
-class PolytopeReport:
-    sample_failures: list = field(default_factory=list)
-    vertex_failures: list = field(default_factory=list)
-    sampler_failures: list = field(default_factory=list)  # samples outside Phi or the chamber
-
-    @property
-    def passed(self) -> bool:
-        return not (self.sample_failures or self.vertex_failures or self.sampler_failures)
-
-    def witness(self) -> dict | None:
-        """The failing points by kind as fraction strings, None on a pass."""
-        if self.passed:
-            return None
-        return {
-            key: [[str(Fraction(x)) for x in pt] for pt in points]
-            for key, points in (
-                ("points_outside_delta", self.sample_failures),
-                ("delta_vertices_outside", self.vertex_failures),
-                ("points_outside_phi", self.sampler_failures),
-            )
-        }
-
-
-def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> PolytopeReport:
+def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> tuple[bool, dict | None]:
     """Verify delta = Phi intersect chamber on random points plus vertices.
 
     Samples are tested against the cross-polytope and delta's facet
-    inequalities; delta's vertices are tested against Phi by exact LP.  A
-    sample outside Phi or the chamber is reported as ``points_outside_phi``.
+    inequalities; delta's vertices are tested against Phi by exact LP.
+    Returns (passed, witness): the witness of a failure lists the failing
+    points as fraction strings under ``points_outside_delta``,
+    ``delta_vertices_outside`` and ``points_outside_phi`` (a sample outside
+    Phi or the chamber).
     """
     spec = build_polytopes(s)
-    report = PolytopeReport()
+    witness = {"points_outside_delta": [], "delta_vertices_outside": [], "points_outside_phi": []}
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
         pt = sample_chamber_point(s, spec, rng)
         if not (spec.in_phi(pt) and spec.in_chamber(pt)):
-            report.sampler_failures.append(pt)
+            witness["points_outside_phi"].append(_fraction_strings(pt))
         elif not spec.in_delta(pt):
-            report.sample_failures.append(pt)
+            witness["points_outside_delta"].append(_fraction_strings(pt))
     for v in spec.delta_vertices:
         if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):
-            report.vertex_failures.append(v)
-    return report
+            witness["delta_vertices_outside"].append(_fraction_strings(v))
+    passed = not any(witness.values())
+    return passed, None if passed else witness
+
+
+def _fraction_strings(point) -> list[str]:
+    return [str(Fraction(x)) for x in point]

@@ -242,8 +242,7 @@ def sp_high_minor_name(s: Scenario, k: int) -> str:
 
 def invariance_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
     """Nilradical annihilation and unipotent-sample fixedness of every generator."""
-    rep = check_invariance(build_generators(s), samples, seed)
-    return rep.passed, rep.witness()
+    return check_invariance(build_generators(s), samples, seed)
 
 
 def criterion_1_invariance(cfg: SuiteConfig) -> list[CheckResult]:
@@ -295,8 +294,7 @@ def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
 
 def minimal_system_check(s: Scenario, seed: int) -> tuple[bool, dict | None]:
     """No generator lies in the algebra the others generate."""
-    rep = minimality_check(build_generators(s), seed=seed)
-    return rep.passed, None if rep.passed else {"inessential": rep.inessential()}
+    return minimality_check(build_generators(s), seed=seed)
 
 
 def criterion_4_minimality(cfg: SuiteConfig) -> list[CheckResult]:
@@ -379,12 +377,6 @@ def criterion_7_ambient_degrees(cfg: SuiteConfig) -> list[CheckResult]:
     ]
 
 
-def polytope_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
-    """delta = Phi intersect the chamber, on samples and on delta's vertices."""
-    rep = chamber_inclusion_check(s, samples, seed)
-    return rep.passed, rep.witness()
-
-
 def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
     out = []
     seen = set()
@@ -393,7 +385,7 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
         if key in seen:
             continue  # the polytopes depend only on the group and n
         seen.add(key)
-        out.append(_timed(polytope_name(s), lambda s=s: polytope_check(s, cfg.polytope_samples, cfg.seed)))
+        out.append(_timed(polytope_name(s), lambda s=s: chamber_inclusion_check(s, cfg.polytope_samples, cfg.seed)))
     return out
 
 

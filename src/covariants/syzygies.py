@@ -11,6 +11,9 @@ reported relation is the identically-zero element of the coordinate ring.
 ``product_span`` is the one path to relation products: lower-degree
 relations times generator monomials, which span degree-d relations by
 construction, so its rank tells whether the lower relations generate.
+``quadratic_closure_ranks`` is the one answer to the quadratic-closure
+question: the relations' dimension against their quadratic span's rank,
+which ``suite.quadratic_closure_check`` turns into a verdict.
 """
 
 from __future__ import annotations
@@ -280,10 +283,3 @@ def quadratic_closure_ranks(
     if target.relation_dim == 0:
         return 0, 0
     return target.relation_dim, rank(product_span(gs, d, range(2, d + 1), cap, factors=2))
-
-
-def quadratic_relation_closure(gs: GeneratorSet, d: int, cap: int | None = None) -> bool:
-    """Do generator-quadratic relations generate all degree-d relations?
-    (``quadratic_closure_ranks`` equal; vacuously true when there are none.)"""
-    relation_dim, span_rank = quadratic_closure_ranks(gs, d, cap)
-    return span_rank == relation_dim

@@ -421,6 +421,15 @@ def test_data_command_error_is_a_line(capsys, monkeypatch):
         ["zacep", "--n", "3", "--l", "1", "--m", "1"],  # outside l + m > n
         ["degree2-gen", "--group", "gl", "--n", "2", "--l", "2", "--degree", "2"],
         ["sp-minor", "--group", "sp", "--n", "2", "--l", "2", "--order", "3"],
+        ["full-suite", "--criteria", "15"],  # not a criterion
+        ["full-suite", "--criteria", "0"],
+        ["full-suite", "--criteria", "2,15"],
+        ["full-suite", "--groups", "xyz"],  # not a group
+        ["full-suite", "--groups", "gl,foo"],
+        ["check-invariance", "--group", "gl", "--n", "2", "--l", "1", "--samples", "-1"],
+        ["lemma4", "--group", "gl", "--n", "2", "--samples", "-1"],
+        ["full-suite", "--groups", "sp", "--criteria", "1", "--samples", "-1"],
+        ["flag-map", "--group", "gl", "--n", "2", "--l", "2", "--matrix", "1/0,1;1,1"],
     ],
 )
 def test_inputs_a_check_cannot_take_are_usage_errors(capsys, argv):
@@ -858,3 +867,9 @@ def test_full_suite_reports_a_mixed_relation_inside_the_product_span(capsys, mon
         r = c["witness"]["span_rank"]
         assert c["verdict"] == "fail" and r > 0
         assert c["witness"] == {"span_rank": r, "with_mixed_relation": r}
+
+
+def test_zero_samples_is_allowed(capsys):
+    for argv in (["check-invariance", "--group", "gl", "--n", "2", "--l", "1"], ["lemma4", "--group", "gl", "--n", "2"]):
+        code, out, _ = run_cli(capsys, *argv, "--samples", "0")
+        assert code == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"

@@ -154,12 +154,12 @@ def test_weight_table_regime_guard():
 
 def test_invariance_gl333():
     gs = build_generators(Scenario("gl", 3, 3, 3))
-    assert check_invariance(gs, num_samples=100, seed=0).passed
+    assert check_invariance(gs, num_samples=100, seed=0) == (True, None)
 
 
 def test_invariance_o44_with_cross_minors():
     gs = build_generators(Scenario("o", 4, 4))
-    assert check_invariance(gs, num_samples=100, seed=0).passed
+    assert check_invariance(gs, num_samples=100, seed=0) == (True, None)
 
 
 def test_injected_non_invariant_is_caught():
@@ -169,12 +169,11 @@ def test_injected_non_invariant_is_caught():
     injected = GeneratorSet(
         s, gs.gens + (Generator("bad", bad, 1, torus_weight(bad, s)),)
     )
-    rep = check_invariance(injected, num_samples=3, seed=0)
-    assert not rep.passed
-    assert any(lbl == "bad" for lbl, _, _ in rep.lie_violations)
+    passed, witness = check_invariance(injected, num_samples=3, seed=0)
+    assert not passed
+    assert any(w["label"] == "bad" for w in witness["lie"])
     # the witness is the annihilation failure under the first raising operator
-    _, idx, xi = rep.lie_violations[0]
-    assert xi[0, 1] == 1
+    assert Matrix.from_json(witness["lie"][0]["matrix"])[0, 1] == 1
 
 
 def test_sample_witness_is_the_rational_unipotent_element():
@@ -183,7 +182,7 @@ def test_sample_witness_is_the_rational_unipotent_element():
     gs = build_generators(s)
     bad = s.x_poly(0, 0)
     injected = GeneratorSet(s, gs.gens + (Generator("bad", bad, 1, torus_weight(bad, s)),))
-    witness = check_invariance(injected, num_samples=3, seed=0).witness()
+    _, witness = check_invariance(injected, num_samples=3, seed=0)
     assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [("bad", 0), ("bad", 1), ("bad", 2)]
     q = form_matrix(s)
     u = Matrix.from_json(witness["samples"][0]["matrix"])
@@ -199,7 +198,7 @@ def test_a_sample_with_denominators_cannot_act_on_dual_copies(monkeypatch):
     gs = build_generators(Scenario("gl", 2, 1, 1))
     with pytest.raises(ValueError, match="V\\*-copies"):
         check_invariance(gs, num_samples=1)
-    result = _timed("invariance", lambda: (check_invariance(gs, num_samples=1).passed, None))
+    result = _timed("invariance", lambda: check_invariance(gs, num_samples=1))
     assert result.verdict == "error" and result.witness.startswith("ValueError: ")
 
 

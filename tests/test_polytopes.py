@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from covariants import polytopes
 from covariants.lp import convex_membership
 from covariants.polytopes import (
     build_polytopes,
@@ -72,26 +73,25 @@ def test_even_o_sampler_reaches_negative_last_coordinate():
 
 
 def test_inclusion_gl3_500_samples_seed7():
-    rep = chamber_inclusion_check(Scenario("gl", 3, 1), samples=500, seed=7)
-    assert rep.passed
-    assert rep.sample_failures == [] and rep.vertex_failures == []
+    assert chamber_inclusion_check(Scenario("gl", 3, 1), samples=500, seed=7) == (True, None)
 
 
 def test_inclusion_across_groups():
     for s in (Scenario("o", 4, 1), Scenario("o", 5, 1), Scenario("sp", 4, 1)):
-        assert chamber_inclusion_check(s, samples=120, seed=2).passed
+        assert chamber_inclusion_check(s, samples=120, seed=2) == (True, None)
 
 
-def test_report_witness():
-    rep = chamber_inclusion_check(Scenario("sp", 2, 1), samples=10, seed=0)
-    assert rep.passed and rep.witness() is None
-    rep.vertex_failures.append((Fraction(3, 2),))
-    assert not rep.passed
-    assert rep.witness() == {
+def test_report_witness(monkeypatch):
+    s = Scenario("sp", 4, 1)
+    assert chamber_inclusion_check(s, samples=10, seed=0) == (True, None)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    assert half in build_polytopes(s).delta_vertices
+    monkeypatch.setattr(polytopes, "convex_membership", lambda v, pts: v != half and convex_membership(v, pts))
+    assert chamber_inclusion_check(s, samples=10, seed=0) == (False, {
         "points_outside_delta": [],
-        "delta_vertices_outside": [["3/2"]],
+        "delta_vertices_outside": [["1/2", "1/2"]],
         "points_outside_phi": [],
-    }
+    })
 
 
 FACET_SCENARIOS = (

@@ -9,7 +9,7 @@ from covariants.syzygies import (
     bilinear_relations,
     mixed_minor_relation,
     product_relations,
-    quadratic_relation_closure,
+    quadratic_closure_ranks,
     relation_space,
 )
 
@@ -140,9 +140,9 @@ def test_three_term_relation_found_symbolically():
 
 
 def test_quadratic_closure_examples():
-    assert quadratic_relation_closure(build_generators(Scenario("gl", 3, 3, 0)), 3)
-    assert quadratic_relation_closure(build_generators(Scenario("gl", 2, 3, 0)), 3)
-    assert quadratic_relation_closure(build_generators(Scenario("gl", 2, 2, 0)), 4)
+    for (n, l), d in (((3, 3), 3), ((2, 3), 3), ((2, 2), 4)):
+        relation_dim, span_rank = quadratic_closure_ranks(build_generators(Scenario("gl", n, l, 0)), d)
+        assert span_rank == relation_dim, (n, l, d)
 
 
 def test_product_relations_are_relations():
