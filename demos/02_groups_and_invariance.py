@@ -8,13 +8,13 @@ certificates are exact.
 
 from covariants import (
     Scenario,
-    act_on_polynomial,
     form_matrix,
     lie_act_on_polynomial,
     nilradical_basis,
     sample_unipotent,
     torus_weight,
 )
+from covariants.groups import substitution_images
 from covariants.weights import eps_to_phi
 
 s = Scenario("o", 5, 2)
@@ -43,11 +43,11 @@ bottom = s.x_poly(s.n - 1, 0)
 print("\nbottom coordinate:")
 killed = all(not lie_act_on_polynomial(xi, bottom, s) for xi in basis)
 print("  killed by the nilradical:", killed)
-fixed = act_on_polynomial(g, bottom, s) == c * bottom
+fixed = bottom.substitute(substitution_images(g, s)) == c * bottom
 print("  fixed by the sample (c*u scales it by c):", fixed)
 assert killed and fixed
-print("  weight:", torus_weight(bottom, s).eps,
-      "=", eps_to_phi(s, torus_weight(bottom, s).eps), "in fundamental-weight coordinates")
+weight = torus_weight(bottom, s)
+print("  weight:", weight, "=", eps_to_phi(s, weight), "in fundamental-weight coordinates")
 
 # ... while the top coordinate is not
 top = s.x_poly(0, 0)

@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 
 from .scenario import Scenario
 from .polynomial import Polynomial
-from .linalg import Matrix, det, kernel_basis, minor, rank
+from .linalg import Matrix, kernel_basis, minor, rank
 from .lp import convex_combination, convex_membership
-from .weights import DominantWeight, Weight, convert_weight, eps_to_phi, phi_to_eps
+from .weights import eps_to_phi, phi_to_eps
 from .groups import (
-    act_on_polynomial,
     form_matrix,
     lie_act_on_polynomial,
     nilradical_basis,
@@ -38,7 +37,6 @@ from .dimensions import (
     CapExceeded,
     SeedDisagreement,
     generated_dimension,
-    invariant_dimension,
     minimality_check,
 )
 from .degrees import (

@@ -66,11 +66,15 @@ def parse_matrix(text: str) -> list[list[Fraction]]:
 
 
 def parse_subset(text: str, allowed, flag: str, item=str) -> tuple:
-    """The comma-separated items of ``flag``; one outside ``allowed`` is a usage error."""
+    """The comma-separated items of ``flag``; one outside ``allowed``, or one
+    given twice, is a usage error."""
     items = tuple(map(item, text.split(",")))
     unknown = [x for x in items if x not in allowed]
     if unknown:
         raise ValueError(f"{flag} takes a subset of {','.join(map(str, allowed))}, got {','.join(map(str, unknown))}")
+    repeated = [x for x in allowed if items.count(x) > 1]
+    if repeated:
+        raise ValueError(f"{flag} names {','.join(map(str, repeated))} more than once")
     return items
 
 
@@ -274,7 +278,7 @@ def cmd_full_suite(args) -> int:
     cfg = suite.SuiteConfig(
         seed=args.seed,
         invariance_samples=_samples(args, 100),
-        monomial_cap=args.cap,
+        monomial_cap=_cap(args, 0) if args.cap is not None else None,
         groups=parse_subset(args.groups, GROUPS, "--groups") if args.groups else GROUPS,
     )
     criteria = parse_subset(args.criteria, suite.CRITERIA, "--criteria", int) if args.criteria else None

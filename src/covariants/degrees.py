@@ -29,7 +29,7 @@ from functools import lru_cache
 from .dimensions import invariant_weight_dims
 from .generators import GeneratorSet, build_generators, weight_table_of
 from .scenario import Scenario
-from .weights import DominantWeight, in_weight_monoid, phi_to_eps
+from .weights import in_weight_monoid, phi_to_eps
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,6 @@ class PresentationStep:
 
 
 def _as_phi(chi) -> tuple[int, ...]:
-    if isinstance(chi, DominantWeight):
-        chi = chi.phi
     out = []
     for k in chi:
         if int(k) != k:

@@ -13,9 +13,9 @@ weight, since every generator monomial is a weight vector:
   evaluation cannot raise a rank.  It is a certified lower bound for the
   weight space.
 
-* ``invariant_dimension``: the dimension of the space of degree-t (and
-  optionally fixed-weight) polynomials annihilated by the whole nilradical,
-  computed as an exact sparse kernel over the integers, block by weight.
+* ``invariant_weight_dims``: per weight, the dimension of the space of
+  degree-t polynomials annihilated by the whole nilradical, computed as an
+  exact sparse kernel over the integers, block by weight.
   The blocks come from the same enumerator and weight bucketing as the
   generator monomials' (``_weight_blocks``), with each variable a letter
   of degree 1 whose weight is ``groups.monomial_torus_weight`` of that
@@ -117,21 +117,6 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
 def invariant_weight_dims(s: Scenario, t: int, cap: int | None = None) -> dict:
     """Exact dimension of each weight space of degree-t invariants."""
     return dict(_invariant_weight_dims_cached(s, t, monomial_cap(cap)))
-
-
-def invariant_dimension(
-    s: Scenario, t: int, weight: tuple | None = None, cap: int | None = None
-) -> int:
-    """Exact dimension of the degree-t invariants (of one weight if given).
-
-    ``weight`` is in epsilon-coordinates of the scenario's torus.
-    """
-    if t < 0:
-        raise ValueError("degree must be nonnegative")
-    dims = invariant_weight_dims(s, t, cap)
-    if weight is None:
-        return sum(dims.values())
-    return dims.get(tuple(weight), 0)
 
 
 # -- evaluation ranks of generator monomials -------------------------------------
@@ -270,7 +255,7 @@ def _weight_blocks(degrees: Sequence[int], eps: Sequence, rank: int, t: int) -> 
 
 def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
     """The degree-t generator monomials grouped by weight, in their original order."""
-    return _weight_blocks([g.degree for g in gs.gens], [g.weight.eps for g in gs.gens], gs.scenario.rank, t)
+    return _weight_blocks([g.degree for g in gs.gens], [g.weight for g in gs.gens], gs.scenario.rank, t)
 
 
 def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> dict:
@@ -319,7 +304,7 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     inessential: list[str] = []
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
-        blocks.setdefault((g.degree, g.weight.eps), []).append(idx)
+        blocks.setdefault((g.degree, g.weight), []).append(idx)
     by_degree = {d: weight_blocks(gs, d) for d, _ in blocks}
     keys, batch = sorted(blocks), []
     for d, w in keys:

@@ -10,7 +10,8 @@ The recipe depends on the group and the parity of n = dim V:
   o, even n: as for odd n, plus (when l >= r) the order-r minors through
              row r and the last r-1 rows ("cross minors").
 
-Every generator carries its degree and torus weight.  Its label names its
+Every generator carries its degree and its torus weight, the plain tuple of
+epsilon-coordinates that ``groups.torus_weight`` returns.  Its label names its
 recipe, 1-based: ``C[i][j]`` and ``Q[i][j]`` for a pair of copies, and
 ``lowMinor[k;c1,...,ck]``, ``leftMinor[k;r1,...,rk]`` and
 ``crossMinor[k;c1,...,ck]`` for an order-k minor on an ascending column (or,
@@ -41,7 +42,7 @@ from .linalg import lower_minors, minor, solve
 from .polynomial import Polynomial, unpack
 from .rng import substream
 from .scenario import Scenario
-from .weights import Weight, integral_phi
+from .weights import integral_phi
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,13 @@ class Generator:
     label: str
     poly: Polynomial
     degree: int
-    weight: Weight
+    weight: tuple
 
     def to_json(self, s: Scenario) -> dict:
         return {
             "label": self.label,
             "degree": self.degree,
-            "weight_phi": list(integral_phi(s, self.weight.eps)),
+            "weight_phi": list(integral_phi(s, self.weight)),
             "poly": self.poly.to_json(),
         }
 
@@ -218,7 +219,7 @@ def expected_weight_table(s: Scenario) -> list[tuple[int, tuple[int, ...]]]:
 def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
     """Distinct (degree, phi-weight) pairs occurring among the generators."""
     s = gs.scenario
-    return {(g.degree, integral_phi(s, g.weight.eps)) for g in gs.gens}
+    return {(g.degree, integral_phi(s, g.weight)) for g in gs.gens}
 
 
 # -- invariance ---------------------------------------------------------------
@@ -322,7 +323,7 @@ def monomial_weight(gs: GeneratorSet, monomial) -> tuple:
     """Epsilon-coordinates of the torus weight of a generator monomial."""
     w = (0,) * gs.scenario.rank
     for idx, mult in monomial:
-        w = tuple(a + mult * b for a, b in zip(w, gs.gens[idx].weight.eps))
+        w = tuple(a + mult * b for a, b in zip(w, gs.gens[idx].weight))
     return w
 
 

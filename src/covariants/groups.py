@@ -20,7 +20,8 @@ the derivation images of the nilradical (``derivation_images`` and
 ``derive_monomial``, used for invariance and for the exact invariant
 kernels; they act on packed monomials, see ``polynomial``) and the torus
 weight of a monomial (``monomial_torus_weight``, used for generator weights
-and for the weight blocks of those kernels).
+and for the weight blocks of those kernels).  A weight is a plain tuple of
+epsilon-coordinates (see ``weights``); ``torus_weight`` returns one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import lru_cache
 from .linalg import Matrix, kernel_basis, primitive_row
 from .polynomial import Polynomial, variable_key
 from .scenario import Scenario
-from .weights import Weight
 
 
 def form_matrix(s: Scenario) -> Matrix:
@@ -148,13 +148,6 @@ def substitution_images(g: Matrix, s: Scenario) -> dict[int, Polynomial]:
     return images
 
 
-def act_on_polynomial(g: Matrix, p: Polynomial, s: Scenario) -> Polynomial:
-    """The substitution action of a group element on a polynomial."""
-    if p.nvars != s.nvars:
-        raise ValueError("polynomial does not live on this scenario's universe")
-    return p.substitute(substitution_images(g, s))
-
-
 def derivation_images(xi: Matrix, s: Scenario) -> list[list[tuple[int, object]]]:
     """Sparse images of the variables under the derivation of xi.
 
@@ -233,7 +226,7 @@ def monomial_torus_weight(s: Scenario, exps: tuple[int, ...]) -> tuple:
     return tuple(w)
 
 
-def torus_weight(p: Polynomial, s: Scenario) -> Weight:
+def torus_weight(p: Polynomial, s: Scenario) -> tuple:
     """The torus weight of a weight-homogeneous polynomial.
 
     The common ``monomial_torus_weight`` of its monomials; raises for the
@@ -244,4 +237,4 @@ def torus_weight(p: Polynomial, s: Scenario) -> Weight:
         raise ValueError("the zero polynomial has no weight")
     if len(weights) > 1:
         raise ValueError("not a weight vector (monomials of mixed weight)")
-    return Weight(weights.pop())
+    return weights.pop()

@@ -3,7 +3,7 @@
 Matrices are meant for the small sizes that dominate this package
 (dimensions <= a few hundred).  ``lower_minors`` builds the minors on the
 last k rows order by order; ``Matrix.det`` reads its full-column entry, and
-``minor`` (any row and column subsets) goes through ``det``.
+``minor`` (any row and column subsets) goes through ``Matrix.det``.
 
 One exact elimination engine serves everything else: ``_echelon_form``
 brings sparse primitive integer rows to fraction-free echelon form, and
@@ -101,9 +101,6 @@ class Matrix:
     def map(self, f: Callable) -> "Matrix":
         return Matrix([[f(a) for a in row] for row in self.rows])
 
-    def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
-
     def det(self):
         """Determinant: the full-column entry of ``lower_minors``.
 
@@ -152,10 +149,6 @@ def _dot(row, col):
     if total is None:
         return 0
     return total
-
-
-def det(matrix: Matrix):
-    return matrix.det()
 
 
 def minor(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]):

@@ -36,6 +36,8 @@ class Scenario:
             raise ValueError("n must be at least 1")
         if self.l < 0 or self.m < 0:
             raise ValueError("l and m must be nonnegative")
+        if self.group == "o" and self.n < 2:
+            raise ValueError("o requires n >= 2 (O(1) has a rank-0 torus)")
         if self.group == "sp" and self.n % 2:
             raise ValueError("sp requires even n")
         if self.group in ("o", "sp") and self.m:

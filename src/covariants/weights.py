@@ -13,47 +13,18 @@ Fundamental-weight (phi-) coordinates depend on the group:
                    phi_{r-1} = (e_1+...+e_r)/2,
                    phi_r = (e_1+...+e_{r-1}-e_r)/2
 
-Both conversions are exact and mutually inverse.
+Both conversions are exact and mutually inverse.  A weight is a plain tuple
+in either coordinate system; ``eps_to_phi`` and ``phi_to_eps`` are the one
+conversion, and ``integral_phi`` the one that demands integral phi.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .polynomial import canon_coeff
 from .scenario import Scenario
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A torus weight in epsilon-coordinates."""
-
-    eps: tuple
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(canon_coeff(a + b) for a, b in zip(self.eps, other.eps)))
-
-    def __mul__(self, c) -> "Weight":
-        return Weight(tuple(canon_coeff(a * c) for a in self.eps))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.eps)
-
-
-@dataclass(frozen=True)
-class DominantWeight:
-    """Nonnegative (except possibly the last gl coordinate) phi-coordinates."""
-
-    phi: tuple
-
-    def __mul__(self, c: int) -> "DominantWeight":
-        return DominantWeight(tuple(a * c for a in self.phi))
-
-    __rmul__ = __mul__
 
 
 def fundamental_weight_eps(s: Scenario, i: int) -> tuple:
@@ -103,17 +74,6 @@ def eps_to_phi(s: Scenario, eps: Sequence) -> tuple:
     else:  # rank-1 even orthogonal is degenerate; kept for completeness
         phi = [w[0]]
     return tuple(canon_coeff(p) for p in phi)
-
-
-def convert_weight(s: Scenario, w, target: str):
-    """Convert between Weight (eps) and DominantWeight (phi) representations."""
-    if target == "phi":
-        eps = w.eps if isinstance(w, Weight) else tuple(w)
-        return DominantWeight(eps_to_phi(s, eps))
-    if target == "eps":
-        phi = w.phi if isinstance(w, DominantWeight) else tuple(w)
-        return Weight(phi_to_eps(s, phi))
-    raise ValueError("target must be 'phi' or 'eps'")
 
 
 def integral_phi(s: Scenario, eps: Sequence) -> tuple[int, ...]:

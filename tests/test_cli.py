@@ -370,7 +370,7 @@ def test_seed_disagreement_is_an_error_verdict(capsys, monkeypatch):
     assert check["name"] == "minimality o n=3 l=1 m=0"
     assert check["verdict"] == "error" and check["witness"].startswith("SeedDisagreement: ")
     # every block disagrees, so the witness names the first (degree, weight) block
-    degree, weight = min((g.degree, g.weight.eps) for g in suite.build_generators(Scenario("o", 3, 1)).gens)
+    degree, weight = min((g.degree, g.weight) for g in suite.build_generators(Scenario("o", 3, 1)).gens)
     assert f"degree-{degree} block of weight {weight} " in check["witness"]
 
 
@@ -430,12 +430,24 @@ def test_data_command_error_is_a_line(capsys, monkeypatch):
         ["lemma4", "--group", "gl", "--n", "2", "--samples", "-1"],
         ["full-suite", "--groups", "sp", "--criteria", "1", "--samples", "-1"],
         ["flag-map", "--group", "gl", "--n", "2", "--l", "2", "--matrix", "1/0,1;1,1"],
+        ["full-suite", "--criteria", "2,2"],  # a repeated item
+        ["full-suite", "--groups", "gl,sp,gl"],
+        ["full-suite", "--groups", "gl", "--criteria", "3", "--cap", "-1"],  # would skip every capped check
+        ["generate", "--group", "o", "--n", "1", "--l", "1"],  # O(1) has a rank-0 torus
+        ["weights-table", "--group", "o", "--n", "1", "--l", "1"],
+        ["lemma4", "--group", "o", "--n", "1"],
     ],
 )
 def test_inputs_a_check_cannot_take_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == USAGE_ERROR
     assert err.startswith("error:") and not out
+
+
+def test_full_suite_cap_0_is_a_cap(capsys):
+    code, out, _ = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "3", "--cap", "0")
+    checks = json.loads(out)["checks"]
+    assert code == 0 and checks and all(c["verdict"] == "skipped (cap)" for c in checks)
 
 
 def test_bilinear_prints_relations(capsys):
@@ -466,7 +478,7 @@ def _dropped(gs):
 
 def _with_product(gs):
     g1, g2 = gs.gens[0], gs.gens[-1]
-    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, g1.weight + g2.weight)
+    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, tuple(a + b for a, b in zip(g1.weight, g2.weight)))
     return dataclasses.replace(gs, gens=gs.gens + (extra,))
 
 

@@ -13,13 +13,7 @@ from covariants.degrees import (
     min_degree_invariant,
 )
 from covariants.scenario import Scenario
-from covariants.weights import (
-    convert_weight,
-    eps_to_phi,
-    in_weight_monoid,
-    phi_to_eps,
-    Weight,
-)
+from covariants.weights import eps_to_phi, in_weight_monoid, phi_to_eps
 
 
 def steps_as_multiset(steps):
@@ -48,9 +42,6 @@ def test_conversion_round_trip():
             eps = tuple(rng.randint(-6, 6) for _ in range(q))
             phi = eps_to_phi(s, eps)
             assert phi_to_eps(s, phi) == eps
-        w = Weight(tuple(rng.randint(-3, 3) for _ in range(q)))
-        dom = convert_weight(s, w, "phi")
-        assert convert_weight(s, dom, "eps").eps == w.eps
 
 
 def test_presentation_single_fundamental():

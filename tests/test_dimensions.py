@@ -14,7 +14,6 @@ from covariants.dimensions import (
     _two_seed_ranks,
     degree_monomial_count,
     generated_dimension,
-    invariant_dimension,
     invariant_weight_dims,
     minimality_check,
     monomial_eval_matrix,
@@ -52,23 +51,26 @@ def test_weighted_monomials_enumeration():
         assert all(e > 0 for _, e in m)
 
 
+def _dense_monomials(s: Scenario, t: int) -> list:
+    return [exps for exps in itertools.product(range(t + 1), repeat=s.nvars) if sum(exps) == t]
+
+
+def _dense_nullity(s: Scenario, block) -> int:
+    """Dimension of the invariants spanned by the monomials ``block`` (dense
+    exponent tuples), from ``lie_act_on_polynomial`` and a dense exact rank."""
+    images = [[lie_act_on_polynomial(xi, Polynomial(s.nvars, {e: 1}), s) for e in block] for xi in nilradical_basis(s)]
+    targets = sorted({e for row in images for q in row for e in q.terms})
+    rows = [[q.terms.get(e, 0) for q in row] for row in images for e in targets]
+    return len(block) - rank(rows)
+
+
 def _brute_force_weight_dims(s: Scenario, t: int) -> dict:
-    """Degree-t invariant dimension per weight from dense exponent tuples,
-    ``lie_act_on_polynomial`` and a dense exact rank."""
+    """Degree-t invariant dimension per weight from ``_dense_nullity``."""
     blocks: dict[tuple, list] = {}
-    for exps in itertools.product(range(t + 1), repeat=s.nvars):
-        if sum(exps) == t:
-            blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
-    basis = nilradical_basis(s)
-    dims = {}
-    for w, block in blocks.items():
-        images = [[lie_act_on_polynomial(xi, Polynomial(s.nvars, {e: 1}), s) for e in block] for xi in basis]
-        targets = sorted({e for row in images for q in row for e in q.terms})
-        rows = [[q.terms.get(e, 0) for q in row] for row in images for e in targets]
-        nullity = len(block) - rank(rows)
-        if nullity:
-            dims[w] = nullity
-    return dims
+    for exps in _dense_monomials(s, t):
+        blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
+    dims = {w: _dense_nullity(s, block) for w, block in blocks.items()}
+    return {w: d for w, d in dims.items() if d}
 
 
 @pytest.mark.parametrize(
@@ -89,7 +91,7 @@ def test_invariant_weight_dims_match_a_brute_force_oracle(s):
 
 def test_degree_zero_dimensions():
     s = Scenario("sp", 2, 1)
-    assert invariant_dimension(s, 0) == 1
+    assert invariant_weight_dims(s, 0) == {(0,): 1}
     assert generated_dimension(build_generators(s), 0) == {(0,): 1}
     empty = Scenario("gl", 2, 0, 0)  # no variables: only the constants
     assert invariant_weight_dims(empty, 0) == {(0, 0): 1} and invariant_weight_dims(empty, 1) == {}
@@ -100,7 +102,7 @@ def test_single_copy_gl_line():
     s = Scenario("gl", 2, 1, 0)
     gs = build_generators(s)
     for t in range(5):
-        assert invariant_dimension(s, t) == 1
+        assert invariant_weight_dims(s, t) == {(0, -t): 1}
         assert generated_dimension(gs, t) == {(0, -t): 1}
 
 
@@ -108,15 +110,16 @@ def test_weight_refinement_sums_to_total():
     s = Scenario("o", 3, 2)
     for t in range(4):
         dims = invariant_weight_dims(s, t)
-        assert sum(dims.values()) == invariant_dimension(s, t)
+        # the weight blocks lose nothing: one kernel over all monomials agrees
+        assert sum(dims.values()) == _dense_nullity(s, _dense_monomials(s, t))
         assert all(d > 0 for d in dims.values())
 
 
 def test_invariant_dimension_with_weight():
     s = Scenario("gl", 2, 1, 0)
     # degree 3 invariants: the cube of the bottom coordinate, weight -3 eps_2
-    assert invariant_dimension(s, 3, weight=(0, -3)) == 1
-    assert invariant_dimension(s, 3, weight=(-3, 0)) == 0
+    assert invariant_weight_dims(s, 3).get((0, -3), 0) == 1
+    assert invariant_weight_dims(s, 3).get((-3, 0), 0) == 0
 
 
 def test_generation_matches_on_small_grid():
@@ -162,8 +165,8 @@ def _o_minimality_blocks():
     """The first-pass blocks of ``minimality_check`` on o (4,3), built here."""
     gs = build_generators(Scenario("o", 4, 3))
     batch = []
-    for d, w in sorted({(g.degree, g.weight.eps) for g in gs.gens}):
-        gens = [((i, 1),) for i, g in enumerate(gs.gens) if (g.degree, g.weight.eps) == (d, w)]
+    for d, w in sorted({(g.degree, g.weight) for g in gs.gens}):
+        gens = [((i, 1),) for i, g in enumerate(gs.gens) if (g.degree, g.weight) == (d, w)]
         base = [m for m in weight_blocks(gs, d)[w] if m not in gens]
         batch.append((base + gens, len(base) + len(gens) + 32, (len(base),)))
     return gs, batch
@@ -223,7 +226,7 @@ def test_generated_dimension_cap_counts_all_blocks():
 def test_monomial_cap_guard():
     s = Scenario("gl", 3, 3, 3)
     with pytest.raises(CapExceeded):
-        invariant_dimension(s, 4, cap=100)
+        invariant_weight_dims(s, 4, cap=100)
 
 
 def test_minimality_passes_on_small_grid():
@@ -306,7 +309,7 @@ def test_dropped_generator_loses_generated_dimension(s):
         partial = GeneratorSet(s, gs.gens[:k] + gs.gens[k + 1 :])
         gen, inv = generated_dimension(partial, dropped.degree), invariant_weight_dims(s, dropped.degree)
         assert all(gen.get(w, 0) <= dim for w, dim in inv.items()) and gen.keys() <= inv.keys()
-        assert gen.get(dropped.weight.eps, 0) < inv[dropped.weight.eps], dropped.label
+        assert gen.get(dropped.weight, 0) < inv[dropped.weight], dropped.label
 
 
 @pytest.mark.parametrize(
@@ -315,5 +318,5 @@ def test_dropped_generator_loses_generated_dimension(s):
 def test_product_of_generators_is_inessential(s):
     gs = build_generators(s)
     g1, g2 = gs.gens[0], gs.gens[-1]
-    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, g1.weight + g2.weight)
+    extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, tuple(a + b for a, b in zip(g1.weight, g2.weight)))
     assert minimality_check(GeneratorSet(s, gs.gens + (extra,))) == (False, {"inessential": ["extra"]})

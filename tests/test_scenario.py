@@ -16,6 +16,8 @@ def test_validation():
         Scenario("su", 3, 1)
     with pytest.raises(ValueError):
         Scenario("gl", 2, -1)
+    with pytest.raises(ValueError, match="o requires n >= 2"):  # O(1) has a rank-0 torus
+        Scenario("o", 1, 1)
 
 
 def test_cases_and_rank():
