@@ -19,6 +19,15 @@ for left minors, row) subset.  ``generator_label`` is the one formatter and
 ``GeneratorSet.find`` the one lookup; subsets come in lexicographic order, so
 JSON output is reproducible.
 
+Each generator also keeps that recipe as ``(kind, index)``.  ``minor_table``
+is the one place that builds the lower and left minors, keyed by recipe, and
+it has two callers.  ``build_generators`` calls it at the coordinate matrices
+(V, V*), and those entries are the minor generators.  ``check_invariance``
+calls it once per sample u at (c*u*V, V*u^-1), whose entries are the variable
+images of the substitution.  Substitution is a ring homomorphism, so that
+table holds every acted minor at once, and the Laplace expansion shares
+their sub-minors.
+
 ``check_invariance`` returns (passed, witness), the shape of every suite
 check; the witness entry of a violation is built where it is found.
 """
@@ -38,7 +47,7 @@ from .groups import (
     substitution_images,
     torus_weight,
 )
-from .linalg import lower_minors, minor, solve
+from .linalg import Matrix, lower_minors, minor, solve
 from .polynomial import Polynomial, unpack
 from .rng import substream
 from .scenario import Scenario
@@ -51,6 +60,7 @@ class Generator:
     poly: Polynomial
     degree: int
     weight: tuple
+    recipe: tuple | None = None  # (kind, index) of ``generator_label``
 
     def to_json(self, s: Scenario) -> dict:
         return {
@@ -95,6 +105,27 @@ def generator_label(kind: str, index) -> str:
     return f"{kind}[{len(index)};{','.join(str(c + 1) for c in index)}]"
 
 
+def minor_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
+    """The lower and left minor generators' recipes at the n x l matrix ``v``
+    and the m x n matrix ``vstar``: ``{(kind, index): minor}``, in generator order.
+
+    Lower minors are ``lower_minors(v, p)``.  The left minor on rows R of
+    ``vstar`` is the lower minor on columns R of its row-reversed transpose,
+    times (-1)^(p(p-1)/2), the sign of reversing p rows.
+    """
+    table = {}
+    low = min(s.l, s.r) if s.group == "sp" else min(s.l, s.n)
+    for order in lower_minors(v, low)[1:]:
+        for cols, poly in order.items():
+            table["lowMinor", cols] = poly
+    if s.m:
+        flipped = Matrix(vstar.transpose().rows[::-1])
+        for p, order in enumerate(lower_minors(flipped, min(s.m, s.n))[1:], start=1):
+            for rows, poly in order.items():
+                table["leftMinor", rows] = -poly if p * (p - 1) // 2 % 2 else poly
+    return table
+
+
 def form_value_poly(s: Scenario, i: int, j: int) -> Polynomial:
     """Q(v_i, v_j) expanded in the x variables (0-based copy indices)."""
     q = form_matrix(s)
@@ -115,14 +146,13 @@ def build_generators(s: Scenario) -> GeneratorSet:
     def add(kind: str, index, poly: Polynomial, degree: int):
         label = generator_label(kind, index)
         assert poly.is_homogeneous(degree), label
-        gens.append(Generator(label, poly, degree, torus_weight(poly, s)))
+        gens.append(Generator(label, poly, degree, torus_weight(poly, s), (kind, index)))
 
     vbar = s.v_matrix()
 
-    def add_lower_minors(p: int):
-        for k, order in enumerate(lower_minors(vbar, p)[1:], start=1):
-            for cols, poly in order.items():
-                add("lowMinor", cols, poly, k)
+    def add_minors():
+        for (kind, index), poly in minor_table(s, vbar, s.vstar_matrix()).items():
+            add(kind, index, poly, len(index))
 
     if s.group == "gl":
         for i in range(m):
@@ -131,13 +161,7 @@ def build_generators(s: Scenario) -> GeneratorSet:
                 for k in range(n):
                     entry = entry + s.a_poly(i, k) * s.x_poly(k, j)
                 add("C", (i, j), entry, 2)
-        add_lower_minors(min(l, n))
-        if m:
-            vstar = s.vstar_matrix()
-            for p in range(1, min(m, n) + 1):
-                cols = list(range(p))
-                for rows in itertools.combinations(range(m), p):
-                    add("leftMinor", rows, minor(vstar, rows, cols), p)
+        add_minors()
         return GeneratorSet(s, tuple(gens))
 
     # orthogonal / symplectic
@@ -148,7 +172,7 @@ def build_generators(s: Scenario) -> GeneratorSet:
         pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
     for i, j in pairs:
         add("Q", (i, j), form_value_poly(s, i, j), 2)
-    add_lower_minors(min(l, r) if s.group == "sp" else min(l, n))
+    add_minors()
     if s.case == "D" and l >= r and r >= 1:
         rows = [r - 1] + list(range(n - r + 1, n))
         for cols in itertools.combinations(range(l), r):
@@ -239,6 +263,11 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     a failure lists each violation under ``lie`` or ``samples`` with its
     generator's label and its witnessing element, the basis element xi or
     the rational sample u.
+
+    A generator whose poly equals its recipe's entry of ``minor_table`` at
+    (V, V*), checked exactly once per call, reads its image under a sample
+    from the table at the substituted matrices; every other generator (C, Q,
+    cross minors, or a poly that is not its recipe) is substituted.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}
@@ -248,15 +277,24 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
         for idx, xi in enumerate(basis):
             if lie_act_on_polynomial(xi, g.poly, s, tables[idx]):
                 witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
+    at_v = minor_table(s, s.v_matrix(), s.vstar_matrix())
+    tabled = [g.recipe in at_v and at_v[g.recipe] == g.poly for g in gs.gens]
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
         c, cu = sample_unipotent(s, rng)
         if s.m and c != 1:
             raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
         images = substitution_images(cu, s)  # shared across the generators
-        for g in gs.gens:
+        if any(tabled):  # the images are the entries of c*u*V and V*u^-1
+            acted = minor_table(
+                s,
+                Matrix([[images[s.x_var(i, j)] for j in range(s.l)] for i in range(s.n)]),
+                Matrix([[images[s.a_var(i, j)] for j in range(s.n)] for i in range(s.m)]),
+            )
+        for g, by_table in zip(gs.gens, tabled):
             expected = g.poly if c == 1 else c ** g.degree * g.poly
-            if g.poly.substitute(images) != expected:
+            image = acted[g.recipe] if by_table else g.poly.substitute(images)
+            if image != expected:
                 u = cu * Fraction(1, c)
                 witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u.to_json()})
     passed = not (witness["lie"] or witness["samples"])

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polynomial import canon_coeff
+from .polynomial import Polynomial, canon_coeff
 
 # Two largest primes below 2^31: squares stay inside int64 during elimination.
 PRIME_A = 2147483647
@@ -174,7 +174,8 @@ def lower_minors(matrix: Matrix, p: int) -> list[dict]:
     lexicographic order (the wedge basis).  Order 1 is the last row; order
     k is the Laplace expansion of order k-1 along row m - k, so every minor
     is built once.  One with no nonzero term is ``0 * entry``, so polynomial
-    matrices give a zero polynomial.
+    matrices give a zero polynomial.  On a matrix of polynomials each minor's
+    expansion is one ``Polynomial.sum_of_products``.
     """
     if not 0 <= p <= matrix.m:
         raise ValueError(f"minor order must satisfy 0 <= p <= {matrix.m}, got {p}")
@@ -182,20 +183,33 @@ def lower_minors(matrix: Matrix, p: int) -> list[dict]:
     table: list[dict] = [{(): 1}]
     if p:
         table.append({(j,): a for j, a in enumerate(rows[m - 1])})
+    polys = (
+        min(p, matrix.n) >= 2
+        and isinstance(rows[0][0], Polynomial)  # one test settles a matrix of numbers
+        and all(isinstance(a, Polynomial) for r in rows for a in r)
+    )
     for k in range(2, p + 1):
         row = rows[m - k]
         prev = table[-1]
         cur = {}
         for cols in itertools.combinations(range(matrix.n), k):
-            total = None
-            for pos, j in enumerate(cols):
-                a = row[j]
-                if not a:
-                    continue
-                sub = prev[cols[:pos] + cols[pos + 1 :]]
-                term = a * sub if pos % 2 == 0 else -(a * sub)
-                total = term if total is None else total + term
-            cur[cols] = 0 * rows[0][0] if total is None else total
+            if polys:
+                terms = [
+                    (-1 if pos % 2 else 1, row[j], prev[cols[:pos] + cols[pos + 1 :]])
+                    for pos, j in enumerate(cols)
+                    if row[j]
+                ]
+                cur[cols] = Polynomial.sum_of_products(row[0].nvars, terms)
+            else:
+                total = None
+                for pos, j in enumerate(cols):
+                    a = row[j]
+                    if not a:
+                        continue
+                    sub = prev[cols[:pos] + cols[pos + 1 :]]
+                    term = a * sub if pos % 2 == 0 else -(a * sub)
+                    total = term if total is None else total + term
+                cur[cols] = 0 * rows[0][0] if total is None else total
         table.append(cur)
     return table
 

@@ -195,6 +195,19 @@ class Polynomial:
                 out[variable_key(i)] = c
         return cls._make(nvars, out)
 
+    @classmethod
+    def sum_of_products(cls, nvars: int, terms) -> "Polynomial":
+        """The sum of ``c * a * b`` over the ``(c, a, b)`` in terms, with c a
+        number and a, b polynomials of an nvars universe: accumulated into
+        one term dict and cleaned once (the Laplace step of
+        ``linalg.lower_minors``)."""
+        out: dict = {}
+        for c, a, b in terms:
+            if a.nvars != nvars or b.nvars != nvars:
+                raise ValueError(f"a factor outside the universe of {nvars} variables")
+            _product(a._packed, b._packed, out, c)
+        return cls._make(nvars, _clean(nvars, out))
+
     # -- accessors -----------------------------------------------------------
 
     @property

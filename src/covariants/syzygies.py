@@ -122,24 +122,28 @@ def mixed_minor_relation(n: int, l: int, m: int) -> tuple[bool, Polynomial, Poly
     r = n - l + 1  # first row index (1-based) of the full lower minor
     lhs = gs.gens[gs.find("leftMinor", range(m))].poly * gs.gens[gs.find("lowMinor", range(l))].poly
     cmat = [[gs.gens[gs.find("C", (i, j))].poly for j in range(l)] for i in range(m)]
-    rhs = Polynomial.zero(sc.nvars)
     nv = sc.nvars
-    for sigma in itertools.permutations(range(m)):
-        sgn_s = _perm_sign(sigma)
-        # monomial of the first r-1 left-minor factors: a[sigma(t), t]
-        a_exps = [0] * nv
-        for t in range(r - 1):
-            a_exps[sc.a_var(sigma[t], t)] += 1
-        for tau in itertools.permutations(range(l)):
-            sgn = sgn_s * _perm_sign(tau)
-            exps = list(a_exps)
-            for u in range(s_overlap, l):
-                exps[sc.x_var(m + u - s_overlap, tau[u])] += 1
-            prod = Polynomial(nv, {tuple(exps): sgn})
-            for v in range(s_overlap):
-                prod = prod * cmat[sigma[r - 1 + v]][tau[v]]
-            rhs = rhs + prod
-    rhs = rhs * Fraction(1, math.factorial(s_overlap))
+    last = s_overlap - 1
+
+    def terms():
+        """(sign, product of all factors but the last C entry, that entry),
+        made one at a time so that only the sum is held."""
+        for sigma in itertools.permutations(range(m)):
+            sgn_s = _perm_sign(sigma)
+            # monomial of the first r-1 left-minor factors: a[sigma(t), t]
+            a_exps = [0] * nv
+            for t in range(r - 1):
+                a_exps[sc.a_var(sigma[t], t)] += 1
+            for tau in itertools.permutations(range(l)):
+                exps = list(a_exps)
+                for u in range(s_overlap, l):
+                    exps[sc.x_var(m + u - s_overlap, tau[u])] += 1
+                head = Polynomial(nv, {tuple(exps): 1})
+                for v in range(last):
+                    head = head * cmat[sigma[r - 1 + v]][tau[v]]
+                yield sgn_s * _perm_sign(tau), head, cmat[sigma[r - 1 + last]][tau[last]]
+
+    rhs = Polynomial.sum_of_products(nv, terms()) * Fraction(1, math.factorial(s_overlap))
     return lhs == rhs, lhs, rhs
 
 

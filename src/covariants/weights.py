@@ -12,6 +12,7 @@ Fundamental-weight (phi-) coordinates depend on the group:
     o, n = 2r:     phi_i = e_1 + ... + e_i  (i <= r-2),
                    phi_{r-1} = (e_1+...+e_r)/2,
                    phi_r = (e_1+...+e_{r-1}-e_r)/2
+    o, n = 2:      phi_1 = e_1  (rank 1: the torus is SO(2) itself)
 
 Both conversions are exact and mutually inverse.  A weight is a plain tuple
 in either coordinate system; ``eps_to_phi`` and ``phi_to_eps`` are the one
@@ -40,6 +41,8 @@ def fundamental_weight_eps(s: Scenario, i: int) -> tuple:
             return tuple(1 if k < i else 0 for k in range(q))
         return (half,) * q
     # even orthogonal: the two half-weights sit at indices r-1 and r
+    if q == 1:
+        return (1,)
     if i <= q - 2:
         return tuple(1 if k < i else 0 for k in range(q))
     if i == q - 1:
@@ -71,7 +74,7 @@ def eps_to_phi(s: Scenario, eps: Sequence) -> tuple:
         phi = [w[i] - w[i + 1] for i in range(q - 1)] + [2 * w[q - 1]]
     elif q >= 2:
         phi = [w[i] - w[i + 1] for i in range(q - 2)] + [w[q - 2] + w[q - 1], w[q - 2] - w[q - 1]]
-    else:  # rank-1 even orthogonal is degenerate; kept for completeness
+    else:  # rank-1 even orthogonal: phi_1 = e_1
         phi = [w[0]]
     return tuple(canon_coeff(p) for p in phi)
 

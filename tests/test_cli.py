@@ -66,6 +66,12 @@ def test_nchi_oracle_and_mchi(capsys):
     assert code == 0 and json.loads(out)["minimal_degree"] == 2
 
 
+def test_mchi_oracle_on_rank_one_even_orthogonal(capsys):
+    # o n=2: phi_1 = e_1, the weight of the degree-1 coordinate x[2,1]
+    code, out, _ = run_cli(capsys, "mchi-oracle", "--group", "o", "--n", "2", "--l", "1", "--chi", "1")
+    assert code == 0 and json.loads(out)["minimal_degree"] == 1
+
+
 def test_degree_cap_zero_is_a_cap_not_the_default(capsys):
     chi3 = ("--group", "sp", "--n", "2", "--l", "2", "--chi", "3")
     code, out, _ = run_cli(capsys, "nchi-oracle", *chi3)

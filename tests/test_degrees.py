@@ -34,14 +34,14 @@ def test_conversion_round_trip():
     for s in (
         Scenario("gl", 4, 1),
         Scenario("sp", 6, 1),
-        Scenario("o", 5, 1),
-        Scenario("o", 6, 1),
+        *(Scenario("o", n, 1) for n in range(2, 7)),
     ):
         q = s.rank
         for _ in range(100):
             eps = tuple(rng.randint(-6, 6) for _ in range(q))
             phi = eps_to_phi(s, eps)
             assert phi_to_eps(s, phi) == eps
+            assert eps_to_phi(s, phi_to_eps(s, phi)) == phi
 
 
 def test_presentation_single_fundamental():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from covariants.generators import (
     generator_label,
     expected_weight_table,
     generator_monomials,
+    minor_table,
     monomial_poly,
     monomial_weight,
     sp_high_minor_membership,
@@ -18,8 +20,10 @@ from covariants.generators import (
 )
 from covariants import generators
 from covariants.groups import form_matrix, torus_weight
-from covariants.linalg import Matrix
+from covariants.linalg import Matrix, minor
+from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
+from covariants.suite import invariance_grid
 from covariants.weights import integral_phi
 
 from conftest import permute_variables
@@ -174,6 +178,50 @@ def test_injected_non_invariant_is_caught():
     assert any(w["label"] == "bad" for w in witness["lie"])
     # the witness is the annihilation failure under the first raising operator
     assert Matrix.from_json(witness["lie"][0]["matrix"])[0, 1] == 1
+
+
+def test_minor_table_is_the_minor_generators_on_the_invariance_grid():
+    for s in invariance_grid(("gl", "o", "sp")):
+        gs = build_generators(s)
+        vbar, vstar = s.v_matrix(), s.vstar_matrix()
+        table = minor_table(s, vbar, vstar)
+        minors = [g for g in gs if g.recipe[0] in ("lowMinor", "leftMinor")]
+        assert list(table) == [g.recipe for g in minors]
+        for g in minors:
+            kind, index = g.recipe
+            assert table[g.recipe] == g.poly and g.label == generator_label(kind, index)
+            p = len(index)
+            if kind == "lowMinor":
+                assert g.poly == minor(vbar, list(range(s.n - p, s.n)), index)
+            else:
+                assert g.poly == minor(vstar, index, range(p))
+
+
+def test_a_replaced_poly_keeps_the_substitution_path():
+    # gens[0] keeps its recipe lowMinor[1;1] (= x[2,1]) but not its poly
+    s = Scenario("gl", 2, 2)
+    gs = build_generators(s)
+    assert gs.gens[0].recipe == ("lowMinor", (0,))
+    moved = dataclasses.replace(gs.gens[0], poly=s.x_poly(0, 0))
+    # no sample of seed 1 is the identity, so every one moves x[1,1]
+    passed, witness = check_invariance(GeneratorSet(s, (moved,) + gs.gens[1:]), num_samples=4, seed=1)
+    assert not passed
+    assert [w["label"] for w in witness["lie"]] == ["lowMinor[1;1]"]
+    assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [("lowMinor[1;1]", k) for k in range(4)]
+    # an invariant poly that is not its recipe passes: it is substituted, not read off the table
+    doubled = dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly)
+    assert check_invariance(GeneratorSet(s, (doubled,) + gs.gens[1:]), num_samples=4, seed=1) == (True, None)
+
+
+def test_only_the_form_values_are_substituted(monkeypatch):
+    s = Scenario("o", 5, 5)
+    gs = build_generators(s)
+    calls = []
+    substitute = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute", lambda p, images: calls.append(p) or substitute(p, images))
+    assert check_invariance(gs, num_samples=3, seed=1) == (True, None)
+    forms = [g for g in gs if g.recipe[0] == "Q"]
+    assert len(forms) == 15 and len(calls) == 3 * len(forms)
 
 
 def test_sample_witness_is_the_rational_unipotent_element():

@@ -168,6 +168,13 @@ def test_lower_minors_zero_column_and_zero_row_are_typed_zeros():
     assert lower_minors(Matrix([[0, 0], [1, 2]]), 2)[2] == {(0, 1): 0}
 
 
+def test_lower_minors_of_mixed_polynomial_and_int_entries():
+    # a matrix that is not all polynomials takes the generic expansion
+    x = [Polynomial.variable(3, i) for i in range(3)]
+    table = lower_minors(Matrix([[x[0], 0], [x[1], x[2]]]), 2)
+    assert table[2][(0, 1)] == x[0] * x[2]
+
+
 def test_lower_minors_order_bounds():
     mat = Matrix([[1, 2, 3], [4, 5, 6]])
     assert lower_minors(mat, 0) == [{(): 1}]

@@ -79,6 +79,14 @@ def test_associativity_and_eval_commutes():
             assert (p + q).evaluate(pt) == vp + vq
 
 
+def test_sum_of_products(rng):
+    a, b, c, d = (random_poly(rng, 3) for _ in range(4))
+    assert Polynomial.sum_of_products(3, [(1, a, b), (-2, c, d)]) == a * b - 2 * (c * d)
+    assert Polynomial.sum_of_products(3, [(1, a, b), (-1, b, a)]) == Polynomial.zero(3)
+    with pytest.raises(ValueError):
+        Polynomial.sum_of_products(3, [(1, a, Polynomial.variable(4, 0))])
+
+
 def test_power():
     x, y = _vars(2)
     assert (x + y) ** 3 == x**3 + 3 * x * x * y + 3 * x * y * y + y**3
