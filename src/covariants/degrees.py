@@ -167,6 +167,8 @@ def min_degree_formula(s: Scenario, chi) -> int:
         raise ValueError("weight violates the parity constraint of the monoid")
     if s.n % 2:
         return sum((i + 1) * k[i] for i in range(r - 1)) + r * k[r - 1] // 2
+    if r == 1:
+        return k[0]  # o(2): phi_1 = e_1, the weight of each order-1 lower minor
     return (
         sum((i + 1) * k[i] for i in range(r - 2))
         + r * (k[r - 2] + k[r - 1]) // 2

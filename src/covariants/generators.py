@@ -19,14 +19,14 @@ for left minors, row) subset.  ``generator_label`` is the one formatter and
 ``GeneratorSet.find`` the one lookup; subsets come in lexicographic order, so
 JSON output is reproducible.
 
-Each generator also keeps that recipe as ``(kind, index)``.  ``minor_table``
-is the one place that builds the lower and left minors, keyed by recipe, and
-it has two callers.  ``build_generators`` calls it at the coordinate matrices
-(V, V*), and those entries are the minor generators.  ``check_invariance``
-calls it once per sample u at (c*u*V, V*u^-1), whose entries are the variable
-images of the substitution.  Substitution is a ring homomorphism, so that
-table holds every acted minor at once, and the Laplace expansion shares
-their sub-minors.
+Each generator also keeps that recipe as ``(kind, index)``.  ``recipe_table``
+is the one place that builds all five kinds (C, Q, lower, left and cross
+minors), keyed by recipe, and it has two callers.  ``build_generators`` calls
+it at the coordinate matrices (V, V*), and its entries are the generators.
+``check_invariance`` calls it once per sample u at (c*u*V, V*u^-1), whose
+entries are the variable images of the substitution.  Substitution is a ring
+homomorphism, so that table holds every acted generator at once, and the
+Laplace expansion shares the sub-minors.
 
 ``check_invariance`` returns (passed, witness), the shape of every suite
 check; the witness entry of a violation is built where it is found.
@@ -47,7 +47,7 @@ from .groups import (
     substitution_images,
     torus_weight,
 )
-from .linalg import Matrix, lower_minors, minor, solve
+from .linalg import Matrix, lower_minors, solve
 from .polynomial import Polynomial, unpack
 from .rng import substream
 from .scenario import Scenario
@@ -105,78 +105,54 @@ def generator_label(kind: str, index) -> str:
     return f"{kind}[{len(index)};{','.join(str(c + 1) for c in index)}]"
 
 
-def minor_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
-    """The lower and left minor generators' recipes at the n x l matrix ``v``
-    and the m x n matrix ``vstar``: ``{(kind, index): minor}``, in generator order.
+def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
+    """Every generator's recipe at the n x l matrix ``v`` and the m x n matrix
+    ``vstar``: ``{(kind, index): value}``, in generator order.
 
-    Lower minors are ``lower_minors(v, p)``.  The left minor on rows R of
-    ``vstar`` is the lower minor on columns R of its row-reversed transpose,
-    times (-1)^(p(p-1)/2), the sign of reversing p rows.
+    ``C[i][j]`` is entry (i, j) of ``vstar * v`` and ``Q[i][j]`` is
+    sum_k F[k, n-1-k] v[k, i] v[n-1-k, j], F the ``form_matrix``, each one
+    ``Polynomial.sum_of_products``.  Lower minors are ``lower_minors(v, p)``.
+    The left minor on rows R of ``vstar`` is the lower minor on columns R of
+    its row-reversed transpose, times (-1)^(p(p-1)/2), the sign of reversing
+    p rows.  Cross minors are the top lower minors of the r rows
+    (r-1, n-r+1, ..., n-1) of ``v``.
     """
+    n, l, m, r = s.n, s.l, s.m, s.r
+    x, a = v.rows, vstar.rows
     table = {}
-    low = min(s.l, s.r) if s.group == "sp" else min(s.l, s.n)
-    for order in lower_minors(v, low)[1:]:
+    for i in range(m):
+        for j in range(l):
+            table["C", (i, j)] = Polynomial.sum_of_products(s.nvars, [(1, a[i][k], x[k][j]) for k in range(n)])
+    if s.group != "gl":
+        f = form_matrix(s)
+        for i in range(l):
+            for j in range(i if s.group == "o" else i + 1, l):
+                terms = [(f[k, n - 1 - k], x[k][i], x[n - 1 - k][j]) for k in range(n)]
+                table["Q", (i, j)] = Polynomial.sum_of_products(s.nvars, terms)
+    for order in lower_minors(v, min(l, r) if s.group == "sp" else min(l, n))[1:]:
         for cols, poly in order.items():
             table["lowMinor", cols] = poly
-    if s.m:
+    if m:
         flipped = Matrix(vstar.transpose().rows[::-1])
-        for p, order in enumerate(lower_minors(flipped, min(s.m, s.n))[1:], start=1):
+        for p, order in enumerate(lower_minors(flipped, min(m, n))[1:], start=1):
             for rows, poly in order.items():
                 table["leftMinor", rows] = -poly if p * (p - 1) // 2 % 2 else poly
+    if s.case == "D" and l >= r:
+        cross = Matrix([x[i] for i in (r - 1, *range(n - r + 1, n))])
+        for cols, poly in lower_minors(cross, r)[r].items():
+            table["crossMinor", cols] = poly
     return table
 
 
-def form_value_poly(s: Scenario, i: int, j: int) -> Polynomial:
-    """Q(v_i, v_j) expanded in the x variables (0-based copy indices)."""
-    q = form_matrix(s)
-    total = Polynomial.zero(s.nvars)
-    for a in range(s.n):
-        b = s.n - 1 - a
-        c = q[a, b]
-        if c:
-            total = total + c * (s.x_poly(a, i) * s.x_poly(b, j))
-    return total
-
-
 def build_generators(s: Scenario) -> GeneratorSet:
-    """Construct the full generating system for the scenario."""
-    gens: list[Generator] = []
-    n, l, m = s.n, s.l, s.m
-
-    def add(kind: str, index, poly: Polynomial, degree: int):
+    """Construct the full generating system for the scenario: the recipe
+    table at the coordinate matrices (V, V*)."""
+    gens = []
+    for (kind, index), poly in recipe_table(s, s.v_matrix(), s.vstar_matrix()).items():
         label = generator_label(kind, index)
+        degree = 2 if kind in ("C", "Q") else len(index)
         assert poly.is_homogeneous(degree), label
         gens.append(Generator(label, poly, degree, torus_weight(poly, s), (kind, index)))
-
-    vbar = s.v_matrix()
-
-    def add_minors():
-        for (kind, index), poly in minor_table(s, vbar, s.vstar_matrix()).items():
-            add(kind, index, poly, len(index))
-
-    if s.group == "gl":
-        for i in range(m):
-            for j in range(l):
-                entry = Polynomial.zero(s.nvars)
-                for k in range(n):
-                    entry = entry + s.a_poly(i, k) * s.x_poly(k, j)
-                add("C", (i, j), entry, 2)
-        add_minors()
-        return GeneratorSet(s, tuple(gens))
-
-    # orthogonal / symplectic
-    r = s.r
-    if s.group == "o":
-        pairs = [(i, j) for i in range(l) for j in range(i, l)]
-    else:
-        pairs = [(i, j) for i in range(l) for j in range(i + 1, l)]
-    for i, j in pairs:
-        add("Q", (i, j), form_value_poly(s, i, j), 2)
-    add_minors()
-    if s.case == "D" and l >= r and r >= 1:
-        rows = [r - 1] + list(range(n - r + 1, n))
-        for cols in itertools.combinations(range(l), r):
-            add("crossMinor", cols, minor(vbar, rows, cols), r)
     return GeneratorSet(s, tuple(gens))
 
 
@@ -264,10 +240,13 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     generator's label and its witnessing element, the basis element xi or
     the rational sample u.
 
-    A generator whose poly equals its recipe's entry of ``minor_table`` at
-    (V, V*), checked exactly once per call, reads its image under a sample
-    from the table at the substituted matrices; every other generator (C, Q,
-    cross minors, or a poly that is not its recipe) is substituted.
+    The sample side reads one ``recipe_table`` per sample, at the
+    substituted matrices (c*u*V, V*u^-1); it holds the image of every
+    recipe of all five kinds (C, Q, lower, left and cross minors).  A
+    generator whose poly equals its recipe's entry of the table at (V, V*),
+    checked exactly once per call, reads its image from there; every other
+    poly (an injected fault, a hand-built generator with no recipe) is
+    substituted.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}
@@ -277,20 +256,19 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
         for idx, xi in enumerate(basis):
             if lie_act_on_polynomial(xi, g.poly, s, tables[idx]):
                 witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
-    at_v = minor_table(s, s.v_matrix(), s.vstar_matrix())
+    at_v = recipe_table(s, s.v_matrix(), s.vstar_matrix())
     tabled = [g.recipe in at_v and at_v[g.recipe] == g.poly for g in gs.gens]
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
         c, cu = sample_unipotent(s, rng)
         if s.m and c != 1:
             raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
-        images = substitution_images(cu, s)  # shared across the generators
-        if any(tabled):  # the images are the entries of c*u*V and V*u^-1
-            acted = minor_table(
-                s,
-                Matrix([[images[s.x_var(i, j)] for j in range(s.l)] for i in range(s.n)]),
-                Matrix([[images[s.a_var(i, j)] for j in range(s.n)] for i in range(s.m)]),
-            )
+        images = substitution_images(cu, s)  # the entries of c*u*V and V*u^-1
+        acted = recipe_table(
+            s,
+            Matrix([[images[s.x_var(i, j)] for j in range(s.l)] for i in range(s.n)]),
+            Matrix([[images[s.a_var(i, j)] for j in range(s.n)] for i in range(s.m)]),
+        )
         for g, by_table in zip(gs.gens, tabled):
             expected = g.poly if c == 1 else c ** g.degree * g.poly
             image = acted[g.recipe] if by_table else g.poly.substitute(images)

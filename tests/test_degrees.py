@@ -142,6 +142,19 @@ def test_combination_oracle_matches_formula():
             assert min_degree_generated(pairs, chi, cap=cap) == f, (s, chi)
 
 
+def test_formula_matches_generated_at_every_small_rank():
+    # o n=2 is rank 1, where the even-orthogonal formula takes its own branch
+    scenarios = [Scenario("o", n, n) for n in range(2, 8)]
+    scenarios += [Scenario("sp", n, n) for n in (2, 4, 6)] + [Scenario("gl", n, n, n) for n in (2, 3)]
+    for s in scenarios:
+        pairs = generator_pairs_for(s)
+        last = range(-2, 3) if s.group == "gl" else range(3)
+        for head in itertools.product(range(3), repeat=s.rank - 1):
+            for chi in (head + (k,) for k in last):
+                if in_weight_monoid(s, chi):
+                    assert min_degree_formula(s, chi) == min_degree_generated(pairs, chi, cap=12), (s, chi)
+
+
 def test_ambient_oracle_basics():
     assert min_degree_invariant(Scenario("sp", 2, 2), (0,)) == 0
     # the parity-violating weight never appears, whatever the cap

@@ -12,9 +12,9 @@ from covariants.generators import (
     generator_label,
     expected_weight_table,
     generator_monomials,
-    minor_table,
     monomial_poly,
     monomial_weight,
+    recipe_table,
     sp_high_minor_membership,
     weight_table_of,
 )
@@ -23,7 +23,7 @@ from covariants.groups import form_matrix, torus_weight
 from covariants.linalg import Matrix, minor
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
-from covariants.suite import invariance_grid
+from covariants.suite import ambient_grid, formula_scenarios, generation_grid, invariance_grid
 from covariants.weights import integral_phi
 
 from conftest import permute_variables
@@ -180,48 +180,99 @@ def test_injected_non_invariant_is_caught():
     assert Matrix.from_json(witness["lie"][0]["matrix"])[0, 1] == 1
 
 
-def test_minor_table_is_the_minor_generators_on_the_invariance_grid():
-    for s in invariance_grid(("gl", "o", "sp")):
+def recipe_scenarios():
+    """Every suite grid, o n=2..7 and sp n=2, 4, 6 with l <= 5, gl n <= 4 with l, m <= 4."""
+    groups = ("gl", "o", "sp")
+    out = set(invariance_grid(groups) + generation_grid(groups) + ambient_grid(groups) + formula_scenarios(groups))
+    out |= {Scenario("o", n, l) for n in range(2, 8) for l in range(6)}
+    out |= {Scenario("sp", n, l) for n in (2, 4, 6) for l in range(6)}
+    out |= {Scenario("gl", n, l, m) for n in range(1, 5) for l in range(5) for m in range(5)}
+    return sorted(out, key=lambda s: (s.group, s.n, s.l, s.m))
+
+
+def expected_recipes(s):
+    """{(kind, index): poly} in generator order, from sums of variable
+    products and ``linalg.minor``, independently of ``recipe_table``."""
+    n, l, m, r = s.n, s.l, s.m, s.r
+    vbar, vstar = s.v_matrix(), s.vstar_matrix()
+    out = {}
+    for i, j in itertools.product(range(m), range(l)):
+        out["C", (i, j)] = sum((s.a_poly(i, k) * s.x_poly(k, j) for k in range(n)), Polynomial.zero(s.nvars))
+    if s.group != "gl":
+        f = form_matrix(s)
+        for i, j in itertools.combinations_with_replacement(range(l), 2):
+            if i < j or s.group == "o":
+                out["Q", (i, j)] = sum(
+                    (f[a, b] * s.x_poly(a, i) * s.x_poly(b, j) for a in range(n) for b in range(n) if f[a, b]),
+                    Polynomial.zero(s.nvars),
+                )
+    for p in range(1, (min(l, r) if s.group == "sp" else min(l, n)) + 1):
+        for cols in itertools.combinations(range(l), p):
+            out["lowMinor", cols] = minor(vbar, range(n - p, n), cols)
+    for p in range(1, min(m, n) + 1):
+        for rows in itertools.combinations(range(m), p):
+            out["leftMinor", rows] = minor(vstar, rows, range(p))
+    if s.case == "D" and l >= r:
+        for cols in itertools.combinations(range(l), r):
+            out["crossMinor", cols] = minor(vbar, [r - 1, *range(n - r + 1, n)], cols)
+    return out
+
+
+def test_recipe_table_is_the_generator_list():
+    scenarios = recipe_scenarios()
+    assert len(scenarios) == 157
+    for s in scenarios:
         gs = build_generators(s)
-        vbar, vstar = s.v_matrix(), s.vstar_matrix()
-        table = minor_table(s, vbar, vstar)
-        minors = [g for g in gs if g.recipe[0] in ("lowMinor", "leftMinor")]
-        assert list(table) == [g.recipe for g in minors]
-        for g in minors:
+        table = recipe_table(s, s.v_matrix(), s.vstar_matrix())
+        expected = expected_recipes(s)
+        assert list(table) == list(expected) == [g.recipe for g in gs], s
+        for g in gs:
             kind, index = g.recipe
-            assert table[g.recipe] == g.poly and g.label == generator_label(kind, index)
-            p = len(index)
-            if kind == "lowMinor":
-                assert g.poly == minor(vbar, list(range(s.n - p, s.n)), index)
-            else:
-                assert g.poly == minor(vstar, index, range(p))
+            assert table[g.recipe] == expected[g.recipe] == g.poly, (s, g.label)
+            assert g.label == generator_label(kind, index)
+            assert g.degree == (2 if kind in ("C", "Q") else len(index))
 
 
 def test_a_replaced_poly_keeps_the_substitution_path():
-    # gens[0] keeps its recipe lowMinor[1;1] (= x[2,1]) but not its poly
-    s = Scenario("gl", 2, 2)
-    gs = build_generators(s)
-    assert gs.gens[0].recipe == ("lowMinor", (0,))
-    moved = dataclasses.replace(gs.gens[0], poly=s.x_poly(0, 0))
-    # no sample of seed 1 is the identity, so every one moves x[1,1]
-    passed, witness = check_invariance(GeneratorSet(s, (moved,) + gs.gens[1:]), num_samples=4, seed=1)
-    assert not passed
-    assert [w["label"] for w in witness["lie"]] == ["lowMinor[1;1]"]
-    assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [("lowMinor[1;1]", k) for k in range(4)]
-    # an invariant poly that is not its recipe passes: it is substituted, not read off the table
-    doubled = dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly)
-    assert check_invariance(GeneratorSet(s, (doubled,) + gs.gens[1:]), num_samples=4, seed=1) == (True, None)
+    cases = [
+        (Scenario("gl", 2, 2), ("lowMinor", (0,))),
+        (Scenario("gl", 2, 2, 2), ("C", (1, 0))),
+        (Scenario("o", 5, 2), ("Q", (0, 1))),
+        (Scenario("o", 4, 2), ("crossMinor", (0, 1))),
+    ]
+    for s, recipe in cases:
+        # the generator keeps its recipe but its poly becomes a power of x[1,1]
+        gs = build_generators(s)
+        at = gs.find(*recipe)
+        label = gs.gens[at].label
+        assert gs.gens[at].recipe == recipe
+
+        def replaced(poly):
+            return GeneratorSet(s, gs.gens[:at] + (dataclasses.replace(gs.gens[at], poly=poly),) + gs.gens[at + 1 :])
+
+        # in these scenarios every sample of seed 1 moves x[1,1]
+        passed, witness = check_invariance(replaced(s.x_poly(0, 0) ** gs.gens[at].degree), num_samples=4, seed=1)
+        assert not passed
+        assert {w["label"] for w in witness["lie"]} == {label}
+        assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [(label, k) for k in range(4)]
+        # an invariant poly that is not its recipe passes: it is substituted, not read off the table
+        assert check_invariance(replaced(2 * gs.gens[at].poly), num_samples=4, seed=1) == (True, None)
 
 
-def test_only_the_form_values_are_substituted(monkeypatch):
-    s = Scenario("o", 5, 5)
-    gs = build_generators(s)
+def test_no_generator_is_substituted(monkeypatch):
+    # C, Q and cross minors are read off the acted recipe table like the minors
     calls = []
     substitute = Polynomial.substitute
     monkeypatch.setattr(Polynomial, "substitute", lambda p, images: calls.append(p) or substitute(p, images))
-    assert check_invariance(gs, num_samples=3, seed=1) == (True, None)
-    forms = [g for g in gs if g.recipe[0] == "Q"]
-    assert len(forms) == 15 and len(calls) == 3 * len(forms)
+    for s, kinds in (
+        (Scenario("o", 5, 5), {"Q", "lowMinor"}),
+        (Scenario("o", 4, 4), {"Q", "lowMinor", "crossMinor"}),
+        (Scenario("gl", 3, 3, 3), {"C", "lowMinor", "leftMinor"}),
+    ):
+        gs = build_generators(s)
+        assert {g.recipe[0] for g in gs} == kinds
+        assert check_invariance(gs, num_samples=3, seed=1) == (True, None)
+    assert calls == []
 
 
 def test_sample_witness_is_the_rational_unipotent_element():

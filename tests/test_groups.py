@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from covariants.generators import build_generators, form_value_poly
+from covariants.generators import build_generators
 from covariants.groups import (
     form_matrix,
     lie_act_on_polynomial,
@@ -191,7 +191,8 @@ def test_unitriangular_fixes_bottom_row():
 
 def test_form_value_fixed_by_50_samples():
     s = Scenario("o", 3, 1)
-    qv = form_value_poly(s, 0, 0)
+    gs = build_generators(s)
+    qv = gs.gens[gs.find("Q", (0, 0))].poly
     rng = random.Random(3)
     for _ in range(50):
         c, g = sample_unipotent(s, rng)
