@@ -21,12 +21,12 @@ JSON output is reproducible.
 
 Each generator also keeps that recipe as ``(kind, index)``.  ``recipe_table``
 is the one place that builds all five kinds (C, Q, lower, left and cross
-minors), keyed by recipe, and it has two callers.  ``build_generators`` calls
-it at the coordinate matrices (V, V*), and its entries are the generators.
-``check_invariance`` calls it once per sample u at (c*u*V, V*u^-1), whose
-entries are the variable images of the substitution.  Substitution is a ring
-homomorphism, so that table holds every acted generator at once, and the
-Laplace expansion shares the sub-minors.
+minors), keyed by recipe, and both its callers call it at the coordinate
+matrices (V, V*).  ``build_generators`` takes its entries as the generators;
+``check_invariance`` compares them with the generators' polys, once per call.
+A sample then acts on no polynomial: by Cauchy-Binet it fixes every recipe of
+one kind and order exactly when a few integer minors of the sample itself
+take fixed values (``_sample_fixes_recipes``).
 
 ``check_invariance`` returns (passed, witness), the shape of every suite
 check; the witness entry of a violation is built where it is found.
@@ -225,6 +225,38 @@ def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
 # -- invariance ---------------------------------------------------------------
 
 
+def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
+    """Whether the sample u, given as ``(c, c*u)``, fixes the recipes of each
+    kind and order: ``{(kind, order): bool}``, the order of C and Q being 2.
+
+    Each verdict is a condition on integer minors of ``c*u`` (or of its
+    inverse) alone; ``check_invariance`` gives the argument.
+    """
+    n, l, m, r = s.n, s.l, s.m, s.r
+
+    def delta(minors, target, value):
+        """Every minor is ``value`` on the subset ``target`` and 0 elsewhere."""
+        return all(v == (value if cols == target else 0) for cols, v in minors.items())
+
+    out = {}
+    if m:
+        inv = cu.inverse()
+        out["C", 2] = inv * cu == Matrix.identity(n)
+        flipped = Matrix(inv.transpose().rows[::-1])
+        for p, minors in enumerate(lower_minors(flipped, min(m, n))[1:], start=1):
+            out["leftMinor", p] = delta(minors, tuple(range(p)), (-1) ** (p * (p - 1) // 2) * c**p)
+    if s.group != "gl":
+        f = form_matrix(s)
+        out["Q", 2] = cu.transpose() * f * cu == c * c * f
+    top = min(l, r) if s.group == "sp" else min(l, n)
+    for p, minors in enumerate(lower_minors(cu, top)[1:], start=1):
+        out["lowMinor", p] = delta(minors, tuple(range(n - p, n)), c**p)
+    if s.case == "D" and l >= r:
+        rows = (r - 1, *range(n - r + 1, n))
+        out["crossMinor", r] = delta(lower_minors(Matrix([cu.rows[i] for i in rows]), r)[r], rows, c**r)
+    return out
+
+
 def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) -> tuple[bool, dict | None]:
     """Certify invariance of every generator under the unipotent subgroup.
 
@@ -240,13 +272,36 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     generator's label and its witnessing element, the basis element xi or
     the rational sample u.
 
-    The sample side reads one ``recipe_table`` per sample, at the
-    substituted matrices (c*u*V, V*u^-1); it holds the image of every
-    recipe of all five kinds (C, Q, lower, left and cross minors).  A
-    generator whose poly equals its recipe's entry of the table at (V, V*),
-    checked exactly once per call, reads its image from there; every other
-    poly (an injected fault, a hand-built generator with no recipe) is
-    substituted.
+    A generator whose poly equals its recipe's entry of ``recipe_table`` at
+    (V, V*), checked exactly once per call, reads its sample verdict from
+    integer minors of ``c*u`` alone (``_sample_fixes_recipes``), by
+    Cauchy-Binet.  For a lower minor on the last p rows R and the columns C,
+
+        det((c u V)[R, C]) = sum_S det((c u)[R, S]) det(V[S, C])
+
+    over the p-subsets S of rows.  For fixed C the Plucker coordinates
+    det(V[S, C]) are linearly independent (distinct S give disjoint monomial
+    supports; Fulton, *Young Tableaux*, section 8), so u fixes every lower
+    minor of order p exactly when det((c u)[R, S]) = c^p [S == R] for every
+    S, whatever C is.  The other kinds follow the same way:
+
+      left minors   on rows R and the first p columns T of V* (c u)^-1, a
+                    sum over S of det(V*[R, S]) det((c u)^-1[S, T]);
+      cross minors  the minors of c u V on its r rows;
+      C[i][j]       row i of V* times (c u)^-1 (c u) times column j of V,
+                    whose monomials a[i,k] x[k',j] are distinct;
+      Q[i][j]       column i of V times (c u)^T F (c u) times column j, whose
+                    monomials are distinct for i < j; for i = j both sides
+                    are symmetric matrices, so their quadratic forms agree
+                    only if they do.
+
+    ``c*u`` is inverted by the general exact ``Matrix.inverse``, so a
+    singular faulty sample raises as substitution would.  For a recipe
+    generator the sample side thus certifies that the sampler's draws lie in
+    U, while the Lie side stays the exact, complete certificate of the
+    polynomial.  Every other poly (an injected fault, a hand-built generator
+    with no recipe) is substituted; ``substitution_images`` is built only
+    when such a poly exists.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}
@@ -258,23 +313,23 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
                 witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
     at_v = recipe_table(s, s.v_matrix(), s.vstar_matrix())
     tabled = [g.recipe in at_v and at_v[g.recipe] == g.poly for g in gs.gens]
+    substituted = not all(tabled)
     rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
     for k in range(num_samples):
         c, cu = sample_unipotent(s, rng)
         if s.m and c != 1:
             raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
-        images = substitution_images(cu, s)  # the entries of c*u*V and V*u^-1
-        acted = recipe_table(
-            s,
-            Matrix([[images[s.x_var(i, j)] for j in range(s.l)] for i in range(s.n)]),
-            Matrix([[images[s.a_var(i, j)] for j in range(s.n)] for i in range(s.m)]),
-        )
+        fixes = _sample_fixes_recipes(s, c, cu)
+        images = substitution_images(cu, s) if substituted else None  # the entries of c*u*V and V*u^-1
+        u = None  # the sample's witness entry, built at its first violation
         for g, by_table in zip(gs.gens, tabled):
-            expected = g.poly if c == 1 else c ** g.degree * g.poly
-            image = acted[g.recipe] if by_table else g.poly.substitute(images)
-            if image != expected:
-                u = cu * Fraction(1, c)
-                witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u.to_json()})
+            if by_table:
+                fixed = fixes[g.recipe[0], g.degree]
+            else:
+                fixed = g.poly.substitute(images) == (g.poly if c == 1 else c**g.degree * g.poly)
+            if not fixed:
+                u = u or (cu * Fraction(1, c)).to_json()
+                witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u})
     passed = not (witness["lie"] or witness["samples"])
     return passed, None if passed else witness
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -19,7 +20,12 @@ from covariants.generators import (
     weight_table_of,
 )
 from covariants import generators
-from covariants.groups import form_matrix, torus_weight
+from covariants.groups import (
+    form_matrix,
+    sample_unipotent,
+    substitution_images,
+    torus_weight,
+)
 from covariants.linalg import Matrix, minor
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
@@ -260,10 +266,19 @@ def test_a_replaced_poly_keeps_the_substitution_path():
 
 
 def test_no_generator_is_substituted(monkeypatch):
-    # C, Q and cross minors are read off the acted recipe table like the minors
-    calls = []
-    substitute = Polynomial.substitute
-    monkeypatch.setattr(Polynomial, "substitute", lambda p, images: calls.append(p) or substitute(p, images))
+    # every recipe generator's sample verdict comes from integer minors of the
+    # sample: nothing is substituted, and the one recipe table is the one at (V, V*)
+    calls = {"substitute": 0, "substitution_images": 0, "recipe_table": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Polynomial, "substitute", counted("substitute", Polynomial.substitute))
+    monkeypatch.setattr(generators, "substitution_images", counted("substitution_images", substitution_images))
     for s, kinds in (
         (Scenario("o", 5, 5), {"Q", "lowMinor"}),
         (Scenario("o", 4, 4), {"Q", "lowMinor", "crossMinor"}),
@@ -271,8 +286,79 @@ def test_no_generator_is_substituted(monkeypatch):
     ):
         gs = build_generators(s)
         assert {g.recipe[0] for g in gs} == kinds
-        assert check_invariance(gs, num_samples=3, seed=1) == (True, None)
-    assert calls == []
+        for num_samples in (1, 3, 10):
+            with monkeypatch.context() as m:
+                m.setattr(generators, "recipe_table", counted("recipe_table", recipe_table))
+                assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
+            assert calls["recipe_table"] == 1, (s, num_samples)
+            calls["recipe_table"] = 0
+    assert calls == {"substitute": 0, "substitution_images": 0, "recipe_table": 0}
+
+
+def substituted_samples(gs, samples):
+    """The sample side that ``check_invariance`` decides on integer minors,
+    done symbolically: at each sample ``(c, c*u)`` every generator's image is
+    read off ``recipe_table`` at the acted matrices (c*u*V, V*u^-1), built
+    from ``substitution_images``.  Returns the ``samples`` witness list."""
+    s = gs.scenario
+    out = []
+    for k, (c, cu) in enumerate(samples):
+        images = substitution_images(cu, s)
+        acted = recipe_table(
+            s,
+            Matrix([[images[s.x_var(i, j)] for j in range(s.l)] for i in range(s.n)]),
+            Matrix([[images[s.a_var(i, j)] for j in range(s.n)] for i in range(s.m)]),
+        )
+        u = (cu * Fraction(1, c)).to_json()
+        out += [
+            {"label": g.label, "sample_index": k, "matrix": u}
+            for g in gs.gens
+            if acted[g.recipe] != c**g.degree * g.poly
+        ]
+    return out
+
+
+def below_diagonal_fault(s, rng):
+    """A sample with its first row added to its last: for n > 1 its
+    determinant is unchanged and it is not triangular."""
+    c, cu = sample_unipotent(s, rng)
+    rows = [list(row) for row in cu.rows]
+    rows[-1] = [a + b for a, b in zip(rows[-1], rows[0])]
+    return c, Matrix(rows)
+
+
+def upper_corner_fault(s, rng):
+    """A sample with 1 added to the entry of u in its upper right corner."""
+    c, cu = sample_unipotent(s, rng)
+    rows = [list(row) for row in cu.rows]
+    rows[0][-1] += c
+    return c, Matrix(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_systems():
+    """The generators of every recipe scenario but o n=7 l=7 (49 variables),
+    whose symbolic images alone take seconds; no criterion checks its
+    invariance."""
+    return [build_generators(s) for s in recipe_scenarios() if s != Scenario("o", 7, 7)]
+
+
+@pytest.mark.parametrize("sampler", [sample_unipotent, below_diagonal_fault, upper_corner_fault])
+def test_integer_sample_side_matches_substitution(monkeypatch, sampler):
+    # the Lie side is one code path whatever the sample side does; switch it off
+    monkeypatch.setattr(generators, "nilradical_basis", lambda s: [])
+    drawn = []
+    monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: drawn.append(sampler(s, rng)) or drawn[-1])
+    failed = 0
+    for gs in oracle_systems():
+        for seed in (1, 2):
+            drawn.clear()
+            result = check_invariance(gs, 3, seed)
+            samples = substituted_samples(gs, drawn)
+            assert result == ((False, {"lie": [], "samples": samples}) if samples else (True, None)), (gs.scenario, seed)
+            failed += bool(samples)
+    # the faulty samplers are caught somewhere, the true one nowhere
+    assert (failed > 0) == (sampler is not sample_unipotent)
 
 
 def test_sample_witness_is_the_rational_unipotent_element():

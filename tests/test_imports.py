@@ -4,6 +4,7 @@ than ``__init__``: a definition that only ``__init__`` re-exports is a
 second entry point no code takes."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -105,3 +106,27 @@ def test_unreferenced_definitions_on_a_snippet():
         "__init__": ast.parse("from .a import unused\n"),
     }
     assert unreferenced_definitions(trees) == [("a", "unused")]
+
+
+def traced_layers() -> list[tuple[str, str]]:
+    """The (module, attr) of every ``LAYERS`` entry of ``bench/layers.py``."""
+    tree = ast.parse((SRC.parent.parent / "bench" / "layers.py").read_text())
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    ]
+    return [(call.args[0].value, call.args[1].value) for call in layers.elts]
+
+
+def test_every_traced_layer_is_defined():
+    # ``Layer.original`` looks the layer up with ``vars(owner)[name]``, so a
+    # layer whose function is gone makes every traced run raise KeyError
+    layers = traced_layers()
+    assert layers
+    for module, attr in layers:
+        owner = importlib.import_module(f"covariants.{module}")
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert name in vars(owner), f"bench/layers.py traces {module}.{attr}, which is not defined"
