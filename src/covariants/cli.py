@@ -208,7 +208,7 @@ def cmd_lemma3(args) -> int:
 
 def cmd_lemma4(args) -> int:
     s = parse_scenario(args)
-    samples = _samples(args, 500)
+    samples = _samples(args, suite.POLYTOPE_SAMPLES)
     return _run_check(args, suite.polytope_name(s), lambda: suite.chamber_inclusion_check(s, samples, args.seed))
 
 

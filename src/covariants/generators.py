@@ -229,8 +229,9 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
     """Whether the sample u, given as ``(c, c*u)``, fixes the recipes of each
     kind and order: ``{(kind, order): bool}``, the order of C and Q being 2.
 
-    Each verdict is a condition on integer minors of ``c*u`` (or of its
-    inverse) alone; ``check_invariance`` gives the argument.
+    Each verdict is a condition on the integer matrix ``c*u`` alone; the
+    lower and left minors are read off one ``lower_minors`` table of it.
+    ``check_invariance`` gives the argument.
     """
     n, l, m, r = s.n, s.l, s.m, s.r
 
@@ -238,19 +239,21 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
         """Every minor is ``value`` on the subset ``target`` and 0 elsewhere."""
         return all(v == (value if cols == target else 0) for cols, v in minors.items())
 
+    top = min(l, r) if s.group == "sp" else min(l, n)
+    table = lower_minors(cu, n if m else top)
     out = {}
-    if m:
-        inv = cu.inverse()
-        out["C", 2] = inv * cu == Matrix.identity(n)
-        flipped = Matrix(inv.transpose().rows[::-1])
-        for p, minors in enumerate(lower_minors(flipped, min(m, n))[1:], start=1):
-            out["leftMinor", p] = delta(minors, tuple(range(p)), (-1) ** (p * (p - 1) // 2) * c**p)
+    if m:  # c = 1 here, so det(u) = det(c*u)
+        det = table[n][tuple(range(n))]
+        if not det:
+            raise ValueError("singular matrix")
+        out["C", 2] = True
+        for p in range(1, min(m, n) + 1):
+            out["leftMinor", p] = delta(table[n - p], tuple(range(p, n)), det)
     if s.group != "gl":
         f = form_matrix(s)
         out["Q", 2] = cu.transpose() * f * cu == c * c * f
-    top = min(l, r) if s.group == "sp" else min(l, n)
-    for p, minors in enumerate(lower_minors(cu, top)[1:], start=1):
-        out["lowMinor", p] = delta(minors, tuple(range(n - p, n)), c**p)
+    for p in range(1, top + 1):
+        out["lowMinor", p] = delta(table[p], tuple(range(n - p, n)), c**p)
     if s.case == "D" and l >= r:
         rows = (r - 1, *range(n - r + 1, n))
         out["crossMinor", r] = delta(lower_minors(Matrix([cu.rows[i] for i in rows]), r)[r], rows, c**r)
@@ -285,23 +288,34 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     minor of order p exactly when det((c u)[R, S]) = c^p [S == R] for every
     S, whatever C is.  The other kinds follow the same way:
 
-      left minors   on rows R and the first p columns T of V* (c u)^-1, a
-                    sum over S of det(V*[R, S]) det((c u)^-1[S, T]);
+      left minors   on rows R and the first p columns T of V* u^-1, a sum
+                    over S of det(V*[R, S]) det(u^-1[S, T]), so u fixes them
+                    exactly when det(u^-1[S, T]) = [S == T] for every S;
       cross minors  the minors of c u V on its r rows;
-      C[i][j]       row i of V* times (c u)^-1 (c u) times column j of V,
-                    whose monomials a[i,k] x[k',j] are distinct;
+      C[i][j]       row i of V* times u^-1 u = I times column j of V: every
+                    invertible u fixes it;
       Q[i][j]       column i of V times (c u)^T F (c u) times column j, whose
                     monomials are distinct for i < j; for i = j both sides
                     are symmetric matrices, so their quadratic forms agree
                     only if they do.
 
-    ``c*u`` is inverted by the general exact ``Matrix.inverse``, so a
-    singular faulty sample raises as substitution would.  For a recipe
-    generator the sample side thus certifies that the sampler's draws lie in
-    U, while the Lie side stays the exact, complete certificate of the
-    polynomial.  Every other poly (an injected fault, a hand-built generator
-    with no recipe) is substituted; ``substitution_images`` is built only
-    when such a poly exists.
+    No inverse is formed.  c = 1 whenever m > 0, and Jacobi's identity for
+    complementary minors (Horn and Johnson, *Matrix Analysis*, 2nd ed.,
+    section 0.8.4),
+
+        det(u^-1[S, T]) = (-1)^(sum S + sum T) det(u[T', S']) / det u,
+
+    with T' and S' the complements, turns the left-minor condition into one
+    on lower minors of u: T' is the last n - p rows, so u fixes every left
+    minor of order p exactly when the order-(n - p) lower minors of u are
+    det u on the columns T' and 0 elsewhere (the sign is +1 where S = T).
+    All of them come from one ``lower_minors`` table of u.  A singular
+    sample raises ``ValueError("singular matrix")``, as inverting it for
+    substitution would.  For a recipe generator the sample side thus
+    certifies that the sampler's draws lie in U, while the Lie side stays
+    the exact, complete certificate of the polynomial.  Every other poly (an
+    injected fault, a hand-built generator with no recipe) is substituted;
+    ``substitution_images`` is built only when such a poly exists.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}

@@ -84,13 +84,17 @@ class CheckResult:
         return out
 
 
+# Fixed sample counts of criteria 8 and 9 (``lemma4`` defaults to the first);
+# the report's ``config`` block records them with the options.
+POLYTOPE_SAMPLES = 500
+FLAG_SAMPLES = 200
+FLAG_GROUP_SAMPLES = 20
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 1
     invariance_samples: int = 100
-    polytope_samples: int = 500
-    flag_samples: int = 200
-    flag_group_samples: int = 20
     tmax: int = 4
     degree_cap: int = 4
     monomial_cap: int | None = None
@@ -100,9 +104,9 @@ class SuiteConfig:
         return {
             "seed": self.seed,
             "invariance_samples": self.invariance_samples,
-            "polytope_samples": self.polytope_samples,
-            "flag_samples": self.flag_samples,
-            "flag_group_samples": self.flag_group_samples,
+            "polytope_samples": POLYTOPE_SAMPLES,
+            "flag_samples": FLAG_SAMPLES,
+            "flag_group_samples": FLAG_GROUP_SAMPLES,
             "tmax": self.tmax,
             "degree_cap": self.degree_cap,
             "monomial_cap": monomial_cap(self.monomial_cap),
@@ -385,7 +389,7 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
         if key in seen:
             continue  # the polytopes depend only on the group and n
         seen.add(key)
-        out.append(_timed(polytope_name(s), lambda s=s: chamber_inclusion_check(s, cfg.polytope_samples, cfg.seed)))
+        out.append(_timed(polytope_name(s), lambda s=s: chamber_inclusion_check(s, POLYTOPE_SAMPLES, cfg.seed)))
     return out
 
 
@@ -469,7 +473,7 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
     return [
         _timed(
             f"flag-quotient n={n} l={l}",
-            lambda n=n, l=l: flag_quotient_check(n, l, cfg.flag_samples, cfg.flag_group_samples, cfg.seed),
+            lambda n=n, l=l: flag_quotient_check(n, l, FLAG_SAMPLES, FLAG_GROUP_SAMPLES, cfg.seed),
         )
         for n in (2, 3, 4)
         for l in (2, 3, 4)

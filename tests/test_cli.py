@@ -205,6 +205,26 @@ def test_full_suite_filtered(capsys):
     assert "criterion" in err
 
 
+def test_full_suite_config_block_is_pinned(capsys, monkeypatch):
+    # tests/golden/ holds only the checks; this pins the report's config block,
+    # key order included, as full-suite --seed 1 prints it
+    monkeypatch.delenv(dimensions.CAP_ENV_VAR, raising=False)
+    expected = {
+        "seed": 1,
+        "invariance_samples": 100,
+        "polytope_samples": 500,
+        "flag_samples": 200,
+        "flag_group_samples": 20,
+        "tmax": 4,
+        "degree_cap": 4,
+        "monomial_cap": 20000,
+        "groups": ["gl", "o", "sp"],
+    }
+    assert list(suite.SuiteConfig(seed=1).to_json().items()) == list(expected.items())
+    code, out, _ = run_cli(capsys, "full-suite", "--seed", "1", "--criteria", "2")
+    assert code == 0 and list(json.loads(out)["config"].items()) == list(expected.items())
+
+
 def test_full_suite_cap_skips(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -267,8 +267,9 @@ def test_a_replaced_poly_keeps_the_substitution_path():
 
 def test_no_generator_is_substituted(monkeypatch):
     # every recipe generator's sample verdict comes from integer minors of the
-    # sample: nothing is substituted, and the one recipe table is the one at (V, V*)
-    calls = {"substitute": 0, "substitution_images": 0, "recipe_table": 0}
+    # sample: nothing is substituted or inverted, and the one recipe table is
+    # the one at (V, V*)
+    calls = {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -279,6 +280,7 @@ def test_no_generator_is_substituted(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "substitute", counted("substitute", Polynomial.substitute))
     monkeypatch.setattr(generators, "substitution_images", counted("substitution_images", substitution_images))
+    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
     for s, kinds in (
         (Scenario("o", 5, 5), {"Q", "lowMinor"}),
         (Scenario("o", 4, 4), {"Q", "lowMinor", "crossMinor"}),
@@ -292,7 +294,7 @@ def test_no_generator_is_substituted(monkeypatch):
                 assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
             assert calls["recipe_table"] == 1, (s, num_samples)
             calls["recipe_table"] = 0
-    assert calls == {"substitute": 0, "substitution_images": 0, "recipe_table": 0}
+    assert calls == {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
 
 
 def substituted_samples(gs, samples):
@@ -335,6 +337,21 @@ def upper_corner_fault(s, rng):
     return c, Matrix(rows)
 
 
+def det_two_fault(s, rng):
+    """A sample with its first row doubled: determinant 2, so on the
+    V*-copies u^-1 has determinant 1/2."""
+    c, cu = sample_unipotent(s, rng)
+    rows = [list(row) for row in cu.rows]
+    rows[0][0] *= 2
+    return c, Matrix(rows)
+
+
+def singular_fault(s, rng):
+    """A sample whose last row is zero."""
+    c, cu = sample_unipotent(s, rng)
+    return c, Matrix(cu.rows[:-1] + ((0,) * s.n,))
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_systems():
     """The generators of every recipe scenario but o n=7 l=7 (49 variables),
@@ -343,16 +360,30 @@ def oracle_systems():
     return [build_generators(s) for s in recipe_scenarios() if s != Scenario("o", 7, 7)]
 
 
-@pytest.mark.parametrize("sampler", [sample_unipotent, below_diagonal_fault, upper_corner_fault])
+@pytest.mark.parametrize(
+    "sampler", [sample_unipotent, below_diagonal_fault, upper_corner_fault, det_two_fault, singular_fault]
+)
 def test_integer_sample_side_matches_substitution(monkeypatch, sampler):
     # the Lie side is one code path whatever the sample side does; switch it off
     monkeypatch.setattr(generators, "nilradical_basis", lambda s: [])
     drawn = []
     monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: drawn.append(sampler(s, rng)) or drawn[-1])
+    systems = oracle_systems()
+    if sampler in (det_two_fault, singular_fault):
+        # u^-1 acts only on the V*-copies, so only there can det u matter
+        systems = [gs for gs in systems if gs.scenario.m]
     failed = 0
-    for gs in oracle_systems():
+    for gs in systems:
         for seed in (1, 2):
             drawn.clear()
+            if sampler is singular_fault:
+                # the first sample already raises, on both sides
+                with pytest.raises(ValueError, match="singular matrix"):
+                    check_invariance(gs, 3, seed)
+                with pytest.raises(ValueError, match="singular matrix"):
+                    substituted_samples(gs, drawn)
+                failed += 1
+                continue
             result = check_invariance(gs, 3, seed)
             samples = substituted_samples(gs, drawn)
             assert result == ((False, {"lie": [], "samples": samples}) if samples else (True, None)), (gs.scenario, seed)
