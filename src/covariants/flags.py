@@ -8,7 +8,10 @@ mapped to the wedges of its last rows,
 
 whose coordinates in the lexicographic wedge basis are exactly the lower
 minors of the coordinate matrix.  Image points have decomposable components
-with nested annihilators; both predicates are decided exactly via kernels.
+with nested annihilators.  ``incidence_holds`` decides both by
+the quadratic Plücker relations (Fulton, *Young Tableaux*, §8.1 and §9.1),
+with no elimination; ``annihilator`` and ``is_decomposable`` compute the
+same things exactly via kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 # ``rank`` is no longer called here; the binding stays because
 # bench/selftest.py checks that the tracer wraps ``flags.rank``.
@@ -87,16 +92,19 @@ def wedge_action_matrix(g: Matrix, k: int) -> Matrix:
     )
 
 
+def _check_length(q, k: int, l: int) -> None:
+    if len(q) != comb(l, k):
+        raise ValueError(f"component has {len(q)} coordinates, expected {comb(l, k)}")
+
+
 def _wedge_matrix(q, k: int, l: int) -> list[list]:
     """Matrix of x -> q ^ x from k^l to wedge^{k+1} k^l.
 
     Rows are indexed by the (k+1)-subsets in lexicographic order; there are
     none when k >= l, since wedge^{l+1} k^l is zero.
     """
-    basis_k = wedge_basis(l, k)
-    if len(q) != len(basis_k):
-        raise ValueError(f"component has {len(q)} coordinates, expected {len(basis_k)}")
-    index_k = {S: i for i, S in enumerate(basis_k)}
+    _check_length(q, k, l)
+    index_k = {S: i for i, S in enumerate(wedge_basis(l, k))}
     rows = []
     for T in wedge_basis(l, k + 1):
         row = [0] * l
@@ -132,35 +140,82 @@ class IndecomposableComponent(ValueError):
         self.k = k
 
 
+@lru_cache(maxsize=None)
+def _plucker_relations(l: int, k: int, k2: int) -> tuple:
+    """The relations between x in wedge^k k^l and y in wedge^k2 k^l, k <= k2.
+
+    One relation per (k-1)-subset I and (k2+1)-subset J = (j_0 < ... < j_k2):
+
+        sum_s (-1)^s x[I, j_s] y[J - j_s] = 0,
+
+    where x[I, j] is the antisymmetric coordinate with j written after I
+    (zero when j is in I).  Each relation is a tuple of ``(sign, x index,
+    y index)`` terms on the lexicographic wedge bases.  For k == k2 the two
+    orders of one product are merged, so a relation that vanishes
+    identically is left out.
+    """
+    index_x = {S: i for i, S in enumerate(wedge_basis(l, k))}
+    index_y = {S: i for i, S in enumerate(wedge_basis(l, k2))}
+    relations = []
+    for I in itertools.combinations(range(l), k - 1):
+        for J in itertools.combinations(range(l), k2 + 1):
+            terms: dict[tuple[int, int], int] = {}
+            for s, j in enumerate(J):
+                if j in I:
+                    continue
+                # sorting (I, j) moves j left past the elements of I above it
+                sign = -1 if (s + sum(i > j for i in I)) % 2 else 1
+                a = index_x[tuple(sorted(I + (j,)))]
+                b = index_y[J[:s] + J[s + 1 :]]
+                key = (min(a, b), max(a, b)) if k == k2 else (a, b)
+                terms[key] = terms.get(key, 0) + sign
+            relation = tuple((c, a, b) for (a, b), c in terms.items() if c)
+            if relation:
+                relations.append(relation)
+    return tuple(relations)
+
+
+def _relations_hold(x, y, l: int, k: int, k2: int) -> bool:
+    return not any(
+        sum(c * x[a] * y[b] for c, a, b in relation)
+        for relation in _plucker_relations(l, k, k2)
+    )
+
+
 def incidence_holds(f: FlagPoint) -> bool:
     """Membership in the flag image: decomposable components, nested kernels.
 
+    Both predicates are the quadratic Plücker relations of
+    ``_plucker_relations`` (Fulton, *Young Tableaux*, §8.1 and §9.1), so no
+    kernel is computed.  A nonzero q_k is decomposable iff the relations
+    vanish with x = y = q_k.  Two nonzero decomposable components nest,
+    ann(q_k) <= ann(q_{k+1}), iff they vanish with x = q_k, y = q_{k+1}: the
+    smaller component is x.
+
     A nonzero component after a zero one can never happen on the image, and
     fails here; trailing zero components are fine.  The first indecomposable
-    component raises ``IndecomposableComponent``.  Nesting
-    ann(q_k) <= ann(q_{k+1}) is read off the wedge matrix of q_{k+1}: it
-    holds iff that matrix kills every basis vector of ann(q_k).
+    component raises ``IndecomposableComponent`` before any nesting is
+    tested, and a nonzero component of the wrong length ``ValueError``.
 
     Exact input of any kind is accepted.  The predicate is projective: it
     is unchanged when component k is multiplied by c^k, so criterion 9 runs
     it on the flag of a sample whose denominators were cleared.
     """
     l = f.l
-    kernels = []  # per component: (wedge matrix, annihilator basis), or None if zero
+    nonzero = []  # per component: the component, or None if zero
     for k, q in enumerate(f.components, start=1):
         if not any(q):
-            kernels.append(None)
+            nonzero.append(None)
             continue
-        mat = _wedge_matrix(q, k, l)
-        ann = kernel_basis(mat, l)
-        if len(ann) != k:
+        _check_length(q, k, l)
+        if not _relations_hold(q, q, l, k, k):
             raise IndecomposableComponent(k)
-        kernels.append((mat, ann))
-    for prev, cur in zip(kernels, kernels[1:]):
+        nonzero.append(q)
+    for k, (prev, cur) in enumerate(zip(nonzero, nonzero[1:]), start=1):
         if cur is None:
             continue  # zero component: no constraint at this step
         if prev is None:
             return False  # nonzero after zero: outside the image
-        if any(sum(a * x for a, x in zip(row, v)) for v in prev[1] for row in cur[0]):
+        if not _relations_hold(prev, cur, l, k, k + 1):
             return False
     return True

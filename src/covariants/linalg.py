@@ -2,8 +2,10 @@
 
 Matrices are meant for the small sizes that dominate this package
 (dimensions <= a few hundred).  ``lower_minors`` builds the minors on the
-last k rows order by order; ``Matrix.det`` reads its full-column entry, and
-``minor`` (any row and column subsets) goes through ``Matrix.det``.
+last k rows order by order, and ``Matrix.det`` reads its full-column entry.
+``minor`` (any row and column subsets) expands its submatrix by Laplace
+along the first row, on plain lists: it shares no code with
+``lower_minors``, which criterion 9 checks against it.
 
 One exact elimination engine serves everything else: ``_echelon_form``
 brings sparse primitive integer rows to fraction-free echelon form, and
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,17 +157,42 @@ def _dot(row, col):
 def minor(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]):
     """Determinant of the submatrix on ``rows`` x ``cols`` (0-based).
 
-    Index lists must be strictly increasing and in range.
+    Index lists must be strictly increasing and in range.  The submatrix is
+    expanded by Laplace along its first row (``_laplace``), with no
+    ``Matrix`` and no ``lower_minors`` table, so it is an oracle for both.
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
     for idx, bound, kind in ((rows, matrix.m, "row"), (cols, matrix.n, "column")):
-        if any(i < 0 or i >= bound for i in idx):
+        if idx and (min(idx) < 0 or max(idx) >= bound):
             raise ValueError(f"{kind} index out of range")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
+        if not all(map(lt, idx, idx[1:])):
             raise ValueError(f"{kind} indices must be strictly increasing")
-    sub = Matrix([[matrix.rows[i][j] for j in cols] for i in rows])
-    return sub.det()
+    return _laplace([[matrix.rows[i][j] for j in cols] for i in rows])
+
+
+def _laplace(rows: list[list]):
+    """Determinant of a square list of rows by expansion along the first row.
+
+    Orders 0-2 are closed forms.  A minor with no nonzero term is
+    ``0 * entry``, so polynomial matrices give a zero polynomial.
+    """
+    k = len(rows)
+    if k < 3:
+        if k == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        return rows[0][0] if k else 1
+    rest = rows[1:]
+    total = None
+    for j, a in enumerate(rows[0]):
+        if not a:
+            continue
+        term = a * _laplace([r[:j] + r[j + 1 :] for r in rest])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return 0 * rows[0][0] if total is None else total
 
 
 def lower_minors(matrix: Matrix, p: int) -> list[dict]:

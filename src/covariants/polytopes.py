@@ -83,18 +83,20 @@ class PolytopeSpec:
     def __post_init__(self):
         object.__setattr__(self, "delta_facets", hull_facets(self.delta_vertices))
 
-    def in_chamber(self, point) -> bool:
-        nums, _ = _cleared(point)
+    # The predicates take a point as numerators over one positive
+    # denominator, so a sample cleared once by ``_cleared`` is tested on
+    # integers; a point of any exact numbers is its own numerators over 1.
+    # The chamber is a cone, so its test needs no denominator.
+
+    def in_chamber(self, nums) -> bool:
         return all(
             sum(c * x for c, x in zip(row, nums)) >= 0 for row in self.chamber
         )
 
-    def in_phi(self, point) -> bool:
-        nums, den = _cleared(point)
+    def in_phi(self, nums, den=1) -> bool:
         return sum(abs(x) for x in nums) <= den
 
-    def in_delta(self, point) -> bool:
-        nums, den = _cleared(point)
+    def in_delta(self, nums, den=1) -> bool:
         return all(
             sum(a * x for a, x in zip(row, nums)) + row[-1] * den >= 0
             for row in self.delta_facets
@@ -191,9 +193,10 @@ def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> t
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
         pt = sample_chamber_point(s, spec, rng)
-        if not (spec.in_phi(pt) and spec.in_chamber(pt)):
+        nums, den = _cleared(pt)
+        if not (spec.in_phi(nums, den) and spec.in_chamber(nums)):
             witness["points_outside_phi"].append(_fraction_strings(pt))
-        elif not spec.in_delta(pt):
+        elif not spec.in_delta(nums, den):
             witness["points_outside_delta"].append(_fraction_strings(pt))
     for v in spec.delta_vertices:
         if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):

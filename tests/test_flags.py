@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
+from covariants import flags, linalg, suite
 from covariants.flags import (
     FlagPoint,
+    IndecomposableComponent,
     annihilator,
     flag_map,
     incidence_holds,
@@ -109,6 +112,12 @@ def test_indecomposable_input_rejected():
     assert exc.value.k == 2
 
 
+def test_incidence_rejects_a_component_of_the_wrong_length():
+    for f in (FlagPoint(3, ((1, 2),)), FlagPoint(3, ((1, 0, 0), (1, 0)))):
+        with pytest.raises(ValueError, match="component has 2 coordinates, expected 3"):
+            incidence_holds(f)
+
+
 def test_equivariance_under_copy_transformations():
     rng = random.Random(31)
     for n, l in ((3, 3), (2, 4)):
@@ -197,3 +206,78 @@ def test_matrix_nesting_agrees_with_the_rank_test():
     verdicts = [incidence_holds(f) for f in points]
     assert verdicts == [_rank_nesting(f) for f in points]
     assert verdicts.count(True) > 60 and verdicts.count(False) > 30
+
+
+def _kernel_incidence(f):
+    """``incidence_holds`` by kernels: annihilator dimensions, then nesting by rank."""
+    for k, q in enumerate(f.components, start=1):
+        if any(q) and len(annihilator(q, k, f.l)) != k:
+            raise IndecomposableComponent(k)
+    return _rank_nesting(f)
+
+
+def _verdict(predicate, f):
+    try:
+        return predicate(f)
+    except IndecomposableComponent as exc:
+        return ("indecomposable", exc.k)
+
+
+def _random_flag_point(rng, l):
+    """Components drawn as zero, random, from one image point, or each from
+    its own image point (decomposable, rarely nested); some rescaled by 1/3."""
+    p = rng.randint(1, l)
+    s = Scenario("gl", p, l)
+
+    def image():
+        return flag_map([[rng.randint(-2, 2) for _ in range(l)] for _ in range(p)], s).components
+
+    base = image()
+    comps = []
+    for k in range(1, p + 1):
+        kind = rng.choice(("zero", "random", "random", "image", "image", "image", "mixed"))
+        if kind == "zero":
+            q = (0,) * comb(l, k)
+        elif kind == "random":
+            q = tuple(rng.randint(-1, 1) for _ in range(comb(l, k)))
+        else:
+            q = (base if kind == "image" else image())[k - 1]
+        if rng.random() < 0.2:
+            q = tuple(Fraction(1, 3) * x for x in q)
+        comps.append(q)
+    return FlagPoint(l, tuple(comps))
+
+
+def test_plucker_relations_agree_with_the_kernel_test():
+    # the relations are oriented: the smaller component is x; swapping x and
+    # y in the nesting step disagrees with the kernels on 154 of these points
+    rng = random.Random(47)
+    points = [_random_flag_point(rng, l) for l in range(2, 6) for _ in range(250)]
+    verdicts = [_verdict(incidence_holds, f) for f in points]
+    assert verdicts == [_verdict(_kernel_incidence, f) for f in points]
+    for outcome in (True, False, ("indecomposable", 2), ("indecomposable", 3)):
+        assert verdicts.count(outcome) > 25, outcome
+
+
+def test_criterion_9_computes_no_kernel_and_minor_no_determinant(monkeypatch):
+    calls = {"kernel_basis": 0, "det": 0, "lower_minors": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in (flags, linalg):
+        monkeypatch.setattr(module, "kernel_basis", counted("kernel_basis", linalg.kernel_basis))
+    assert suite.flag_quotient_check(4, 4, suite.FLAG_SAMPLES, suite.FLAG_GROUP_SAMPLES, 1) == (True, None)
+    assert calls["kernel_basis"] == 0
+    monkeypatch.setattr(Matrix, "det", counted("det", Matrix.det))
+    monkeypatch.setattr(linalg, "lower_minors", counted("lower_minors", linalg.lower_minors))
+    rng = random.Random(53)
+    mat = Matrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)])
+    for k in range(6):
+        for rows, cols in itertools.product(itertools.combinations(range(5), k), repeat=2):
+            minor(mat, rows, cols)
+    assert calls == {"kernel_basis": 0, "det": 0, "lower_minors": 0}

@@ -115,13 +115,39 @@ def test_minor_is_entry():
 
 
 def test_minor_validation():
+    # range before monotonicity, rows before columns
     m = Matrix.identity(3)
-    with pytest.raises(ValueError):
-        minor(m, [0, 1], [0])
-    with pytest.raises(ValueError):
-        minor(m, [1, 0], [0, 1])
-    with pytest.raises(ValueError):
-        minor(m, [0, 5], [0, 1])
+    for rows, cols, message in (
+        ([0, 1], [0], "minor needs equally many rows and columns"),
+        ([1, 0], [0, 1], "row indices must be strictly increasing"),
+        ([1, 1], [0, 1], "row indices must be strictly increasing"),
+        ([0, 5], [0, 1], "row index out of range"),
+        ([5, 0], [0, 1], "row index out of range"),
+        ([-1, 0], [1, 0], "row index out of range"),
+        ([1, 0], [0, 5], "row indices must be strictly increasing"),
+        ([0, 1], [3, 0], "column index out of range"),
+        ([0, 1], [-1, 2], "column index out of range"),
+        ([0, 1], [2, 2], "column indices must be strictly increasing"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            minor(m, rows, cols)
+        assert str(exc.value) == message, (rows, cols)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "symbolic"])
+def test_minor_is_the_determinant_of_its_submatrix(rng, kind):
+    draw = _entries(kind, rng)
+    for k in range(6):
+        for _ in range(2 if kind == "symbolic" else 4):
+            m, n = k + rng.randint(0, 2), k + rng.randint(0, 2)
+            rows = [[draw() for _ in range(n)] for _ in range(m)]
+            r, c = sorted(rng.sample(range(m), k)), sorted(rng.sample(range(n), k))
+            sub = [[rows[i][j] for j in c] for i in r]
+            assert minor(Matrix(rows), r, c) == Matrix(sub).det()
+            if k:  # a zero first row: no nonzero term
+                rows[r[0]] = [0 * x for x in rows[r[0]]]
+                value = minor(Matrix(rows), r, c)
+                assert value == 0 and type(value) is type(0 * rows[r[0]][c[0]])
 
 
 def _entries(kind, rng):
