@@ -8,10 +8,10 @@ mapped to the wedges of its last rows,
 
 whose coordinates in the lexicographic wedge basis are exactly the lower
 minors of the coordinate matrix.  Image points have decomposable components
-with nested annihilators.  ``incidence_holds`` decides both by
-the quadratic Plücker relations (Fulton, *Young Tableaux*, §8.1 and §9.1),
-with no elimination; ``annihilator`` and ``is_decomposable`` compute the
-same things exactly via kernels.
+with nested annihilators.  ``is_decomposable`` and ``incidence_holds``
+decide both by the quadratic Plücker relations (Fulton, *Young Tableaux*,
+§8.1 and §9.1), with no elimination; ``annihilator`` computes the kernel
+exactly, and the tests use it as the reference for the relations.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ def annihilator(q, k: int, l: int) -> list[list]:
     return kernel_basis(_wedge_matrix(q, k, l), l)
 
 
-def is_decomposable(q, k: int, l: int) -> bool:
-    """A k-vector is decomposable iff it is zero or its annihilator has dim k."""
-    if not any(q):
-        return True
-    return len(annihilator(q, k, l)) == k
-
-
 class IndecomposableComponent(ValueError):
     """Component ``k`` (1-based) of a flag point is not decomposable."""
 
@@ -152,12 +145,13 @@ def _plucker_relations(l: int, k: int, k2: int) -> tuple:
     (zero when j is in I).  Each relation is a tuple of ``(sign, x index,
     y index)`` terms on the lexicographic wedge bases.  For k == k2 the two
     orders of one product are merged, so a relation that vanishes
-    identically is left out.
+    identically is left out.  There are none for k == 0: a scalar has no
+    (k-1)-subsets.
     """
     index_x = {S: i for i, S in enumerate(wedge_basis(l, k))}
     index_y = {S: i for i, S in enumerate(wedge_basis(l, k2))}
     relations = []
-    for I in itertools.combinations(range(l), k - 1):
+    for I in itertools.combinations(range(l), k - 1) if k else ():
         for J in itertools.combinations(range(l), k2 + 1):
             terms: dict[tuple[int, int], int] = {}
             for s, j in enumerate(J):
@@ -182,13 +176,28 @@ def _relations_hold(x, y, l: int, k: int, k2: int) -> bool:
     )
 
 
+def is_decomposable(q, k: int, l: int) -> bool:
+    """Whether q in wedge^k k^l is a product of k vectors.
+
+    Zero is decomposable.  A nonzero q is decomposable iff the Plücker
+    relations of ``_plucker_relations`` vanish with x = y = q, which is the
+    case iff its annihilator has dimension k.  A nonzero q of the wrong
+    length raises ``ValueError``.
+    """
+    if not any(q):
+        return True
+    _check_length(q, k, l)
+    return _relations_hold(q, q, l, k, k)
+
+
 def incidence_holds(f: FlagPoint) -> bool:
     """Membership in the flag image: decomposable components, nested kernels.
 
     Both predicates are the quadratic Plücker relations of
     ``_plucker_relations`` (Fulton, *Young Tableaux*, §8.1 and §9.1), so no
     kernel is computed.  A nonzero q_k is decomposable iff the relations
-    vanish with x = y = q_k.  Two nonzero decomposable components nest,
+    vanish with x = y = q_k (``is_decomposable``).  Two nonzero
+    decomposable components nest,
     ann(q_k) <= ann(q_{k+1}), iff they vanish with x = q_k, y = q_{k+1}: the
     smaller component is x.
 
@@ -207,8 +216,7 @@ def incidence_holds(f: FlagPoint) -> bool:
         if not any(q):
             nonzero.append(None)
             continue
-        _check_length(q, k, l)
-        if not _relations_hold(q, q, l, k, k):
+        if not is_decomposable(q, k, l):
             raise IndecomposableComponent(k)
         nonzero.append(q)
     for k, (prev, cur) in enumerate(zip(nonzero, nonzero[1:]), start=1):

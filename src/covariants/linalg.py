@@ -5,7 +5,10 @@ Matrices are meant for the small sizes that dominate this package
 last k rows order by order, and ``Matrix.det`` reads its full-column entry.
 ``minor`` (any row and column subsets) expands its submatrix by Laplace
 along the first row, on plain lists: it shares no code with
-``lower_minors``, which criterion 9 checks against it.
+``lower_minors``, which criterion 9 checks against it.  Laplace costs k!
+products at order k, so ``minor`` is meant for the small orders (<= 5) of
+criterion 9 and the test oracles; take a larger determinant with
+``Matrix(sub).det()``.
 
 One exact elimination engine serves everything else: ``_echelon_form``
 brings sparse primitive integer rows to fraction-free echelon form, and
@@ -160,6 +163,8 @@ def minor(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]):
     Index lists must be strictly increasing and in range.  The submatrix is
     expanded by Laplace along its first row (``_laplace``), with no
     ``Matrix`` and no ``lower_minors`` table, so it is an oracle for both.
+    Its cost grows as k! with the order k: it is meant for orders <= 5, and
+    ``Matrix(sub).det()`` is the way to a larger determinant.
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")

@@ -76,6 +76,9 @@ def test_decomposability():
         assert is_decomposable(q, 2, 3)  # every 2-vector in dimension 3
     assert not is_decomposable((1, 0, 0, 0, 0, 1), 2, 4)  # e12 + e34
     assert is_decomposable((0,) * 6, 2, 4)
+    assert is_decomposable((2,), 0, 3)  # a scalar
+    with pytest.raises(ValueError, match="component has 2 coordinates, expected 6"):
+        is_decomposable((1, 2), 2, 4)
 
 
 def test_flag_image_satisfies_predicates():
@@ -257,6 +260,18 @@ def test_plucker_relations_agree_with_the_kernel_test():
     assert verdicts == [_verdict(_kernel_incidence, f) for f in points]
     for outcome in (True, False, ("indecomposable", 2), ("indecomposable", 3)):
         assert verdicts.count(outcome) > 25, outcome
+
+
+def test_is_decomposable_agrees_with_the_annihilator_dimension():
+    rng = random.Random(59)
+    seen = set()
+    for l in range(2, 6):
+        for _ in range(100):
+            for k, q in enumerate(_random_flag_point(rng, l).components, start=1):
+                verdict = is_decomposable(q, k, l)
+                assert verdict == (not any(q) or len(annihilator(q, k, l)) == k)
+                seen.add(verdict)
+    assert seen == {True, False}
 
 
 def test_criterion_9_computes_no_kernel_and_minor_no_determinant(monkeypatch):

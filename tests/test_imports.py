@@ -45,8 +45,9 @@ def test_the_exemptions_are_still_unused_imports():
         assert name in unused_imports(SRC / f"{module}.py")
 
 
-# the public decomposability predicate, kept although no module calls it
-EXEMPT_UNREFERENCED = {("flags", "is_decomposable")}
+# the public kernel annihilator, kept as the tests' reference for the
+# Plücker relations that decide decomposability and nesting
+EXEMPT_UNREFERENCED = {("flags", "annihilator")}
 
 
 def references(stem: str, tree: ast.Module) -> set[tuple[str, str]]:
