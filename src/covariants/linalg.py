@@ -168,11 +168,21 @@ def minor(matrix: Matrix, rows: Sequence[int], cols: Sequence[int]):
     """
     if len(rows) != len(cols):
         raise ValueError("minor needs equally many rows and columns")
-    for idx, bound, kind in ((rows, matrix.m, "row"), (cols, matrix.n, "column")):
-        if idx and (min(idx) < 0 or max(idx) >= bound):
-            raise ValueError(f"{kind} index out of range")
-        if not all(map(lt, idx, idx[1:])):
-            raise ValueError(f"{kind} indices must be strictly increasing")
+    # one pass settles valid indices; the checks below name the first fault
+    if not (
+        rows
+        and 0 <= rows[0]
+        and rows[-1] < matrix.m
+        and 0 <= cols[0]
+        and cols[-1] < matrix.n
+        and all(map(lt, rows, rows[1:]))
+        and all(map(lt, cols, cols[1:]))
+    ):
+        for idx, bound, kind in ((rows, matrix.m, "row"), (cols, matrix.n, "column")):
+            if idx and (min(idx) < 0 or max(idx) >= bound):
+                raise ValueError(f"{kind} index out of range")
+            if not all(map(lt, idx, idx[1:])):
+                raise ValueError(f"{kind} indices must be strictly increasing")
     return _laplace([[matrix.rows[i][j] for j in cols] for i in rows])
 
 

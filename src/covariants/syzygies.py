@@ -19,7 +19,6 @@ which ``suite.quadratic_closure_check`` turns into a verdict.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,18 +31,9 @@ from .generators import (
     monomial_label,
     monomial_poly,
 )
-from .linalg import kernel_basis, lower_minors, rank
+from .linalg import Matrix, kernel_basis, lower_minors, rank
 from .polynomial import Polynomial
 from .scenario import Scenario
-
-
-def _perm_sign(perm) -> int:
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 # -- bilinear relations between two lower-minor families -----------------------
@@ -108,42 +98,35 @@ def mixed_minor_relation(n: int, l: int, m: int) -> tuple[bool, Polynomial, Poly
     """Expand both sides of the overlap identity tying the two minor families.
 
     For l + m > n the product [order-m left minor of the V*-matrix] x
-    [order-l lower minor of the V-matrix] equals, up to 1/s! with
-    s = l + m - n, a contraction of smaller left and lower minors with s
-    product-matrix entries.  Returns (equal, lhs, rhs) fully expanded.
+    [order-l lower minor of the V-matrix] equals (1/s!) times a contraction
+    of smaller left and lower minors with s = l + m - n product-matrix
+    entries C: the sum over sigma in S_m and tau in S_l of sgn sigma sgn tau
+    times n - l entries a, s entries C and l - s entries x.  The sum is
+    alternating in the s C columns tau(0..s-1), so the s! orderings of each
+    set of them give equal terms and the 1/s! cancels.  What remains is
+    Laplace's generalized expansion along the top m rows of one n x n block
+    matrix (n - l columns of a, then l columns of C and x):
+
+        [ a[i][t]  C[i][j] ]   i < m
+        [    0     x[k][j] ]   m <= k < n
+
+    so the right side is its determinant, the full entry of one
+    ``lower_minors`` table.  This holds for any entries C, not only for the
+    products of V* with V.  Returns (equal, lhs, rhs) fully expanded.
     """
     if not (1 <= l <= n and 1 <= m <= n):
         raise ValueError("need 1 <= l, m <= n")
-    s_overlap = l + m - n
-    if s_overlap <= 0:
+    if l + m <= n:
         raise ValueError("the identity lives in the overlapping regime l + m > n")
     sc = Scenario("gl", n, l, m)
     gs = build_generators(sc)
-    r = n - l + 1  # first row index (1-based) of the full lower minor
     lhs = gs.gens[gs.find("leftMinor", range(m))].poly * gs.gens[gs.find("lowMinor", range(l))].poly
-    cmat = [[gs.gens[gs.find("C", (i, j))].poly for j in range(l)] for i in range(m)]
-    nv = sc.nvars
-    last = s_overlap - 1
-
-    def terms():
-        """(sign, product of all factors but the last C entry, that entry),
-        made one at a time so that only the sum is held."""
-        for sigma in itertools.permutations(range(m)):
-            sgn_s = _perm_sign(sigma)
-            # monomial of the first r-1 left-minor factors: a[sigma(t), t]
-            a_exps = [0] * nv
-            for t in range(r - 1):
-                a_exps[sc.a_var(sigma[t], t)] += 1
-            for tau in itertools.permutations(range(l)):
-                exps = list(a_exps)
-                for u in range(s_overlap, l):
-                    exps[sc.x_var(m + u - s_overlap, tau[u])] += 1
-                head = Polynomial(nv, {tuple(exps): 1})
-                for v in range(last):
-                    head = head * cmat[sigma[r - 1 + v]][tau[v]]
-                yield sgn_s * _perm_sign(tau), head, cmat[sigma[r - 1 + last]][tau[last]]
-
-    rhs = Polynomial.sum_of_products(nv, terms()) * Fraction(1, math.factorial(s_overlap))
+    zero = Polynomial.zero(sc.nvars)
+    block = [
+        [sc.a_poly(i, t) for t in range(n - l)] + [gs.gens[gs.find("C", (i, j))].poly for j in range(l)]
+        for i in range(m)
+    ] + [[zero] * (n - l) + [sc.x_poly(k, j) for j in range(l)] for k in range(m, n)]
+    rhs = lower_minors(Matrix(block), n)[n][tuple(range(n))]
     return lhs == rhs, lhs, rhs
 
 

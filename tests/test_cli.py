@@ -136,6 +136,13 @@ def test_zacep_verdict(capsys):
     assert json.loads(out)["verdict"] == "equal"
 
 
+def test_zacep_verdict_on_the_largest_grid_point(capsys):
+    # n = l = m = 4: the right side is the determinant of the 4 x 4 matrix C
+    code, out, _ = run_cli(capsys, "zacep", "--n", "4", "--l", "4", "--m", "4")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+
+
 def test_lemma3_and_lemma4(capsys):
     code, out, _ = run_cli(capsys, "lemma3", "--group", "sp", "--n", "4", "--chi", "1,2")
     assert code == 0

@@ -1,3 +1,9 @@
+import dataclasses
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from covariants import suite, syzygies
@@ -71,6 +77,66 @@ def test_mixed_identity_instances():
 def test_mixed_identity_regime_guard():
     with pytest.raises(ValueError):
         mixed_minor_relation(4, 2, 2)
+
+
+def _sign(perm) -> int:
+    inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+    return -1 if inversions % 2 else 1
+
+
+def _permutation_rhs(sc: Scenario, cmat) -> Polynomial:
+    """The right side of the mixed identity as its defining contraction:
+    (1/s!) sum over sigma in S_m, tau in S_l of sgn sigma sgn tau times
+    a[sigma(t)][t] (t < r - 1), C[sigma(r-1+v)][tau(v)] (v < s) and
+    x[m+u-s][tau(u)] (s <= u < l), with s = l + m - n and r = n - l + 1."""
+    n, l, m = sc.n, sc.l, sc.m
+    s, r = l + m - n, n - l + 1
+    total = Polynomial.zero(sc.nvars)
+    for sigma in itertools.permutations(range(m)):
+        for tau in itertools.permutations(range(l)):
+            term = Polynomial.const(sc.nvars, _sign(sigma) * _sign(tau))
+            for t in range(r - 1):
+                term = term * sc.a_poly(sigma[t], t)
+            for v in range(s):
+                term = term * cmat[sigma[r - 1 + v]][tau[v]]
+            for u in range(s, l):
+                term = term * sc.x_poly(m + u - s, tau[u])
+            total = total + term
+    return total * Fraction(1, math.factorial(s))
+
+
+def _c_matrix(gs, m: int, l: int):
+    return [[gs.gens[gs.find("C", (i, j))].poly for j in range(l)] for i in range(m)]
+
+
+def test_mixed_identity_block_determinant_is_the_permutation_contraction():
+    grid = [
+        (n, l, m) for n in range(1, 5) for l in range(1, n + 1) for m in range(1, n + 1) if l + m > n
+    ]
+    assert len(grid) == 20  # criterion 10's grid
+    for n, l, m in grid:
+        sc = Scenario("gl", n, l, m)
+        _, _, rhs = mixed_minor_relation(n, l, m)
+        assert rhs == _permutation_rhs(sc, _c_matrix(build_generators(sc), m, l)), (n, l, m)
+
+
+def test_mixed_identity_block_determinant_holds_for_any_c(monkeypatch):
+    # every C entry gains a seeded random integer multiple of a[1,1]*x[1,1]:
+    # the right side is still the contraction, though it no longer equals lhs
+    rng = random.Random(26)
+    n, l, m = 4, 3, 3
+    sc = Scenario("gl", n, l, m)
+    gs = build_generators(sc)
+    bump = sc.a_poly(0, 0) * sc.x_poly(0, 0)
+    gens = tuple(
+        dataclasses.replace(g, poly=g.poly + rng.randint(1, 5) * bump) if g.recipe[0] == "C" else g
+        for g in gs.gens
+    )
+    moved = dataclasses.replace(gs, gens=gens)
+    monkeypatch.setattr(syzygies, "build_generators", lambda s: moved)
+    equal, _, rhs = mixed_minor_relation(n, l, m)
+    assert not equal
+    assert rhs == _permutation_rhs(sc, _c_matrix(moved, m, l))
 
 
 def test_relation_space_no_relations():
