@@ -8,6 +8,8 @@ rational chamber points of the hull land inside the generator polytope
 and chamber.
 """
 
+from fractions import Fraction
+
 from covariants import Scenario, build_polytopes, chamber_inclusion_check
 from covariants.polytopes import sample_chamber_point
 from covariants.rng import substream
@@ -31,5 +33,5 @@ spec = build_polytopes(s)
 rng = substream(1, "demo")
 pts = [sample_chamber_point(s, spec, rng) for _ in range(8)]
 print("\neven orthogonal sample points (note the signed last coordinate):")
-for pt in pts:
-    print("   ", tuple(map(str, pt)))
+for nums, t in pts:
+    print("   ", tuple(str(Fraction(x, t)) for x in nums))

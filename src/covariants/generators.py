@@ -146,13 +146,16 @@ def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
 
 def build_generators(s: Scenario) -> GeneratorSet:
     """Construct the full generating system for the scenario: the recipe
-    table at the coordinate matrices (V, V*)."""
+    table at the coordinate matrices (V, V*).
+
+    Each poly's weight and degree are read off its packed monomials in one
+    ``torus_weight`` pass, which raises ``ValueError`` for a zero poly, a
+    poly of mixed weight, or one not homogeneous of its recipe's degree."""
     gens = []
     for (kind, index), poly in recipe_table(s, s.v_matrix(), s.vstar_matrix()).items():
-        label = generator_label(kind, index)
         degree = 2 if kind in ("C", "Q") else len(index)
-        assert poly.is_homogeneous(degree), label
-        gens.append(Generator(label, poly, degree, torus_weight(poly, s), (kind, index)))
+        weight = torus_weight(poly, s, degree)
+        gens.append(Generator(generator_label(kind, index), poly, degree, weight, (kind, index)))
     return GeneratorSet(s, tuple(gens))
 
 

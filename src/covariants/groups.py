@@ -19,18 +19,24 @@ This module is the one home of two conventions the certificates share:
 the derivation images of the nilradical (``derivation_images`` and
 ``derive_monomial``, used for invariance and for the exact invariant
 kernels; they act on packed monomials, see ``polynomial``) and the torus
-weight of a monomial (``monomial_torus_weight``, used for generator weights
-and for the weight blocks of those kernels).  A weight is a plain tuple of
-epsilon-coordinates (see ``weights``); ``torus_weight`` returns one.
+weight of a monomial (``monomial_torus_weight``, the per-monomial
+definition, used for the variable weights behind the weight blocks of those
+kernels).  ``torus_weight`` reads a polynomial's weight, and optionally
+checks its degree, straight off the packed monomials, with slot masks that
+follow ``monomial_torus_weight``'s signs and folding; ``build_generators``
+takes every generator's weight and degree from it.  A weight is a plain
+tuple of epsilon-coordinates (see ``weights``).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
+
 from .linalg import Matrix, kernel_basis, primitive_row
-from .polynomial import Polynomial, variable_key
+from .polynomial import SLOT_BITS, Polynomial, variable_key
 from .scenario import Scenario
 
 
@@ -226,15 +232,69 @@ def monomial_torus_weight(s: Scenario, exps: tuple[int, ...]) -> tuple:
     return tuple(w)
 
 
-def torus_weight(p: Polynomial, s: Scenario) -> tuple:
+# 2**SLOT_BITS = 1 (mod _SLOT), so a packed monomial mod _SLOT is the sum
+# of its slots while that sum stays below _SLOT
+_SLOT = (1 << SLOT_BITS) - 1
+
+
+@lru_cache(maxsize=None)
+def _weight_masks(s: Scenario) -> tuple:
+    """The packed masks ``torus_weight`` reads a monomial with: ``(high,
+    pairs)``.  ``high`` has the slot bits at and above 2**b, with
+    b = floor(log2(0xFFFF / nvars)), and ``pairs`` one (plus, minus) pair of
+    slot masks per weight coordinate: the variables that add to it and
+    those that subtract, by the signs and the o/sp folding of
+    ``monomial_torus_weight``."""
+    n, nx, nv = s.n, s.n * s.l, s.nvars
+    signs = [[0] * nv for _ in range(n)]  # signs[i][v]: v's contribution to e_i
+    for v in range(nv):
+        if v < nx:
+            signs[v % n][v] -= 1
+        else:
+            signs[(v - nx) % n][v] += 1
+    if s.group != "gl":
+        signs = [[a - b for a, b in zip(signs[i], signs[n - 1 - i])] for i in range(s.r)]
+    b = max((_SLOT // max(nv, 1)).bit_length() - 1, 0)
+    high = sum((_SLOT >> b << b) * variable_key(v) for v in range(nv))
+    pairs = tuple(
+        tuple(sum(_SLOT * variable_key(v) for v in range(nv) if row[v] == sign) for sign in (1, -1))
+        for row in signs
+    )
+    return high, pairs
+
+
+def torus_weight(p: Polynomial, s: Scenario, degree: int | None = None) -> tuple:
     """The torus weight of a weight-homogeneous polynomial.
 
-    The common ``monomial_torus_weight`` of its monomials; raises for the
-    zero polynomial and if the monomials do not agree.
+    The common ``monomial_torus_weight`` of its monomials, read off the
+    packed monomials with no exponent tuple: since 2**16 = 1 (mod 0xFFFF),
+    ``(m & mask) % 0xFFFF`` is the sum of the 16-bit slots of m that
+    ``mask`` keeps, as long as that sum stays below 0xFFFF.  So the weight
+    coordinate is that sum over the variables that add to it minus the sum
+    over those that subtract (``_weight_masks``), and the total degree is
+    the sum over all slots.  Every slot of a monomial is refused at or above
+    2**b, b = floor(log2(0xFFFF / nvars)), so that no sum can reach 0xFFFF:
+    such a monomial raises ``ValueError``.  (That is 2**10 at 49 variables,
+    far above any degree the package builds.)
+
+    Raises ``ValueError`` for the zero polynomial, for monomials of mixed
+    weight, and, when ``degree`` is given, unless every monomial has total
+    degree ``degree``.
     """
-    weights = {monomial_torus_weight(s, exps) for exps in p.exponents()}
-    if not weights:
+    if p.nvars != s.nvars:
+        raise ValueError("polynomial does not live on this scenario's universe")
+    monomials = p.packed_terms().keys()
+    if not monomials:
         raise ValueError("the zero polynomial has no weight")
-    if len(weights) > 1:
-        raise ValueError("not a weight vector (monomials of mixed weight)")
-    return weights.pop()
+    high, pairs = _weight_masks(s)
+    if reduce(or_, monomials) & high:
+        raise ValueError(f"a monomial too large to weigh by slot sums ({s.nvars} variables)")
+    if degree is not None and {m % _SLOT for m in monomials} != {degree}:
+        raise ValueError(f"not homogeneous of degree {degree}")
+    weight = []
+    for plus, minus in pairs:
+        values = {(m & plus) % _SLOT - (m & minus) % _SLOT for m in monomials}
+        if len(values) > 1:
+            raise ValueError("not a weight vector (monomials of mixed weight)")
+        weight.append(values.pop())
+    return tuple(weight)

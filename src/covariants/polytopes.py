@@ -84,7 +84,7 @@ class PolytopeSpec:
         object.__setattr__(self, "delta_facets", hull_facets(self.delta_vertices))
 
     # The predicates take a point as numerators over one positive
-    # denominator, so a sample cleared once by ``_cleared`` is tested on
+    # denominator, so a sample of ``sample_chamber_point`` is tested on
     # integers; a point of any exact numbers is its own numerators over 1.
     # The chamber is a cone, so its test needs no denominator.
 
@@ -152,13 +152,15 @@ def build_polytopes(s: Scenario) -> PolytopeSpec:
     return PolytopeSpec(tuple(phi_vertices), tuple(delta), tuple(chamber_rows))
 
 
-def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
-    """A random rational point of Phi hit into the chamber by the Weyl group.
+def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple[list[int], int]:
+    """A random rational point of Phi hit into the chamber by the Weyl group,
+    as ``(numerators, t)``: integer numerators over one denominator t >= 1.
 
-    Averages up to 20 vertices of Phi (denominator <= 20) and symmetrizes:
-    gl sorts coordinates descending; o/sp sorts absolute values descending
-    and flips signs nonnegative, except that the even-orthogonal chamber
-    keeps a free sign on the last coordinate, exercised with probability 1/2.
+    Averages t <= 20 vertices of Phi and symmetrizes: gl sorts coordinates
+    descending; o/sp sorts absolute values descending and flips signs
+    nonnegative, except that the even-orthogonal chamber keeps a free sign
+    on the last coordinate, exercised with probability 1/2.  Over the one
+    positive t the numerators sort in the order of the rational point.
     """
     q = s.rank
     t = rng.randint(1, 20)
@@ -167,7 +169,6 @@ def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
         v = spec.phi_vertices[rng.randrange(len(spec.phi_vertices))]
         for i in range(q):
             point[i] += v[i]
-    point = [Fraction(x, t) for x in point]
     if s.group == "gl":
         point.sort(reverse=True)
     else:
@@ -175,29 +176,28 @@ def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple:
         point = [abs(x) for x in point]
         if s.case == "D" and rng.random() < 0.5:
             point[q - 1] = -point[q - 1]
-    return tuple(canon_coeff(x) for x in point)
+    return point, t
 
 
 def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> tuple[bool, dict | None]:
     """Verify delta = Phi intersect chamber on random points plus vertices.
 
-    Samples are tested against the cross-polytope and delta's facet
-    inequalities; delta's vertices are tested against Phi by exact LP.
-    Returns (passed, witness): the witness of a failure lists the failing
-    points as fraction strings under ``points_outside_delta``,
-    ``delta_vertices_outside`` and ``points_outside_phi`` (a sample outside
-    Phi or the chamber).
+    Samples are tested on their integer numerators against the
+    cross-polytope and delta's facet inequalities; delta's vertices are
+    tested against Phi by exact LP.  Returns (passed, witness): the witness
+    of a failure lists the failing points as fraction strings under
+    ``points_outside_delta``, ``delta_vertices_outside`` and
+    ``points_outside_phi`` (a sample outside Phi or the chamber).
     """
     spec = build_polytopes(s)
     witness = {"points_outside_delta": [], "delta_vertices_outside": [], "points_outside_phi": []}
     rng = substream(seed, f"polytope:{s.group}:{s.n}")
     for _ in range(samples):
-        pt = sample_chamber_point(s, spec, rng)
-        nums, den = _cleared(pt)
-        if not (spec.in_phi(nums, den) and spec.in_chamber(nums)):
-            witness["points_outside_phi"].append(_fraction_strings(pt))
-        elif not spec.in_delta(nums, den):
-            witness["points_outside_delta"].append(_fraction_strings(pt))
+        nums, t = sample_chamber_point(s, spec, rng)
+        if not (spec.in_phi(nums, t) and spec.in_chamber(nums)):
+            witness["points_outside_phi"].append(_fraction_strings(nums, t))
+        elif not spec.in_delta(nums, t):
+            witness["points_outside_delta"].append(_fraction_strings(nums, t))
     for v in spec.delta_vertices:
         if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):
             witness["delta_vertices_outside"].append(_fraction_strings(v))
@@ -205,5 +205,5 @@ def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> t
     return passed, None if passed else witness
 
 
-def _fraction_strings(point) -> list[str]:
-    return [str(Fraction(x)) for x in point]
+def _fraction_strings(nums, den=1) -> list[str]:
+    return [str(Fraction(x, den)) for x in nums]

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from math import lcm
+from functools import lru_cache
+from math import comb, lcm
 
 from .degrees import (
     generator_pairs_for,
@@ -393,25 +394,36 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
     return out
 
 
-def _independent_wedge(mat_rows, n: int, l: int) -> list[tuple]:
-    """Wedges of the last rows computed without determinants (oracle)."""
+@lru_cache(maxsize=None)
+def _wedge_steps(l: int, k: int) -> tuple:
+    """The steps from wedge^(k-1) to wedge^k of k^l: one ``(S index, i,
+    T index, sign)`` per (k-1)-subset S and i not in S, with T = S + {i},
+    indices into ``wedge_basis`` and e_i ^ e_S = sign * e_T."""
+    position = {T: t for t, T in enumerate(wedge_basis(l, k))}
+    steps = []
+    for si, S in enumerate(wedge_basis(l, k - 1)):
+        for i in range(l):
+            if i not in S:
+                T = tuple(sorted(S + (i,)))
+                steps.append((si, i, position[T], -1 if T.index(i) % 2 else 1))
+    return tuple(steps)
+
+
+def _independent_wedge(mat_rows, n: int, l: int) -> tuple:
+    """Wedges of the last rows computed without determinants (oracle):
+    component k is row n-k wedged onto component k-1, step by step."""
     comps = []
-    prev = {(): 1}
+    prev = [1]
     for k in range(1, min(l, n) + 1):
         u = mat_rows[n - k]
-        cur: dict[tuple, object] = {}
-        for S, c in prev.items():
-            if not c:
-                continue
-            for i in range(l):
-                if i in S:
-                    continue
-                T = tuple(sorted(S + (i,)))
-                sign = -1 if T.index(i) % 2 else 1
-                cur[T] = cur.get(T, 0) + sign * u[i] * c
+        cur = [0] * comb(l, k)
+        for si, i, ti, sign in _wedge_steps(l, k):
+            c = prev[si]
+            if c:
+                cur[ti] += sign * u[i] * c
         prev = cur
-        comps.append(tuple(cur.get(S, 0) for S in wedge_basis(l, k)))
-    return comps
+        comps.append(tuple(cur))
+    return tuple(comps)
 
 
 def flag_quotient_check(n: int, l: int, samples: int, group_samples: int, seed: int) -> tuple[bool, dict | None]:
@@ -428,19 +440,19 @@ def flag_quotient_check(n: int, l: int, samples: int, group_samples: int, seed: 
     s = Scenario("gl", n, l)
     rng = substream(seed, f"flags:{n}:{l}")
     p = min(l, n)
+    # the minor oracle's rows and columns per order k, built once per check
+    minor_rows = [list(range(n - k, n)) for k in range(1, p + 1)]
+    minor_cols = [[list(cols) for cols in wedge_basis(l, k)] for k in range(1, p + 1)]
     for it in range(samples):
         draws = [[(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
         c = lcm(*(b for row in draws for _, b in row))
         rows = [[a * (c // b) for a, b in row] for row in draws]
         mat = Matrix(rows)
         f = flag_map(mat, s)
-        if tuple(f.components) != tuple(map(tuple, _independent_wedge(rows, n, l))):
+        if tuple(f.components) != _independent_wedge(rows, n, l):
             return False, {"case": "wedge-mismatch", "iteration": it}
         for k in range(1, p + 1):
-            minors = tuple(
-                minor(mat, list(range(n - k, n)), list(cols))
-                for cols in wedge_basis(l, k)
-            )
+            minors = tuple(minor(mat, minor_rows[k - 1], cols) for cols in minor_cols[k - 1])
             if minors != tuple(f.components[k - 1]):
                 return False, {"case": "minor-mismatch", "iteration": it, "k": k}
         try:

@@ -554,7 +554,7 @@ def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
     # a sampler fault: every "sample" is 2 e_1, in the chamber but outside Phi
     from covariants import polytopes
 
-    monkeypatch.setattr(polytopes, "sample_chamber_point", lambda s, spec, rng: (2,) + (0,) * (s.rank - 1))
+    monkeypatch.setattr(polytopes, "sample_chamber_point", lambda s, spec, rng: ((2,) + (0,) * (s.rank - 1), 1))
     code, out, err = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "8,6", "--seed", "1")
     assert code == 1
     checks = json.loads(out)["checks"]

@@ -296,3 +296,38 @@ def test_criterion_9_computes_no_kernel_and_minor_no_determinant(monkeypatch):
         for rows, cols in itertools.product(itertools.combinations(range(5), k), repeat=2):
             minor(mat, rows, cols)
     assert calls == {"kernel_basis": 0, "det": 0, "lower_minors": 0}
+
+
+def dict_wedge(mat_rows, n, l):
+    """The former wedge oracle on dicts keyed by sorted subsets (oracle)."""
+    comps = []
+    prev = {(): 1}
+    for k in range(1, min(l, n) + 1):
+        u = mat_rows[n - k]
+        cur = {}
+        for S, c in prev.items():
+            if not c:
+                continue
+            for i in range(l):
+                if i in S:
+                    continue
+                T = tuple(sorted(S + (i,)))
+                sign = -1 if T.index(i) % 2 else 1
+                cur[T] = cur.get(T, 0) + sign * u[i] * c
+        prev = cur
+        comps.append(tuple(cur.get(S, 0) for S in wedge_basis(l, k)))
+    return comps
+
+
+def test_wedge_step_table_matches_the_dict_oracle():
+    rng = random.Random(17)
+    for n in range(1, 6):
+        for l in range(1, 6):
+            for _ in range(20):
+                # small entries, so that some rows and components vanish
+                rows = [[rng.randint(-2, 2) for _ in range(l)] for _ in range(n)]
+                assert _independent_wedge(rows, n, l) == tuple(dict_wedge(rows, n, l)), (n, l, rows)
+    # the table: one step per (k-1)-subset and element outside it
+    for l in range(1, 6):
+        for k in range(1, l + 1):
+            assert len(suite._wedge_steps(l, k)) == comb(l, k - 1) * (l - k + 1)

@@ -19,7 +19,7 @@ from covariants.generators import (
     sp_high_minor_membership,
     weight_table_of,
 )
-from covariants import generators
+from covariants import generators, polynomial
 from covariants.groups import (
     form_matrix,
     sample_unipotent,
@@ -295,6 +295,42 @@ def test_no_generator_is_substituted(monkeypatch):
             assert calls["recipe_table"] == 1, (s, num_samples)
             calls["recipe_table"] = 0
     assert calls == {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
+
+
+def test_building_the_largest_system_unpacks_no_monomial(monkeypatch):
+    # degrees and weights are read off the packed monomials: building o n=7
+    # l=7 (about 13,900 monomials in 49 variables) makes no exponent tuple
+    calls = []
+    for module in (polynomial, generators):
+        real = module.unpack
+        monkeypatch.setattr(module, "unpack", lambda m, nvars, real=real: calls.append(m) or real(m, nvars))
+    gs = build_generators(Scenario("o", 7, 7))
+    assert sum(len(g.poly) for g in gs) > 13_000
+    assert calls == []
+    assert gs.gens[0].poly.degree() == 2 and len(calls) == len(gs.gens[0].poly)  # the counter counts
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda p, s: Polynomial.zero(s.nvars), "zero polynomial"),
+        (lambda p, s: p + s.x_poly(0, 0) ** 2, "mixed weight"),
+        # x[1,j]*x[n,j] has weight 0, so these keep the weight and move the degree
+        (lambda p, s: p + s.x_poly(0, 0) * s.x_poly(s.n - 1, 0) * s.x_poly(0, 1) * s.x_poly(s.n - 1, 1), "degree 2"),
+        (lambda p, s: p * s.x_poly(0, 0) * s.x_poly(s.n - 1, 0), "degree 2"),
+    ],
+    ids=["zero", "mixed-weight", "mixed-degree", "wrong-degree"],
+)
+def test_build_generators_raises_on_a_recipe_poly_of_no_degree_or_weight(monkeypatch, fault, message):
+    # a ValueError, not an assert, so that python -O keeps the check
+    s = Scenario("o", 4, 2)
+    table = recipe_table(s, s.v_matrix(), s.vstar_matrix())
+    key = ("Q", (0, 0))
+    assert torus_weight(table[key], s) == (0, 0)
+    table[key] = fault(table[key], s)
+    monkeypatch.setattr(generators, "recipe_table", lambda *args: table)
+    with pytest.raises(ValueError, match=message):
+        build_generators(s)
 
 
 def substituted_samples(gs, samples):

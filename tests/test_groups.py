@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from covariants.degrees import table_scenario
 from covariants.generators import build_generators
 from covariants.groups import (
     form_matrix,
@@ -16,7 +17,8 @@ from covariants.groups import (
 )
 from covariants.linalg import Matrix
 from covariants.polynomial import Polynomial
-from covariants.scenario import Scenario
+from covariants.scenario import GROUPS, Scenario
+from covariants.suite import formula_scenarios, invariance_grid
 from covariants.weights import eps_to_phi
 
 from conftest import random_poly
@@ -304,3 +306,67 @@ def test_monomial_torus_weight_of_single_variables(s):
     assert sorted(expected) == list(range(s.nvars))
     for v, w in expected.items():
         assert monomial_torus_weight(s, tuple(int(k == v) for k in range(s.nvars))) == w, (s, v)
+
+
+def weight_scenarios():
+    """The invariance grid and the table scenarios of the formula grid."""
+    grid = invariance_grid(GROUPS) + [table_scenario(s) for s in formula_scenarios(GROUPS)]
+    return list(dict.fromkeys(grid))
+
+
+def per_term_weight(p, s):
+    """The common ``monomial_torus_weight`` of p's exponent tuples (oracle)."""
+    weights = {monomial_torus_weight(s, exps) for exps in p.exponents()}
+    assert len(weights) == 1
+    return weights.pop()
+
+
+def test_packed_weight_is_the_per_term_weight():
+    # every generator of the grid, and products of two small generators: the
+    # packed read equals the per-term weight and ``is_homogeneous``
+    rng = random.Random(5)
+    scenarios = weight_scenarios()
+    assert len(scenarios) == 98
+    for s in scenarios:
+        gens = build_generators(s).gens
+        for g in gens:
+            assert g.poly.is_homogeneous(g.degree)
+            assert torus_weight(g.poly, s) == torus_weight(g.poly, s, g.degree) == per_term_weight(g.poly, s) == g.weight
+        small = [g for g in gens if len(g.poly) <= 60]
+        for a, b in (rng.sample(small, 2) for _ in range(min(5, len(small) // 2))):
+            p = a.poly * b.poly
+            assert p.is_homogeneous(a.degree + b.degree)
+            assert torus_weight(p, s, a.degree + b.degree) == per_term_weight(p, s), (s, a.label, b.label)
+
+
+def test_packed_weight_raises_on_zero_mixed_weight_and_mixed_degree():
+    s = Scenario("gl", 3, 2, 1)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        torus_weight(Polynomial.zero(s.nvars), s, 2)
+    with pytest.raises(ValueError, match="mixed weight"):
+        torus_weight(s.x_poly(0, 0) + s.x_poly(1, 0), s, 1)
+    # x[1,1]*a[1,1] + 1 has weight 0 in both its degrees
+    mixed_degree = s.x_poly(0, 0) * s.a_poly(0, 0) + 1
+    assert torus_weight(mixed_degree, s) == (0, 0, 0)
+    with pytest.raises(ValueError, match="homogeneous of degree 2"):
+        torus_weight(mixed_degree, s, 2)
+    with pytest.raises(ValueError, match="homogeneous of degree 3"):
+        torus_weight(s.x_poly(0, 0) * s.a_poly(0, 0), s, 3)
+    with pytest.raises(ValueError, match="universe"):
+        torus_weight(Polynomial.variable(s.nvars + 1, 0), s)
+
+
+def test_packed_weight_refuses_a_monomial_past_its_slot_sum_bound():
+    # 49 variables: a slot may hold at most 2**10 - 1 = floor(0xFFFF / 49)
+    # rounded down to one less than a power of two, so that the slot sum of
+    # every monomial stays below 0xFFFF
+    s = Scenario("o", 7, 7)
+    assert s.nvars == 49
+    top = Polynomial(s.nvars, {(1023,) * 49: 1})
+    assert torus_weight(top, s, 49 * 1023) == per_term_weight(top, s) == (0, 0, 0)
+    lopsided = Polynomial(s.nvars, {(1023,) + (0,) * 47 + (1000,): 1})
+    assert torus_weight(lopsided, s, 2023) == per_term_weight(lopsided, s)
+    with pytest.raises(ValueError, match="too large"):
+        torus_weight(Polynomial(s.nvars, {(1024,) + (0,) * 48: 1}), s)
+    with pytest.raises(ValueError, match="too large"):
+        torus_weight(Polynomial(s.nvars, {(1,) * 48 + (2000,): 1}), s)

@@ -12,8 +12,10 @@ from covariants.polytopes import (
     hull_facets,
     sample_chamber_point,
 )
+from covariants.polynomial import canon_coeff
 from covariants.rng import substream
-from covariants.scenario import Scenario
+from covariants.scenario import GROUPS, Scenario
+from covariants.suite import POLYTOPE_SAMPLES, invariance_grid
 
 
 def test_gl2_vertex_lists():
@@ -55,9 +57,10 @@ def test_sampler_lands_in_domain():
         spec = build_polytopes(s)
         rng = substream(3, f"sampler:{s.group}{s.n}")
         for _ in range(50):
-            pt = sample_chamber_point(s, spec, rng)
-            assert convex_membership(pt, spec.phi_vertices)
-            assert spec.in_chamber(pt)
+            nums, t = sample_chamber_point(s, spec, rng)
+            assert t >= 1 and all(type(x) is int for x in nums)
+            assert convex_membership(tuple(Fraction(x, t) for x in nums), spec.phi_vertices)
+            assert spec.in_chamber(nums)
     # a chamber point outside the weight hull is not in the sampler's domain
     spec = build_polytopes(Scenario("gl", 3, 1))
     assert not convex_membership((2, 0, 0), spec.phi_vertices)
@@ -68,7 +71,7 @@ def test_even_o_sampler_reaches_negative_last_coordinate():
     spec = build_polytopes(s)
     rng = substream(1, "negcheck")
     assert any(
-        sample_chamber_point(s, spec, rng)[-1] < 0 for _ in range(100)
+        sample_chamber_point(s, spec, rng)[0][-1] < 0 for _ in range(100)
     )
 
 
@@ -149,3 +152,40 @@ def test_phi_test_is_the_cross_polytope():
     for _ in range(60):
         pt = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3))
         assert spec.in_phi(pt) == convex_membership(pt, spec.phi_vertices), pt
+
+
+def fraction_sampler(s, spec, rng):
+    """The former sampler on ``Fraction`` coordinates (oracle)."""
+    q = s.rank
+    t = rng.randint(1, 20)
+    point = [0] * q
+    for _ in range(t):
+        v = spec.phi_vertices[rng.randrange(len(spec.phi_vertices))]
+        for i in range(q):
+            point[i] += v[i]
+    point = [Fraction(x, t) for x in point]
+    if s.group == "gl":
+        point.sort(reverse=True)
+    else:
+        point.sort(key=abs, reverse=True)
+        point = [abs(x) for x in point]
+        if s.case == "D" and rng.random() < 0.5:
+            point[q - 1] = -point[q - 1]
+    return tuple(canon_coeff(x) for x in point)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integer_sampler_draws_the_fraction_samplers_points(seed):
+    # every criterion-8 stream: the same points, and the stream left where
+    # the Fraction sampler leaves it
+    streams = {(s.group, s.n): s for s in invariance_grid(GROUPS)}
+    assert len(streams) == 8
+    for (group, n), s in streams.items():
+        spec = build_polytopes(s)
+        new = substream(seed, f"polytope:{group}:{n}")
+        old = substream(seed, f"polytope:{group}:{n}")
+        for _ in range(POLYTOPE_SAMPLES):
+            nums, t = sample_chamber_point(s, spec, new)
+            assert all(type(x) is int for x in nums) and 1 <= t <= 20
+            assert tuple(canon_coeff(Fraction(x, t)) for x in nums) == fraction_sampler(s, spec, old)
+        assert new.random() == old.random(), (group, n)
