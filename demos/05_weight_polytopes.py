@@ -1,11 +1,14 @@
 """The polytope geometry behind the degree formulas.
 
 Normalized weights of the generated invariants fill out exactly the
-intersection of the weight hull of W with the dominant chamber.  The demo
-prints the vertex data and runs the two-sided inclusion check: sampled
-rational chamber points of the hull land inside the generator polytope
-(exact facet inequalities), and its vertices land back in hull (exact LP)
-and chamber.
+intersection of the weight hull of W with the dominant chamber.  Both
+polytopes are read off the built system: the weight hull's vertices are the
+torus weights of the variables, and the generator polytope is spanned by 0
+and each generator's weight over its degree (for o some of those points lie
+inside it).  The demo prints that data and runs the two-sided inclusion
+check: sampled rational chamber points of the hull land inside the
+generator polytope (exact facet inequalities), and its points land back in
+the hull (exact LP) and the chamber.
 """
 
 from fractions import Fraction

@@ -18,9 +18,9 @@ weight, since every generator monomial is a weight vector:
   exact sparse kernel over the integers, block by weight.
   The blocks come from the same enumerator and weight bucketing as the
   generator monomials' (``_weight_blocks``), with each variable a letter
-  of degree 1 whose weight is ``groups.monomial_torus_weight`` of that
-  variable; the derivation images are those of ``groups`` too, which owns
-  both conventions.
+  of degree 1 whose weight is its row of ``groups.variable_weights``; the
+  derivation images are those of ``groups`` too, which owns both
+  conventions.
 
 Since the generated subalgebra always sits inside the invariant ring, weight
 by weight, equality of each lower bound with the exact dimension pins both
@@ -55,8 +55,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .generators import GeneratorSet, monomial_weight, weighted_monomials
-from .groups import derivation_images, derive_monomial, monomial_torus_weight, nilradical_basis
+from .generators import GeneratorSet, weighted_monomials
+from .groups import derivation_images, derive_monomial, nilradical_basis, variable_weights
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
 from .polynomial import Polynomial, variable_key
 from .rng import residue_points
@@ -95,9 +95,7 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
         raise CapExceeded(
             f"degree-{t} monomial basis has {count} elements (cap {cap})"
         )
-    variables = range(s.nvars)
-    eps = [monomial_torus_weight(s, tuple(int(u == v) for u in variables)) for v in variables]
-    blocks = _weight_blocks([1] * s.nvars, eps, s.rank, t)
+    blocks = _weight_blocks([1] * s.nvars, variable_weights(s), s.rank, t)
     images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
     dims: dict[tuple, int] = {}
     for wkey, monos in sorted(blocks.items()):
@@ -205,8 +203,9 @@ def monomial_eval_matrix(
 
 
 def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) -> list[tuple[int, ...]]:
-    """Per block ``(monomials, npoints, heads)``: the ranks of its leading
-    ``heads`` rows, then of all its rows, at its first ``npoints`` points.
+    """Per block ``((degree, weight), monomials, npoints, heads)``: the
+    ranks of its leading ``heads`` rows, then of all its rows, at its first
+    ``npoints`` points.
 
     Per seed/prime, one evaluation matrix holds every block's rows, in
     order, at the largest ``npoints``; a block ranks its own rows on its
@@ -215,10 +214,10 @@ def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) 
     """
     if not blocks:
         return []
-    monomials = [m for ms, _, _ in blocks for m in ms]
-    npoints = max(n for _, n, _ in blocks)
-    starts = itertools.accumulate((len(ms) for ms, _, _ in blocks), initial=0)
-    rows = [(lo, lo + len(ms), n, heads) for (ms, n, heads), lo in zip(blocks, starts)]
+    monomials = [m for _, ms, _, _ in blocks for m in ms]
+    npoints = max(n for _, _, n, _ in blocks)
+    starts = itertools.accumulate((len(ms) for _, ms, _, _ in blocks), initial=0)
+    rows = [(lo, lo + len(ms), n, heads) for (_, ms, n, heads), lo in zip(blocks, starts)]
     found = []
     for tag, prime in ((":1", PRIME_A), (":2", PRIME_B)):
         mat = monomial_eval_matrix(gs, monomials, npoints, seed, stream + tag, prime)
@@ -227,12 +226,11 @@ def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) 
             sub = mat[lo:hi, :n]
             ranks.append(tuple(rank_mod_p(sub[:h], prime) for h in heads) + (rank_mod_p(sub, prime),))
         found.append(ranks)
-    for (ms, _, _), a, b in zip(blocks, *found):
+    for ((degree, weight), _, _, _), a, b in zip(blocks, *found):
         if a != b:
-            degree = sum(mult * gs.gens[idx].degree for idx, mult in ms[0])
             raise SeedDisagreement(
                 f"evaluation ranks disagree for the degree-{degree} block of weight "
-                f"{monomial_weight(gs, ms[0])} ({a} vs {b}) in stream {stream!r}; "
+                f"{weight} ({a} vs {b}) in stream {stream!r}; "
                 "rerun with a different seed and report if it persists"
             )
     return found[0]
@@ -277,7 +275,7 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     count, cap_val = sum(map(len, blocks.values())), monomial_cap(cap)
     if count > cap_val:
         raise CapExceeded(f"{count} generator monomials (cap {cap_val})")
-    ranks = _two_seed_ranks(gs, [(ms, 2 * len(ms), ()) for ms in blocks.values()], seed, f"genrank:{t}")
+    ranks = _two_seed_ranks(gs, [((t, w), ms, 2 * len(ms), ()) for w, ms in blocks.items()], seed, f"genrank:{t}")
     return {w: r for w, (r,) in sorted(zip(blocks, ranks)) if r}
 
 
@@ -306,13 +304,13 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight), []).append(idx)
     by_degree = {d: weight_blocks(gs, d) for d, _ in blocks}
-    keys, batch = sorted(blocks), []
-    for d, w in keys:
+    batch = []
+    for d, w in sorted(blocks):
         singles = [((idx, 1),) for idx in blocks[d, w]]
         rows = [m for m in by_degree[d][w] if m not in singles] + singles
-        batch.append((rows, len(rows) + 32, (len(rows) - len(singles),)))
+        batch.append(((d, w), rows, len(rows) + 32, (len(rows) - len(singles),)))
     first = _two_seed_ranks(gs, batch, seed, "min")
-    for (d, w), (rows, _, (nbase,)), (base, full) in zip(keys, batch, first):
+    for ((d, w), rows, _, (nbase,)), (base, full) in zip(batch, first):
         gen_indices = blocks[d, w]
         if full == base + len(gen_indices):
             continue
@@ -321,7 +319,7 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
             others = rows[:nbase] + [((j, 1),) for j in gen_indices if j != idx]
             ordered = others + [((idx, 1),)]
             ((r_without, r_with),) = _two_seed_ranks(
-                gs, [(ordered, len(ordered) + 32, (len(others),))], seed, f"min:{d}:{w}:g{idx}"
+                gs, [((d, w), ordered, len(ordered) + 32, (len(others),))], seed, f"min:{d}:{w}:g{idx}"
             )
             if r_with != r_without + 1:
                 inessential.append(gs.gens[idx].label)

@@ -105,6 +105,17 @@ def generator_label(kind: str, index) -> str:
     return f"{kind}[{len(index)};{','.join(str(c + 1) for c in index)}]"
 
 
+def _lower_top(s: Scenario) -> int:
+    """The top order of the lower minors: min(l, r) for sp, else min(l, n)."""
+    return min(s.l, s.r) if s.group == "sp" else min(s.l, s.n)
+
+
+def _cross_rows(s: Scenario) -> tuple:
+    """The r rows (r-1, n-r+1, ..., n-1) of the cross minors, or () where
+    the recipe has none (it has them for even o with l >= r)."""
+    return (s.r - 1, *range(s.n - s.r + 1, s.n)) if s.case == "D" and s.l >= s.r else ()
+
+
 def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
     """Every generator's recipe at the n x l matrix ``v`` and the m x n matrix
     ``vstar``: ``{(kind, index): value}``, in generator order.
@@ -115,7 +126,7 @@ def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
     The left minor on rows R of ``vstar`` is the lower minor on columns R of
     its row-reversed transpose, times (-1)^(p(p-1)/2), the sign of reversing
     p rows.  Cross minors are the top lower minors of the r rows
-    (r-1, n-r+1, ..., n-1) of ``v``.
+    ``_cross_rows`` of ``v``.
     """
     n, l, m, r = s.n, s.l, s.m, s.r
     x, a = v.rows, vstar.rows
@@ -129,7 +140,7 @@ def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
             for j in range(i if s.group == "o" else i + 1, l):
                 terms = [(f[k, n - 1 - k], x[k][i], x[n - 1 - k][j]) for k in range(n)]
                 table["Q", (i, j)] = Polynomial.sum_of_products(s.nvars, terms)
-    for order in lower_minors(v, min(l, r) if s.group == "sp" else min(l, n))[1:]:
+    for order in lower_minors(v, _lower_top(s))[1:]:
         for cols, poly in order.items():
             table["lowMinor", cols] = poly
     if m:
@@ -137,9 +148,9 @@ def recipe_table(s: Scenario, v: Matrix, vstar: Matrix) -> dict:
         for p, order in enumerate(lower_minors(flipped, min(m, n))[1:], start=1):
             for rows, poly in order.items():
                 table["leftMinor", rows] = -poly if p * (p - 1) // 2 % 2 else poly
-    if s.case == "D" and l >= r:
-        cross = Matrix([x[i] for i in (r - 1, *range(n - r + 1, n))])
-        for cols, poly in lower_minors(cross, r)[r].items():
+    cross = _cross_rows(s)
+    if cross:
+        for cols, poly in lower_minors(Matrix([x[i] for i in cross]), r)[r].items():
             table["crossMinor", cols] = poly
     return table
 
@@ -236,13 +247,13 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
     lower and left minors are read off one ``lower_minors`` table of it.
     ``check_invariance`` gives the argument.
     """
-    n, l, m, r = s.n, s.l, s.m, s.r
+    n, m, r = s.n, s.m, s.r
 
     def delta(minors, target, value):
         """Every minor is ``value`` on the subset ``target`` and 0 elsewhere."""
         return all(v == (value if cols == target else 0) for cols, v in minors.items())
 
-    top = min(l, r) if s.group == "sp" else min(l, n)
+    top = _lower_top(s)
     table = lower_minors(cu, n if m else top)
     out = {}
     if m:  # c = 1 here, so det(u) = det(c*u)
@@ -257,8 +268,8 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
         out["Q", 2] = cu.transpose() * f * cu == c * c * f
     for p in range(1, top + 1):
         out["lowMinor", p] = delta(table[p], tuple(range(n - p, n)), c**p)
-    if s.case == "D" and l >= r:
-        rows = (r - 1, *range(n - r + 1, n))
+    rows = _cross_rows(s)
+    if rows:
         out["crossMinor", r] = delta(lower_minors(Matrix([cu.rows[i] for i in rows]), r)[r], rows, c**r)
     return out
 
@@ -405,14 +416,6 @@ def monomial_label(gs: GeneratorSet, monomial) -> str:
         lbl = gs.gens[idx].label
         parts.append(lbl if mult == 1 else f"{lbl}^{mult}")
     return "*".join(parts)
-
-
-def monomial_weight(gs: GeneratorSet, monomial) -> tuple:
-    """Epsilon-coordinates of the torus weight of a generator monomial."""
-    w = (0,) * gs.scenario.rank
-    for idx, mult in monomial:
-        w = tuple(a + mult * b for a, b in zip(w, gs.gens[idx].weight))
-    return w
 
 
 # -- the symplectic high-minor reduction ---------------------------------------

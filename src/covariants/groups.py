@@ -19,13 +19,14 @@ This module is the one home of two conventions the certificates share:
 the derivation images of the nilradical (``derivation_images`` and
 ``derive_monomial``, used for invariance and for the exact invariant
 kernels; they act on packed monomials, see ``polynomial``) and the torus
-weight of a monomial (``monomial_torus_weight``, the per-monomial
-definition, used for the variable weights behind the weight blocks of those
-kernels).  ``torus_weight`` reads a polynomial's weight, and optionally
-checks its degree, straight off the packed monomials, with slot masks that
-follow ``monomial_torus_weight``'s signs and folding; ``build_generators``
-takes every generator's weight and degree from it.  A weight is a plain
-tuple of epsilon-coordinates (see ``weights``).
+weights of the variables (``variable_weights``, the one table of the x/a
+signs and the o/sp folding; a monomial weighs the sum of its variables).
+That table gives the letter weights of the invariant kernels' weight blocks
+(``dimensions``), the vertices of the weight hull Phi (``polytopes``), and
+the slot masks with which ``torus_weight`` reads a polynomial's weight,
+and optionally checks its degree, straight off the packed monomials;
+``build_generators`` takes every generator's weight and degree from it.  A
+weight is a plain tuple of epsilon-coordinates (see ``weights``).
 """
 
 from __future__ import annotations
@@ -210,26 +211,29 @@ def lie_act_on_polynomial(xi: Matrix, p: Polynomial, s: Scenario, images=None) -
     return Polynomial.from_packed(s.nvars, out)
 
 
-def monomial_torus_weight(s: Scenario, exps: tuple[int, ...]) -> tuple:
-    """The torus weight of one monomial, in epsilon-coordinates.
+@lru_cache(maxsize=None)
+def variable_weights(s: Scenario) -> tuple:
+    """The torus weight of each variable, in epsilon-coordinates: one tuple
+    with entries in {-1, 0, 1} per variable, indexed by variable.
 
-    Each x[i,j] factor contributes -e_i and each a[i,j] factor +e_j; for
-    o/sp the result is restricted to the small torus (e_{n+1-i} becomes
-    -e_i, the middle coordinate dies for odd n).
+    x[i,j] has weight -e_i and a[i,j] has weight +e_j; for o/sp the weight
+    is restricted to the small torus (e_{n+1-i} becomes -e_i, the middle
+    coordinate dies for odd n).  A monomial's weight is the sum of its
+    variables' weights, with multiplicity.
     """
-    n = s.n
-    nx = n * s.l
-    w = [0] * n
-    for idx, e in enumerate(exps):
-        if not e:
-            continue
-        if idx < nx:
-            w[idx % n] -= e
+    n, nx = s.n, s.n * s.l
+    out, distinct = [], {}  # one tuple per distinct weight, since the table is kept
+    for v in range(s.nvars):
+        w = [0] * n
+        if v < nx:
+            w[v % n] = -1
         else:
-            w[(idx - nx) % n] += e
-    if s.group != "gl":
-        w = [w[i] - w[n - 1 - i] for i in range(s.r)]
-    return tuple(w)
+            w[(v - nx) % n] = 1
+        if s.group != "gl":
+            w = [w[i] - w[n - 1 - i] for i in range(s.r)]
+        w = tuple(w)
+        out.append(distinct.setdefault(w, w))
+    return tuple(out)
 
 
 # 2**SLOT_BITS = 1 (mod _SLOT), so a packed monomial mod _SLOT is the sum
@@ -242,23 +246,15 @@ def _weight_masks(s: Scenario) -> tuple:
     """The packed masks ``torus_weight`` reads a monomial with: ``(high,
     pairs)``.  ``high`` has the slot bits at and above 2**b, with
     b = floor(log2(0xFFFF / nvars)), and ``pairs`` one (plus, minus) pair of
-    slot masks per weight coordinate: the variables that add to it and
-    those that subtract, by the signs and the o/sp folding of
-    ``monomial_torus_weight``."""
-    n, nx, nv = s.n, s.n * s.l, s.nvars
-    signs = [[0] * nv for _ in range(n)]  # signs[i][v]: v's contribution to e_i
-    for v in range(nv):
-        if v < nx:
-            signs[v % n][v] -= 1
-        else:
-            signs[(v - nx) % n][v] += 1
-    if s.group != "gl":
-        signs = [[a - b for a, b in zip(signs[i], signs[n - 1 - i])] for i in range(s.r)]
+    slot masks per weight coordinate: the variables whose
+    ``variable_weights`` entry there is +1, and those whose entry is -1."""
+    nv = s.nvars
     b = max((_SLOT // max(nv, 1)).bit_length() - 1, 0)
     high = sum((_SLOT >> b << b) * variable_key(v) for v in range(nv))
+    weights = variable_weights(s)
     pairs = tuple(
-        tuple(sum(_SLOT * variable_key(v) for v in range(nv) if row[v] == sign) for sign in (1, -1))
-        for row in signs
+        tuple(sum(_SLOT * variable_key(v) for v, w in enumerate(weights) if w[i] == sign) for sign in (1, -1))
+        for i in range(s.rank)
     )
     return high, pairs
 
@@ -266,8 +262,9 @@ def _weight_masks(s: Scenario) -> tuple:
 def torus_weight(p: Polynomial, s: Scenario, degree: int | None = None) -> tuple:
     """The torus weight of a weight-homogeneous polynomial.
 
-    The common ``monomial_torus_weight`` of its monomials, read off the
-    packed monomials with no exponent tuple: since 2**16 = 1 (mod 0xFFFF),
+    The common weight of its monomials, each the sum of its variables'
+    ``variable_weights`` with multiplicity, read off the packed monomials
+    with no exponent tuple: since 2**16 = 1 (mod 0xFFFF),
     ``(m & mask) % 0xFFFF`` is the sum of the 16-bit slots of m that
     ``mask`` keeps, as long as that sum stays below 0xFFFF.  So the weight
     coordinate is that sum over the variables that add to it minus the sum

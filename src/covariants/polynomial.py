@@ -231,11 +231,13 @@ class Polynomial:
 
     def sparse_terms(self) -> tuple:
         """(packed monomial, coefficient, ((variable, exponent), ...)) per
-        term, nonzero exponents only, in storage order; built once."""
+        term, nonzero exponents only, in storage order; built once, without
+        the ``terms`` view."""
         if self._sparse is None:
+            nv = self.nvars
             self._sparse = tuple(
-                (m, c, tuple((i, e) for i, e in enumerate(exps) if e))
-                for m, exps, c in zip(self._packed, self.exponents(), self.coefficients())
+                (m, c, tuple((i, e) for i, e in enumerate(unpack(m, nv)) if e))
+                for m, c in self._packed.items()
             )
         return self._sparse
 

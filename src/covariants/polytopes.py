@@ -2,14 +2,21 @@
 
 ``Phi`` is the convex hull of the torus weights of W (the cross-polytope on
 the basic characters), ``delta`` the hull of the normalized generator
-weights, and ``chamber`` the dominant cone.  The verified inclusion is
-two-sided, and each side is decided by its own exact algorithm:
+weights, and ``chamber`` the dominant cone.  Both hulls are read off the
+scenario's table regime t = ``degrees.table_scenario(s)`` (l >= n, and
+m >= n for gl): Phi's vertices are the distinct nonzero
+``groups.variable_weights`` of t, and delta's points are 0 and each
+generator's weight over its degree, for the generators that
+``build_generators(t)`` makes.  So the check certifies the built system,
+not a transcription of it.  The verified inclusion is two-sided, and each
+side is decided by its own exact algorithm:
 
 * random rational points of Phi intersected with the chamber must lie in
   delta.  Phi is the cross-polytope, so a point lies in it iff the sum of
-  the absolute values of its coordinates is at most 1; delta membership is
-  a test against delta's facet inequalities, built once per spec.
-* every delta vertex must lie back in Phi (exact LP, ``lp``) and in the
+  the absolute values of its coordinates is at most 1 (a Phi vertex off
+  the cross-polytope shows as samples outside it); delta membership is a
+  test against delta's facet inequalities, built once per spec.
+* every delta point must lie back in Phi (exact LP, ``lp``) and in the
   chamber.
 
 ``chamber_inclusion_check`` returns (passed, witness), the shape of every
@@ -19,16 +26,8 @@ The facet list is complete because delta is full-dimensional (checked):
 every facet of a full-dimensional polytope in R^q passes through q affinely
 independent points of a generating set, so the hyperplanes through such
 q-subsets that leave every point on one side are exactly the facets
-(Ziegler, *Lectures on Polytopes*, 1995).
-
-Vertex lists (epsilon-coordinates; q = torus rank):
-
-  gl: e_1, (e_1+e_2)/2, ..., (e_1+...+e_q)/q, -e_q, (-e_q-e_{q-1})/2, ...,
-      (-e_q-...-e_1)/q, and 0.
-  sp and odd o: 0, e_1, (e_1+e_2)/2, ..., (e_1+...+e_q)/q.
-  even o: additionally (e_1+...+e_{q-1}-e_q)/q; its chamber is
-      w_1 >= ... >= w_{q-1} >= |w_q| (the last coordinate may go negative,
-      which is exactly what the extra vertex covers).
+(Ziegler, *Lectures on Polytopes*, 1995).  Points inside the hull (the
+normalized weights of some ``o`` generators are) change no facet.
 """
 
 from __future__ import annotations
@@ -36,9 +35,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
-from .linalg import kernel_basis, rank
+from .degrees import table_scenario
+from .generators import build_generators
+from .groups import variable_weights
+from .linalg import kernel_basis, primitive_row, rank
 from .lp import convex_membership
 from .polynomial import canon_coeff
 from .rng import substream
@@ -64,7 +65,7 @@ def hull_facets(points) -> tuple:
         normal = kernel_basis(subset, q + 1)
         if len(normal) != 1:
             continue  # affinely dependent: no unique hyperplane
-        row, _ = _cleared(normal[0])  # primitive: the kernel vector has an entry 1
+        row = primitive_row(normal[0])
         sides = [sum(a * x for a, x in zip(row, p)) for p in lifted]
         if all(v >= 0 for v in sides):
             facets.add(tuple(row))
@@ -76,7 +77,7 @@ def hull_facets(points) -> tuple:
 @dataclass(frozen=True)
 class PolytopeSpec:
     phi_vertices: tuple  # +-e_i: the cross-polytope
-    delta_vertices: tuple
+    delta_vertices: tuple  # 0 and the normalized generator weights
     chamber: tuple  # rows c with the meaning <c, w> >= 0
     delta_facets: tuple = field(init=False)  # rows (a, c): <a, w> + c >= 0
 
@@ -103,34 +104,19 @@ class PolytopeSpec:
         )
 
 
-def _cleared(point) -> tuple[list[int], int]:
-    """A rational point as integer numerators over one positive denominator."""
-    den = lcm(*(x.denominator for x in point))
-    return [x.numerator * (den // x.denominator) for x in point], den
-
-
 def build_polytopes(s: Scenario) -> PolytopeSpec:
-    q = s.rank
-    phi_vertices = []
-    for i in range(q):
-        e = [0] * q
-        e[i] = 1
-        phi_vertices.append(tuple(e))
-        e2 = [0] * q
-        e2[i] = -1
-        phi_vertices.append(tuple(e2))
+    """Phi, delta and the chamber of s's group and n, read off the table
+    regime t = ``table_scenario(s)`` (see the module docstring).
 
-    delta = [tuple([0] * q)]
-    for k in range(1, q + 1):
-        v = [Fraction(1, k) if i < k else Fraction(0) for i in range(q)]
-        delta.append(tuple(canon_coeff(x) for x in v))
-    if s.group == "gl":
-        for k in range(1, q + 1):
-            v = [Fraction(-1, k) if i >= q - k else Fraction(0) for i in range(q)]
-            delta.append(tuple(canon_coeff(x) for x in v))
-    elif s.case == "D":
-        v = [Fraction(1, q)] * (q - 1) + [Fraction(-1, q)]
-        delta.append(tuple(canon_coeff(x) for x in v))
+    Phi's vertices come in the order e_1, -e_1, e_2, ..., in which
+    ``sample_chamber_point`` draws them; delta's points are sorted.
+    """
+    t, q = table_scenario(s), s.rank
+    weights = {w for w in variable_weights(t) if any(w)}
+    phi_vertices = sorted(weights, key=lambda w: ([abs(x) for x in w], w), reverse=True)
+    delta = {(0,) * q} | {
+        tuple(canon_coeff(Fraction(x, g.degree)) for x in g.weight) for g in build_generators(t)
+    }
 
     chamber_rows = []
     for i in range(q - 1):
@@ -149,7 +135,7 @@ def build_polytopes(s: Scenario) -> PolytopeSpec:
             row = [0] * q
             row[q - 1] = 1
             chamber_rows.append(tuple(row))
-    return PolytopeSpec(tuple(phi_vertices), tuple(delta), tuple(chamber_rows))
+    return PolytopeSpec(tuple(phi_vertices), tuple(sorted(delta)), tuple(chamber_rows))
 
 
 def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple[list[int], int]:
@@ -183,7 +169,7 @@ def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> t
     """Verify delta = Phi intersect chamber on random points plus vertices.
 
     Samples are tested on their integer numerators against the
-    cross-polytope and delta's facet inequalities; delta's vertices are
+    cross-polytope and delta's facet inequalities; delta's points are
     tested against Phi by exact LP.  Returns (passed, witness): the witness
     of a failure lists the failing points as fraction strings under
     ``points_outside_delta``, ``delta_vertices_outside`` and

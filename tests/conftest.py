@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from covariants.groups import variable_weights
 from covariants.polynomial import Polynomial
 
 
@@ -29,6 +30,13 @@ def permute_variables(p: Polynomial, perm) -> Polynomial:
             e[perm[i]] = ei
         out[tuple(e)] = c
     return Polynomial(p.nvars, out)
+
+
+def exponent_weight(s, exps) -> tuple:
+    """The torus weight of the monomial with exponent tuple ``exps``: the
+    sum of its variables' ``variable_weights``, with multiplicity (oracle)."""
+    table = variable_weights(s)
+    return tuple(sum(e * w[i] for e, w in zip(exps, table)) for i in range(s.rank))
 
 
 def random_frac(rng: random.Random) -> Fraction:

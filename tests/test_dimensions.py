@@ -24,14 +24,16 @@ from covariants.generators import (
     GeneratorSet,
     build_generators,
     generator_monomials,
-    monomial_weight,
+    monomial_poly,
     weighted_monomials,
 )
-from covariants.groups import lie_act_on_polynomial, monomial_torus_weight, nilradical_basis
+from covariants.groups import lie_act_on_polynomial, nilradical_basis, torus_weight
 from covariants.linalg import PRIME_A, PRIME_B, rank, rank_mod_p
 from covariants.polynomial import Polynomial
 from covariants.rng import residue_points
 from covariants.scenario import Scenario
+
+from conftest import exponent_weight
 
 
 def test_weighted_monomials_enumeration():
@@ -68,7 +70,7 @@ def _brute_force_weight_dims(s: Scenario, t: int) -> dict:
     """Degree-t invariant dimension per weight from ``_dense_nullity``."""
     blocks: dict[tuple, list] = {}
     for exps in _dense_monomials(s, t):
-        blocks.setdefault(monomial_torus_weight(s, exps), []).append(exps)
+        blocks.setdefault(exponent_weight(s, exps), []).append(exps)
     dims = {w: _dense_nullity(s, block) for w, block in blocks.items()}
     return {w: d for w, d in dims.items() if d}
 
@@ -140,9 +142,10 @@ def test_weight_blocks_partition_the_generator_monomials():
         for t in range(4):
             blocks, monos = weight_blocks(gs, t), generator_monomials(gs, t)
             assert sorted(m for ms in blocks.values() for m in ms) == monos
+            weights = [torus_weight(monomial_poly(gs, m), s) for m in monos]
             for w, ms in blocks.items():
                 assert all(type(x) is int for x in w)
-                assert ms == [m for m in monos if monomial_weight(gs, m) == w]
+                assert ms == [m for m, v in zip(monos, weights) if v == w]
         assert weight_blocks(gs, 0) == {(0,) * s.rank: [()]}
 
 
@@ -158,7 +161,7 @@ def test_empty_generator_set():
 
 def _gl_degree_3_blocks():
     gs = build_generators(Scenario("gl", 3, 2, 2))
-    return gs, [(ms, 2 * len(ms), ()) for ms in weight_blocks(gs, 3).values()]
+    return gs, [((3, w), ms, 2 * len(ms), ()) for w, ms in weight_blocks(gs, 3).items()]
 
 
 def _o_minimality_blocks():
@@ -168,27 +171,27 @@ def _o_minimality_blocks():
     for d, w in sorted({(g.degree, g.weight) for g in gs.gens}):
         gens = [((i, 1),) for i, g in enumerate(gs.gens) if (g.degree, g.weight) == (d, w)]
         base = [m for m in weight_blocks(gs, d)[w] if m not in gens]
-        batch.append((base + gens, len(base) + len(gens) + 32, (len(base),)))
+        batch.append(((d, w), base + gens, len(base) + len(gens) + 32, (len(base),)))
     return gs, batch
 
 
 @pytest.mark.parametrize("blocks", [_gl_degree_3_blocks, _o_minimality_blocks])
 def test_batched_ranks_match_blocks_ranked_alone(blocks, monkeypatch):
     gs, batch = blocks()
-    assert len(batch) > 1 and len({n for _, n, _ in batch}) > 1
+    assert len(batch) > 1 and len({n for _, _, n, _ in batch}) > 1
     alone = [_two_seed_ranks(gs, [block], 3, f"alone:{k}")[0] for k, block in enumerate(batch)]
     seen = []
     monkeypatch.setattr(dimensions, "rank_mod_p", lambda mat, p: seen.append((mat, p)) or rank_mod_p(mat, p))
     assert _two_seed_ranks(gs, batch, 3, "batch") == alone
 
     # each block is ranked on its own rows of the shared matrix, at its own column prefix
-    monomials = [m for ms, _, _ in batch for m in ms]
-    npoints = max(n for _, n, _ in batch)
+    monomials = [m for _, ms, _, _ in batch for m in ms]
+    npoints = max(n for _, _, n, _ in batch)
     expected = []
     for tag, p in ((":1", PRIME_A), (":2", PRIME_B)):
         shared = monomial_eval_matrix(gs, monomials, npoints, 3, "batch" + tag, p)
         lo = 0
-        for ms, n, heads in batch:
+        for _, ms, n, heads in batch:
             sub = shared[lo : lo + len(ms), :n]
             expected += [(sub[:h], p) for h in heads] + [(sub, p)]
             lo += len(ms)

@@ -14,7 +14,6 @@ from covariants.generators import (
     expected_weight_table,
     generator_monomials,
     monomial_poly,
-    monomial_weight,
     recipe_table,
     sp_high_minor_membership,
     weight_table_of,
@@ -513,13 +512,3 @@ def test_weight_phi_integrality():
         for g in build_generators(s).gens:
             phi = integral_phi(s, g.weight)
             assert all(isinstance(k, int) for k in phi)
-
-
-@pytest.mark.parametrize(
-    "s", [Scenario("gl", 2, 2, 1), Scenario("o", 4, 2), Scenario("sp", 4, 2)], ids=lambda s: s.group
-)
-def test_monomial_weight_is_weight_of_expanded_monomial(s):
-    gs = build_generators(s)
-    for t in range(4):
-        for mu in generator_monomials(gs, t):
-            assert monomial_weight(gs, mu) == torus_weight(monomial_poly(gs, mu), s)

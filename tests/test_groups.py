@@ -9,11 +9,11 @@ from covariants.generators import build_generators
 from covariants.groups import (
     form_matrix,
     lie_act_on_polynomial,
-    monomial_torus_weight,
     nilradical_basis,
     sample_unipotent,
     substitution_images,
     torus_weight,
+    variable_weights,
 )
 from covariants.linalg import Matrix
 from covariants.polynomial import Polynomial
@@ -21,7 +21,7 @@ from covariants.scenario import GROUPS, Scenario
 from covariants.suite import formula_scenarios, invariance_grid
 from covariants.weights import eps_to_phi
 
-from conftest import random_poly
+from conftest import exponent_weight, random_poly
 
 
 def exp_nilpotent(xi):
@@ -291,8 +291,9 @@ def test_weight_additive_under_multiplication():
     ids=lambda s: f"{s.group}-{s.n}-{s.l}-{s.m}",
 )
 def test_monomial_torus_weight_of_single_variables(s):
-    # x[i,j] -> -e_i and a[i,j] -> +e_j; for o/sp e_{n+1-i} folds to -e_i and
-    # the middle coordinate of odd n dies
+    # the weight of the monomial of one variable is its ``variable_weights``
+    # row: x[i,j] -> -e_i and a[i,j] -> +e_j; for o/sp e_{n+1-i} folds to
+    # -e_i and the middle coordinate of odd n dies
     def weight(i, sign):
         w = [0] * s.rank
         if s.group == "gl" or i < s.r:
@@ -303,9 +304,9 @@ def test_monomial_torus_weight_of_single_variables(s):
 
     expected = {s.x_var(i, j): weight(i, -1) for j in range(s.l) for i in range(s.n)}
     expected.update({s.a_var(i, j): weight(j, 1) for i in range(s.m) for j in range(s.n)})
-    assert sorted(expected) == list(range(s.nvars))
+    assert sorted(expected) == list(range(s.nvars)) and len(variable_weights(s)) == s.nvars
     for v, w in expected.items():
-        assert monomial_torus_weight(s, tuple(int(k == v) for k in range(s.nvars))) == w, (s, v)
+        assert variable_weights(s)[v] == w, (s, v)
 
 
 def weight_scenarios():
@@ -315,8 +316,8 @@ def weight_scenarios():
 
 
 def per_term_weight(p, s):
-    """The common ``monomial_torus_weight`` of p's exponent tuples (oracle)."""
-    weights = {monomial_torus_weight(s, exps) for exps in p.exponents()}
+    """The common ``exponent_weight`` of p's exponent tuples (oracle)."""
+    weights = {exponent_weight(s, exps) for exps in p.exponents()}
     assert len(weights) == 1
     return weights.pop()
 

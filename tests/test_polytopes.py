@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from covariants import polytopes
+from covariants.generators import GeneratorSet
 from covariants.lp import convex_membership
 from covariants.polytopes import (
     build_polytopes,
@@ -130,6 +132,99 @@ def test_facet_test_agrees_with_lp(s):
     points.append(outside)
     for pt in points:
         assert spec.in_delta(pt) == convex_membership(pt, verts), pt
+
+
+def closed_form_delta(s):
+    """Delta's vertices in closed form (epsilon-coordinates, q = torus rank;
+    oracle):
+
+      gl: e_1, (e_1+e_2)/2, ..., (e_1+...+e_q)/q, -e_q, (-e_q-e_{q-1})/2,
+          ..., (-e_q-...-e_1)/q, and 0.
+      sp and odd o: 0, e_1, (e_1+e_2)/2, ..., (e_1+...+e_q)/q.
+      even o: additionally (e_1+...+e_{q-1}-e_q)/q; its chamber is
+          w_1 >= ... >= w_{q-1} >= |w_q|, and this vertex covers a negative
+          last coordinate.
+    """
+    q = s.rank
+    delta = [(0,) * q]
+    for k in range(1, q + 1):
+        delta.append(tuple(canon_coeff(Fraction(int(i < k), k)) for i in range(q)))
+    if s.group == "gl":
+        for k in range(1, q + 1):
+            delta.append(tuple(canon_coeff(Fraction(-int(i >= q - k), k)) for i in range(q)))
+    elif s.case == "D":
+        delta.append(tuple(canon_coeff(Fraction(1 if i < q - 1 else -1, q)) for i in range(q)))
+    return delta
+
+
+@pytest.mark.parametrize("s", FACET_SCENARIOS, ids=lambda s: f"{s.group}{s.n}")
+def test_polytopes_of_the_built_system_are_the_closed_forms(s):
+    # Phi's vertices in the sampler's order e_1, -e_1, e_2, ..., and delta
+    # with the facets of the closed-form vertex list, which it contains
+    spec = build_polytopes(s)
+    q = s.rank
+    assert spec.phi_vertices == tuple(
+        tuple(sign * int(i == k) for i in range(q)) for k in range(q) for sign in (1, -1)
+    )
+    closed = closed_form_delta(s)
+    assert spec.delta_facets == hull_facets(closed)
+    assert set(closed) <= set(spec.delta_vertices)
+    assert list(spec.delta_vertices) == sorted(set(spec.delta_vertices))
+
+
+def _with_order_1_lower_minors(monkeypatch, change):
+    """Patch ``polytopes.build_generators`` to apply ``change`` to every
+    generator lowMinor[1;c]."""
+    build = polytopes.build_generators
+
+    def patched(t):
+        gens = build(t).gens
+        return GeneratorSet(t, tuple(change(g) if g.recipe[0] == "lowMinor" and g.degree == 1 else g for g in gens))
+
+    monkeypatch.setattr(polytopes, "build_generators", patched)
+
+
+def test_a_wrong_generator_weight_fails_criterion_8(monkeypatch):
+    # sp n=4: lowMinor[1;c] has weight e_1; doubled, its point 2e_1 leaves Phi
+    s = Scenario("sp", 4, 1)
+    _with_order_1_lower_minors(monkeypatch, lambda g: dataclasses.replace(g, weight=tuple(2 * x for x in g.weight)))
+    assert (2, 0) in build_polytopes(s).delta_vertices
+    assert chamber_inclusion_check(s, samples=50, seed=0) == (False, {
+        "points_outside_delta": [],
+        "delta_vertices_outside": [["2", "0"]],
+        "points_outside_phi": [],
+    })
+
+
+def test_a_wrong_generator_degree_fails_criterion_8(monkeypatch):
+    # gl n=3: lowMinor[1;c] (weight -e_3) at degree 2 puts -e_3/2 in place
+    # of the vertex -e_3, so samples near -e_3 fall outside delta
+    s = Scenario("gl", 3, 1)
+    _with_order_1_lower_minors(monkeypatch, lambda g: dataclasses.replace(g, degree=2))
+    assert (0, 0, -1) not in build_polytopes(s).delta_vertices
+    passed, witness = chamber_inclusion_check(s, samples=POLYTOPE_SAMPLES, seed=1)
+    assert not passed
+    assert ["0", "0", "-1"] in witness["points_outside_delta"]
+    assert witness["delta_vertices_outside"] == witness["points_outside_phi"] == []
+
+
+def test_a_wrong_variable_weight_shows_as_samples_outside_phi(monkeypatch):
+    # Phi comes from the variables: a doubled weight is a vertex 2e_1 that the
+    # closed-form test of Phi rejects
+    s = Scenario("sp", 4, 1)
+    table = polytopes.variable_weights
+
+    def doubled(t):
+        weights = list(table(t))
+        k = weights.index((1, 0))
+        weights[k] = (2, 0)
+        return tuple(weights)
+
+    monkeypatch.setattr(polytopes, "variable_weights", doubled)
+    assert (2, 0) in build_polytopes(s).phi_vertices
+    passed, witness = chamber_inclusion_check(s, samples=50, seed=0)
+    assert not passed and witness["points_outside_phi"]
+    assert all(sum(abs(Fraction(x)) for x in p) > 1 for p in witness["points_outside_phi"])
 
 
 def test_facet_counts():
