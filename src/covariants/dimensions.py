@@ -33,9 +33,14 @@ uniform nonzero residues mod p drawn from a named substream, one matrix
 holds all the blocks' monomial rows at the largest point count any block
 asks for, and each block ranks its own rows on a prefix of the columns.
 The matrix is built on residues throughout (numpy).  The ranks are taken
-at two independent streams with two distinct primes; a disagreement
-aborts, naming the block.  Sharing points changes no bound: a rank mod p
-at any points is at most the rank over Q, and each block's Schwartz-Zippel
+at two independent streams with two distinct primes: one evaluation stack
+holds both primes' matrices, built from one exponent matrix and one set of
+factor rows, and each block's two slices are eliminated together by
+``linalg.rank_mod_p``.  A block of full row rank needs no rank of its
+leading rows (minimality's decomposable monomials): they are independent.
+A disagreement between the primes aborts, naming the block.  Sharing
+points changes no bound: a rank mod p at any points is at most the rank
+over Q, and each block's Schwartz-Zippel
 bound (a shortfall with probability at most rank x degree / (p - 1)) holds
 for any points drawn independently of that block's matrix, so the chance
 that some block falls short is at most the sum of the blocks' bounds.
@@ -46,7 +51,6 @@ check, with the labels of the inessential generators as the witness.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from fractions import Fraction
@@ -64,6 +68,7 @@ from .scenario import Scenario
 
 DEFAULT_MONOMIAL_CAP = 20000
 CAP_ENV_VAR = "COVARIANTS_MONOMIAL_CAP"
+PRIMES = (PRIME_A, PRIME_B)  # the two seeds' primes, in stream order :1, :2
 
 
 class CapExceeded(RuntimeError):
@@ -121,6 +126,8 @@ def invariant_weight_dims(s: Scenario, t: int, cap: int | None = None) -> dict:
 
 
 def _frac_mod(x, p: int) -> int:
+    if type(x) is int:
+        return x % p
     f = Fraction(x)
     if f.denominator % p == 0:
         raise ValueError(f"{x} has no residue mod {p}: its denominator is divisible by {p}")
@@ -153,24 +160,29 @@ def _products_mod(values: np.ndarray, factors: np.ndarray, p: int) -> np.ndarray
     return out
 
 
-def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, p: int) -> np.ndarray:
-    """Values of each polynomial at each point (a column of ``points``), mod p.
+def _gen_values_mod(polys: Sequence[Polynomial], points: np.ndarray, primes: Sequence[int]) -> np.ndarray:
+    """Values of each polynomial at each point, one slice per prime: slice k
+    holds the values mod ``primes[k]`` at the points ``points[k]`` (one
+    column per point), shape ``(len(primes), len(polys), npoints)``.
 
-    The terms of all the polynomials are evaluated together, then summed
-    per polynomial as differences of a running sum over the terms.
+    The terms' exponent matrix, read off the packed monomials (the layout
+    ``polynomial.unpack`` reads), and their factor rows are built once.  Per
+    prime the terms of all the polynomials are evaluated together, then
+    summed per polynomial as differences of a running sum over the terms.
     """
-    nvars, npoints = points.shape
-    sizes = [len(poly) for poly in polys]
-    exponents = np.array(
-        [e for poly in polys for e in poly.exponents()], dtype=np.int64
-    ).reshape(-1, nvars)
-    coeffs = np.array(
-        [_frac_mod(c, p) for poly in polys for c in poly.coefficients()], dtype=np.int64
-    )
-    terms = _products_mod(points, _factor_rows(exponents), p) * coeffs[:, None] % p
-    running = np.vstack([np.zeros((1, npoints), dtype=np.int64), terms.cumsum(axis=0)])
-    bounds = np.cumsum([0] + sizes)
-    return (running[bounds[1:]] - running[bounds[:-1]]) % p
+    _, nvars, npoints = points.shape
+    keys = [m for poly in polys for m in poly.packed_terms()]
+    exponents = np.frombuffer(b"".join(m.to_bytes(2 * nvars, "little") for m in keys), "<u2")
+    factors = _factor_rows(exponents.reshape(len(keys), nvars).astype(np.int64))
+    coeffs = [c for poly in polys for c in poly.coefficients()]
+    bounds = np.cumsum([0] + [len(poly) for poly in polys])
+    out = np.empty((len(primes), len(polys), npoints), dtype=np.int64)
+    for k, p in enumerate(primes):
+        residues = np.array([_frac_mod(c, p) for c in coeffs], dtype=np.int64)
+        terms = _products_mod(points[k], factors, p) * residues[:, None] % p
+        running = np.vstack([np.zeros((1, npoints), dtype=np.int64), terms.cumsum(axis=0)])
+        out[k] = (running[bounds[1:]] - running[bounds[:-1]]) % p
+    return out
 
 
 def _exponent_matrix(nletters: int, monomials: Sequence) -> np.ndarray:
@@ -187,19 +199,28 @@ def monomial_eval_matrix(
     monomials: Sequence,
     npoints: int,
     seed: int,
-    stream: str,
-    p: int,
+    streams: Sequence[str],
+    primes: Sequence[int],
 ) -> np.ndarray:
-    """Rows = generator monomials, columns = values at random points (mod p).
+    """Slice k: rows = generator monomials, columns = values at random points
+    mod ``primes[k]``; shape ``(len(primes), len(monomials), npoints)``.
 
-    The points are uniform nonzero residues mod p from the named substream
-    ``(seed, stream)``; only the generators the monomials use are evaluated.
+    The points of slice k are uniform nonzero residues mod ``primes[k]``
+    from the named substream ``(seed, streams[k])``.  The exponent matrix,
+    the generators the monomials use (only they are evaluated) and the
+    factor rows are built once for all the slices; the products are taken
+    one prime at a time.
     """
     exponents = _exponent_matrix(len(gs.gens), monomials)
     used = np.flatnonzero(exponents.any(axis=0))
-    points = residue_points(seed, stream, gs.scenario.nvars, npoints, p)
-    gen_vals = _gen_values_mod([gs.gens[i].poly for i in used], points, p)
-    return _products_mod(gen_vals, _factor_rows(exponents[:, used]), p)
+    factors = _factor_rows(exponents[:, used])
+    nvars = gs.scenario.nvars
+    points = np.stack([residue_points(seed, name, nvars, npoints, p) for name, p in zip(streams, primes)])
+    gen_vals = _gen_values_mod([gs.gens[i].poly for i in used], points, primes)
+    mats = np.empty((len(primes), len(monomials), npoints), dtype=np.int64)
+    for k, p in enumerate(primes):
+        mats[k] = _products_mod(gen_vals[k], factors, p)
+    return mats
 
 
 def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) -> list[tuple[int, ...]]:
@@ -207,33 +228,39 @@ def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) 
     ranks of its leading ``heads`` rows, then of all its rows, at its first
     ``npoints`` points.
 
-    Per seed/prime, one evaluation matrix holds every block's rows, in
-    order, at the largest ``npoints``; a block ranks its own rows on its
-    column prefix.  The two primes must agree block by block; the first
-    block that does not aborts loudly with its degree, weight and ranks.
+    One evaluation stack holds every block's rows, in order, at the largest
+    ``npoints``, one slice per seed/prime; a block ranks its own rows on its
+    column prefix, both primes in one ``rank_mod_p`` elimination.  When a
+    block has full row rank at a prime, each head's rank there is its row
+    count, since the rows of a full-row-rank matrix are independent; only
+    otherwise are the heads ranked.  The two primes must agree block by
+    block; the first block that does not aborts loudly with its degree,
+    weight and ranks.
     """
     if not blocks:
         return []
     monomials = [m for _, ms, _, _ in blocks for m in ms]
     npoints = max(n for _, _, n, _ in blocks)
-    starts = itertools.accumulate((len(ms) for _, ms, _, _ in blocks), initial=0)
-    rows = [(lo, lo + len(ms), n, heads) for (_, ms, n, heads), lo in zip(blocks, starts)]
+    mats = monomial_eval_matrix(gs, monomials, npoints, seed, (stream + ":1", stream + ":2"), PRIMES)
     found = []
-    for tag, prime in ((":1", PRIME_A), (":2", PRIME_B)):
-        mat = monomial_eval_matrix(gs, monomials, npoints, seed, stream + tag, prime)
-        ranks = []
-        for lo, hi, n, heads in rows:
-            sub = mat[lo:hi, :n]
-            ranks.append(tuple(rank_mod_p(sub[:h], prime) for h in heads) + (rank_mod_p(sub, prime),))
-        found.append(ranks)
-    for ((degree, weight), _, _, _), a, b in zip(blocks, *found):
+    lo = 0
+    for (degree, weight), ms, n, heads in blocks:
+        sub = mats[:, lo : lo + len(ms), :n]
+        lo += len(ms)
+        full = rank_mod_p(sub, PRIMES)
+        if full == [len(ms)] * len(PRIMES):  # independent rows: a head of h rows has rank h
+            head_ranks = [[h] * len(PRIMES) for h in heads]
+        else:
+            head_ranks = [rank_mod_p(sub[:, :h], PRIMES) for h in heads]
+        a, b = zip(*head_ranks, full)  # the block's ranks at each prime
         if a != b:
             raise SeedDisagreement(
                 f"evaluation ranks disagree for the degree-{degree} block of weight "
                 f"{weight} ({a} vs {b}) in stream {stream!r}; "
                 "rerun with a different seed and report if it persists"
             )
-    return found[0]
+        found.append(a)
+    return found
 
 
 def _weight_blocks(degrees: Sequence[int], eps: Sequence, rank: int, t: int) -> dict[tuple, list]:
@@ -290,11 +317,15 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     degree-d monomials of its own weight.  Block by (degree, weight): the
     generators of the block are essential iff appending their evaluation
     rows to the rows of the block's decomposable monomials raises the rank
-    by the number of generators.  All blocks are ranked from one matrix per
-    prime (stream ``min``), each block on its own rows and a prefix of the
-    shared points (block size + 32 columns); the union bound over the
-    blocks keeps every rank increase observed mod p an exact proof of
-    essentiality.  Shortfalls are pinned down per generator, each on its
+    by the number of generators.  A block's monomials are enumerated alone
+    (``weighted_monomials`` at its weight, one memo per call), not with
+    every monomial of its degree.  All blocks are ranked from one
+    evaluation stack (stream ``min``), each block on its own rows and a
+    prefix of the shared points (block size + 32 columns), both primes
+    eliminated together; a block of full row rank passes with no rank of
+    its decomposable rows taken, since they are independent too.  The
+    union bound over the blocks keeps every rank increase observed mod p an
+    exact proof of essentiality.  Shortfalls are pinned down per generator, each on its
     own stream ``min:{d}:{w}:g{idx}``.  Returns (passed, witness): the
     witness of a failure lists the inessential generators' labels under
     ``inessential``, in block order.
@@ -303,11 +334,12 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     blocks: dict[tuple, list[int]] = {}
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight), []).append(idx)
-    by_degree = {d: weight_blocks(gs, d) for d, _ in blocks}
+    degrees, weights, memo = [g.degree for g in gs.gens], [g.weight for g in gs.gens], {}
     batch = []
     for d, w in sorted(blocks):
         singles = [((idx, 1),) for idx in blocks[d, w]]
-        rows = [m for m in by_degree[d][w] if m not in singles] + singles
+        block = weighted_monomials(degrees, d, weights, w, memo)  # weight_blocks(gs, d)[w]
+        rows = [m for m in block if m not in singles] + singles
         batch.append(((d, w), rows, len(rows) + 32, (len(rows) - len(singles),)))
     first = _two_seed_ranks(gs, batch, seed, "min")
     for ((d, w), rows, _, (nbase,)), (base, full) in zip(batch, first):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .groups import (
     derivation_images,
@@ -365,33 +366,52 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
 # -- monomials in the generators ----------------------------------------------
 
 
-def weighted_monomials(degrees, t: int) -> list[tuple[tuple[int, int], ...]]:
+def weighted_monomials(degrees, t: int, weights=None, target=None, memo=None) -> list[tuple[tuple[int, int], ...]]:
     """All monomials of total degree t in letters of the given degrees.
 
     A monomial is a tuple of (letter index, multiplicity) pairs with indices
     ascending; the empty tuple is the degree-0 monomial.  The list is
     sorted.  Letters of degree 1 are variables: a monomial is then the
     sparse exponent pairs that ``groups.derive_monomial`` takes.
+
+    Given the letters' ``weights`` (one tuple per letter) and a ``target``,
+    only the monomials of weight ``target`` (the sum of their letters'
+    weights, with multiplicity) are listed, in the same order.
+
+    The monomials in the letters from a first letter s on, of a remaining
+    degree and weight, are those that hold letter s (by multiplicity), then
+    those that do not; each such list is kept in ``memo`` under ``(s,
+    remaining degree, remaining weight)``.  Calls on the same letters may
+    share one memo, so that the blocks of one degree share their tails.  A
+    remaining weight whose l1 norm exceeds the remaining degree times the
+    largest l1 norm per degree of a letter is cut off.
     """
-    out: list[tuple[tuple[int, int], ...]] = []
+    if memo is None:
+        memo = {}
+    if weights is not None:
+        # the largest l1 norm per degree of a letter, num / den (exact; the float key only ranks)
+        num, den = max(((sum(map(abs, w)), d) for w, d in zip(weights, degrees)), key=lambda r: r[0] / r[1], default=(0, 1))
 
-    def rec(start: int, remaining: int, acc: list):
+    def rec(start: int, remaining: int, rest: tuple | None) -> list:
         if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for idx in range(start, len(degrees)):
-            d = degrees[idx]
-            if d <= remaining:
-                for mult in range(1, remaining // d + 1):
-                    acc.append((idx, mult))
-                    rec(idx + 1, remaining - mult * d, acc)
-                    acc.pop()
+            return [()] if rest is None or not any(rest) else []
+        if start == len(degrees) or rest is not None and sum(map(abs, rest)) * den > remaining * num:
+            return []
+        key = (start, remaining, rest)
+        found = memo.get(key)
+        if found is None:
+            found, left = [], rest
+            for mult in range(1, remaining // degrees[start] + 1):
+                if rest is not None:
+                    left = tuple(map(sub, left, weights[start]))
+                found += [((start, mult),) + m for m in rec(start + 1, remaining - mult * degrees[start], left)]
+            found += rec(start + 1, remaining, rest)
+            memo[key] = found
+        return found
 
-    if t == 0:
-        return [()]
-    rec(0, t, [])
-    out.sort()
-    return out
+    monomials = list(rec(0, t, None if target is None else tuple(target)))
+    del rec  # it holds itself, and so the memo, in a cycle: free them now, not at a collection
+    return monomials
 
 
 def generator_monomials(gs: GeneratorSet, t: int) -> list[tuple[tuple[int, int], ...]]:

@@ -15,8 +15,9 @@ brings sparse primitive integer rows to fraction-free echelon form, and
 ``_back_substitute`` reads unknowns off it.  ``rank``, ``kernel_basis``,
 ``solve`` and ``Matrix.inverse`` convert their dense rational rows with
 ``primitive_row``; ``sparse_rank_int`` takes sparse integer rows as they
-are.  ``rank_mod_p`` (numpy, one large prime) is the one inexact rank: a
-lower bound that callers pair with an exact side.
+are.  ``rank_mod_p`` (numpy, a stack of slices with one large prime each)
+is the one inexact rank: a lower bound that callers pair with an exact
+side.
 """
 
 from __future__ import annotations
@@ -395,15 +396,41 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list | None:
 # -- ranks modulo a prime -----------------------------------------------------
 
 
-def rank_mod_p(matrix: np.ndarray, p: int = PRIME_A) -> int:
-    """Rank of an integer matrix over F_p (numpy int64 elimination).
+def rank_mod_p(stack: np.ndarray, primes: Sequence[int]) -> list[int]:
+    """Ranks over F_p of the slices of an integer stack ``(S, m, n)``, slice
+    k taken mod ``primes[k]`` (numpy int64 elimination; the input is kept).
+
+    While every slice has a nonzero diagonal pivot, all slices are
+    eliminated together on their leading m x m square, fraction-free and
+    with no inverse: ``row_i <- a_cc * row_i - a_ic * row_c`` (mod p).  The
+    residues are below 2**31, so every product fits in int64, and a_cc is a
+    unit mod p, so no step changes a rank.  If all m pivots are nonzero,
+    each slice has rank m.  Otherwise, and whenever m > n, each slice is
+    ranked alone by ``_pivot_rank_mod_p``.
 
     For an integer (or reduced-rational) matrix this is a lower bound on the
     rational rank; callers pair it with an exact upper bound or a second
     prime to certify results.
     """
-    a = matrix.astype(np.int64)  # a copy: eliminated in place
-    a %= p
+    stack = np.asarray(stack, dtype=np.int64)
+    _, m, n = stack.shape
+    if m <= n:
+        ps = np.array(primes, dtype=np.int64).reshape(-1, 1, 1)
+        a = stack[:, :, :m] % ps  # a copy: eliminated in place
+        for c in range(m):
+            pivots = a[:, c : c + 1, c : c + 1]
+            if not pivots.all():
+                break
+            rest = a[:, c + 1 :, c + 1 :]
+            rest[...] = (rest * pivots - a[:, c + 1 :, c : c + 1] * a[:, c : c + 1, c + 1 :]) % ps
+        else:
+            return [m] * len(primes)
+    return [_pivot_rank_mod_p(sl % p, p) for sl, p in zip(stack, primes)]
+
+
+def _pivot_rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank over F_p of a matrix of residues mod p, by row pivot search;
+    ``a`` is eliminated in place."""
     m, n = a.shape
     r = 0
     for c in range(n):

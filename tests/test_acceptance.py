@@ -11,6 +11,11 @@ JSON as its slice of ``golden/full_suite_seed1.json``, the ``checks`` of
 regenerates the golden from a checkout with
 
     PYTHONPATH=src python -m covariants full-suite --seed 1 2>/dev/null | python -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["checks"], indent=2))' > tests/golden/full_suite_seed1.json
+
+Criteria 3 and 4 rest on mod-p evaluation ranks, whose points come from
+seeded streams, so they are also pinned at a second seed:
+``golden/full_suite_seed2_criteria34.json`` is the ``checks`` of
+``covariants full-suite --seed 2 --criteria 3,4``, regenerated the same way.
 """
 
 import json
@@ -21,7 +26,8 @@ import pytest
 from covariants.suite import CRITERIA, SuiteConfig, full_suite
 
 CFG = SuiteConfig(seed=1)
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "full_suite_seed1.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "full_suite_seed1.json").read_text())
 
 
 def _run(num):
@@ -37,3 +43,12 @@ def _run(num):
 @pytest.mark.parametrize("num", sorted(CRITERIA))
 def test_acceptance_criterion(num):
     _run(num)
+
+
+@pytest.mark.parametrize("num", [3, 4])
+def test_generation_criteria_at_seed_2(num):
+    golden = json.loads((GOLDEN_DIR / "full_suite_seed2_criteria34.json").read_text())
+    report = full_suite(SuiteConfig(seed=2), [num])
+    entries = [{"criterion": num, **r.to_json()} for r in report.results[num]]
+    assert report.passed
+    assert [json.dumps(e) for e in entries] == [json.dumps(c) for c in golden if c["criterion"] == num]

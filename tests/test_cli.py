@@ -181,9 +181,24 @@ def test_invariance_and_minimality_cli(capsys):
         capsys, "check-invariance", "--group", "o", "--n", "3", "--l", "2", "--samples", "5"
     )
     assert code == 0
-    code, out, _ = run_cli(capsys, "minimality", "--group", "o", "--n", "2", "--l", "1")
-    assert code == 1  # documented failure case reports exit code 1
-    assert json.loads(out)["checks"][0]["witness"] == {"inessential": ["Q[1][1]"]}
+    code, out, err = run_cli(capsys, "minimality", "--group", "o", "--n", "2", "--l", "1")
+    # U is trivial at o n=2: minimality_check's documented failure is not reported as a verdict
+    assert code == USAGE_ERROR and not out and "U is trivial" in err
+    code, out, _ = run_cli(capsys, "minimality", "--group", "o", "--n", "3", "--l", "2")
+    assert code == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv", [("--group", "gl", "--n", "1", "--l", "1", "--m", "1"), ("--group", "o", "--n", "2", "--l", "2")]
+)
+def test_minimality_is_a_usage_error_where_u_is_trivial(capsys, argv):
+    # the invariant ring is the whole polynomial ring there, minimally generated by the
+    # coordinates, so the C, Q and order-2 minors of the recipe system are inessential
+    code, out, err = run_cli(capsys, "minimality", *argv)
+    assert code == USAGE_ERROR and not out
+    group, n = argv[1], argv[3]
+    assert err == f"error: U is trivial for {group} n={n}: every polynomial is invariant, " \
+        "so minimality of the generator system is not checked there\n"
 
 
 def test_reports_byte_identical(capsys):
@@ -389,11 +404,11 @@ def test_command_reports_the_suite_check(capsys, monkeypatch, num, argv):
 
 
 def test_seed_disagreement_is_an_error_verdict(capsys, monkeypatch):
-    # one rank mod PRIME_B off by one, as a broken second prime would give
+    # every rank mod PRIME_B off by one, as a broken second prime would give
     rank_mod_p = dimensions.rank_mod_p
 
-    def skewed(matrix, p):
-        return rank_mod_p(matrix, p) + (p == PRIME_B)
+    def skewed(stack, primes):
+        return [r + (p == PRIME_B) for r, p in zip(rank_mod_p(stack, primes), primes)]
 
     monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
     code, out, err = run_cli(capsys, "minimality", "--group", "o", "--n", "3", "--l", "1")

@@ -31,7 +31,8 @@ from covariants.groups import lie_act_on_polynomial, nilradical_basis, torus_wei
 from covariants.linalg import PRIME_A, PRIME_B, rank, rank_mod_p
 from covariants.polynomial import Polynomial
 from covariants.rng import residue_points
-from covariants.scenario import Scenario
+from covariants.scenario import GROUPS, Scenario
+from covariants.suite import generation_grid, invariance_grid
 
 from conftest import exponent_weight
 
@@ -181,28 +182,44 @@ def test_batched_ranks_match_blocks_ranked_alone(blocks, monkeypatch):
     assert len(batch) > 1 and len({n for _, _, n, _ in batch}) > 1
     alone = [_two_seed_ranks(gs, [block], 3, f"alone:{k}")[0] for k, block in enumerate(batch)]
     seen = []
-    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mat, p: seen.append((mat, p)) or rank_mod_p(mat, p))
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mats, ps: seen.append((mats, ps)) or rank_mod_p(mats, ps))
     assert _two_seed_ranks(gs, batch, 3, "batch") == alone
 
-    # each block is ranked on its own rows of the shared matrix, at its own column prefix
+    # each block is ranked on its own rows of the shared matrices, at its own column
+    # prefix, both primes in one stack; its heads too unless it has full row rank
     monomials = [m for _, ms, _, _ in batch for m in ms]
     npoints = max(n for _, _, n, _ in batch)
-    expected = []
-    for tag, p in ((":1", PRIME_A), (":2", PRIME_B)):
-        shared = monomial_eval_matrix(gs, monomials, npoints, 3, "batch" + tag, p)
-        lo = 0
-        for _, ms, n, heads in batch:
-            sub = shared[lo : lo + len(ms), :n]
-            expected += [(sub[:h], p) for h in heads] + [(sub, p)]
-            lo += len(ms)
+    shared = [
+        monomial_eval_matrix(gs, monomials, npoints, 3, ("batch" + tag,), (p,))[0]
+        for tag, p in ((":1", PRIME_A), (":2", PRIME_B))
+    ]
+    expected, lo = [], 0
+    for (_, ms, n, heads), ranks in zip(batch, alone):
+        sub = np.stack([mat[lo : lo + len(ms), :n] for mat in shared])
+        expected += [sub] + ([] if ranks[-1] == len(ms) else [sub[:, :h] for h in heads])
+        lo += len(ms)
     assert len(seen) == len(expected)
-    for (got, p), (want, q) in zip(seen, expected):
-        assert p == q and np.array_equal(got, want)
+    for (got, ps), want in zip(seen, expected):
+        assert tuple(ps) == (PRIME_A, PRIME_B) and np.array_equal(got, want)
+
+
+def test_head_ranks_are_taken_only_short_of_full_row_rank(monkeypatch):
+    gs, batch = _o_minimality_blocks()
+    (d, w), rows, n, (nbase,) = batch[-1]
+    ((base, full),) = _two_seed_ranks(gs, [batch[-1]], 3, "heads")
+    assert full == len(rows) > base == nbase  # full row rank: the head's rank is its row count
+    # a repeated row makes the block deficient: its heads are ranked
+    seen = []
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mats, ps: seen.append(mats.shape) or rank_mod_p(mats, ps))
+    doubled = ((d, w), rows + rows[:1], n + 1, (nbase, 1))
+    assert _two_seed_ranks(gs, [doubled], 3, "heads") == [(base, 1, full)]
+    assert seen == [(2, len(rows) + 1, n + 1), (2, nbase, n + 1), (2, 1, n + 1)]
 
 
 def test_seed_disagreement_names_the_first_block(monkeypatch):
     gs = build_generators(Scenario("gl", 3, 2, 2))
-    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mat, p: rank_mod_p(mat, p) + (p == PRIME_B))
+    skewed = lambda mats, ps: [r + (p == PRIME_B) for r, p in zip(rank_mod_p(mats, ps), ps)]
+    monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
     first = next(iter(weight_blocks(gs, 2)))
     with pytest.raises(SeedDisagreement) as exc:
         generated_dimension(gs, 2)
@@ -283,20 +300,24 @@ def test_vectorised_values_match_exact_evaluation(s, p):
     gs = build_generators(s)
     if s == Scenario("o", 4, 3):
         assert any(lbl.startswith("crossMinor") for lbl in gs.labels())
-    points = residue_points(1, "test", s.nvars, 6, p)
-    got = _gen_values_mod([g.poly for g in gs.gens], points, p)
-    columns = [[int(x) for x in points[:, k]] for k in range(points.shape[1])]
-    expected = [[g.poly.evaluate(pt) % p for pt in columns] for g in gs.gens]
-    assert got.tolist() == expected
-
-    # a monomial row is the product of its generators' values at the same points
+    # p's slice first, then the other prime's at another stream
+    streams, primes = ("test", "test:other"), (p, PRIME_A + PRIME_B - p)
+    points = np.stack([residue_points(1, name, s.nvars, 6, q) for name, q in zip(streams, primes)])
+    got = _gen_values_mod([g.poly for g in gs.gens], points, primes)
     monomials = generator_monomials(gs, 3)
-    mat = monomial_eval_matrix(gs, monomials, 6, 1, "test", p)
-    for row, mono in zip(mat.tolist(), monomials):
-        want = [1] * 6
-        for idx, mult in mono:
-            want = [w * pow(v, mult, p) % p for w, v in zip(want, expected[idx])]
-        assert row == want
+    mats = monomial_eval_matrix(gs, monomials, 6, 1, streams, primes)
+    assert got.shape == (2, len(gs.gens), 6) and mats.shape == (2, len(monomials), 6)
+    for k, q in enumerate(primes):
+        columns = [[int(x) for x in points[k, :, j]] for j in range(6)]
+        expected = [[g.poly.evaluate(pt) % q for pt in columns] for g in gs.gens]
+        assert got[k].tolist() == expected
+
+        # a monomial row is the product of its generators' values at the same points
+        for row, mono in zip(mats[k].tolist(), monomials):
+            want = [1] * 6
+            for idx, mult in mono:
+                want = [w * pow(v, mult, q) % q for w, v in zip(want, expected[idx])]
+            assert row == want
 
 
 # -- injected faults: criteria 3 and 4 can fail ------------------------------------
@@ -323,3 +344,18 @@ def test_product_of_generators_is_inessential(s):
     g1, g2 = gs.gens[0], gs.gens[-1]
     extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, tuple(a + b for a, b in zip(g1.weight, g2.weight)))
     assert minimality_check(GeneratorSet(s, gs.gens + (extra,))) == (False, {"inessential": ["extra"]})
+
+
+def test_weight_filtered_enumeration_is_the_weight_block():
+    # every block of every degree up to 4 (the grid's tmax) and the largest generator
+    # degree, one memo per system as in minimality_check, blocks in reverse order
+    scenarios = dict.fromkeys(invariance_grid(GROUPS) + generation_grid(GROUPS))
+    for gs in map(build_generators, scenarios):
+        degrees, weights, memo = [g.degree for g in gs.gens], [g.weight for g in gs.gens], {}
+        for d in range(max(degrees + [4]) + 1):
+            blocks = weight_blocks(gs, d)
+            for w, block in reversed(blocks.items()):
+                assert weighted_monomials(degrees, d, weights, w, memo) == block, (gs.scenario, d, w)
+            # a weight no monomial of degree d reaches: beyond every block in its first coordinate
+            far = (max((w[0] for w in blocks), default=0) + 1,) + (0,) * (gs.scenario.rank - 1)
+            assert weighted_monomials(degrees, d, weights, far, memo) == []

@@ -10,6 +10,7 @@ from covariants.linalg import (
     PRIME_A,
     PRIME_B,
     Matrix,
+    _pivot_rank_mod_p,
     kernel_basis,
     lower_minors,
     minor,
@@ -381,9 +382,61 @@ def test_rank_mod_p_matches_exact_rank_and_keeps_its_input(rng, p):
         rows = (left @ right).tolist()
         mat = left @ right + p * rng.randint(-2, 2)  # the same residues
         before = mat.copy()
-        got = rank_mod_p(mat, p)
+        (got,) = rank_mod_p(mat[None], [p])
         assert np.array_equal(mat, before)
         if p > 7:  # fixed seed: no nonzero minor of these small entries is divisible by p
             assert got == rank(rows)
         else:
             assert got <= rank(rows)
+
+
+def _check_stacked_rank(stack, primes, exact):
+    """``rank_mod_p`` on the stack against the pivot loop on each slice
+    alone and against the exact ranks; the stack is left as it was."""
+    before = stack.copy()
+    got = rank_mod_p(stack, primes)
+    assert np.array_equal(stack, before)
+    assert got == [_pivot_rank_mod_p(sl % p, p) for sl, p in zip(stack, primes)]
+    assert all(r <= e for r, e in zip(got, exact))
+    return got
+
+
+PRIMES = (PRIME_A, PRIME_B)
+P = PRIME_A
+
+
+@pytest.mark.parametrize(
+    "slices, ranks",
+    [
+        ([[[1, 2, 3], [4, 5, 6]]] * 2, [2, 2]),  # full rank, every pivot nonzero
+        ([[[1, 2, 3], [2, 4, 6], [1, 1, 1]]] * 2, [2, 2]),  # deficient: a zero pivot in both slices
+        ([[[0, 1, 0], [1, 0, 0]], [[1, 0, 0], [0, 1, 0]]], [2, 2]),  # a zero pivot in one slice only
+        ([[[1, 2], [3, 4], [5, 6]]] * 2, [2, 2]),  # m > n
+        ([[[0, 0, 5]]] * 2, [1, 1]),  # 1 x n, its pivot off the diagonal
+        ([[[7, 0, 5]], [[2, 0, 0]]], [1, 1]),  # 1 x n
+        ([[[0, 0], [0, 0]]] * 2, [0, 0]),  # all zero
+        ([[[1, 0], [0, P]]] * 2, [1, 2]),  # ranks differ by prime: P divides the determinant
+        ([[[P, 2 * P], [3, 4]]] * 2, [1, 2]),  # the same, with the zero pivot in the first row
+    ],
+)
+def test_stacked_rank_mod_p_matches_slices_ranked_alone(slices, ranks):
+    exact = [rank(sl) for sl in slices]
+    assert _check_stacked_rank(np.array(slices, dtype=np.int64), PRIMES, exact) == ranks
+
+
+def test_stacked_rank_mod_p_on_random_products(rng):
+    for _ in range(40):
+        m, n, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 7)
+        slices = []
+        for _ in PRIMES:
+            left = np.array([rng.randint(-5, 5) for _ in range(m * k)], dtype=np.int64).reshape(m, k)
+            right = np.array([rng.randint(-5, 5) for _ in range(k * n)], dtype=np.int64).reshape(k, n)
+            slices.append((left @ right).tolist())
+        exact = [rank(sl) for sl in slices]
+        # fixed seed: no nonzero minor of these small entries is divisible by either prime
+        assert _check_stacked_rank(np.array(slices, dtype=np.int64), PRIMES, exact) == exact
+
+
+def test_stacked_rank_mod_p_takes_empty_slices():
+    assert rank_mod_p(np.zeros((2, 0, 5), dtype=np.int64), PRIMES) == [0, 0]
+    assert rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64), PRIMES) == [0, 0]
