@@ -209,8 +209,7 @@ def cmd_lemma3(args) -> int:
 
 def cmd_lemma4(args) -> int:
     s = parse_scenario(args)
-    samples = _samples(args, suite.POLYTOPE_SAMPLES)
-    return _run_check(args, suite.polytope_name(s), lambda: suite.chamber_inclusion_check(s, samples, args.seed))
+    return _run_check(args, suite.polytope_name(s), lambda: suite.chamber_inclusion_check(s))
 
 
 def cmd_flag_map(args) -> int:
@@ -335,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--chi", required=True, help="comma-separated phi-coordinates, e.g. 1,0,2")
         if cap is not None:
             p.add_argument("--cap", type=int, default=cap, help="degree cap for oracle searches")
-    add("lemma4", cmd_lemma4, seed=True, samples=True)
+    add("lemma4", cmd_lemma4)
     p = add("flag-map", cmd_flag_map)
     p.add_argument("--matrix", required=True, help="rows split by ';', entries by ',', fraction syntax allowed")
     p = add("bilinear", cmd_bilinear)

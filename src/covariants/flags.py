@@ -71,9 +71,8 @@ def flag_map(rows, s: Scenario) -> FlagPoint:
     from one ``lower_minors`` table; criterion 9 checks them against
     ``minor`` and against a wedge product that uses no determinant.
 
-    Entries may be integers or rationals.  Scaling the rows by c scales
-    component k by c^k, so criterion 9 clears each sample's denominators
-    once and maps the integer matrix, with no ``Fraction`` arithmetic.
+    Entries may be integers, rationals or polynomials: criterion 9 maps the
+    generic point, the matrix of distinct variables.
     """
     mat = rows if isinstance(rows, Matrix) else Matrix(rows)
     if (mat.m, mat.n) != (s.n, s.l):
@@ -206,9 +205,9 @@ def incidence_holds(f: FlagPoint) -> bool:
     component raises ``IndecomposableComponent`` before any nesting is
     tested, and a nonzero component of the wrong length ``ValueError``.
 
-    Exact input of any kind is accepted.  The predicate is projective: it
-    is unchanged when component k is multiplied by c^k, so criterion 9 runs
-    it on the flag of a sample whose denominators were cleared.
+    Exact input of any kind is accepted, polynomials included: on the flag
+    of the generic point (criterion 9) the relations vanish identically, so
+    they vanish on the flag of every point.
     """
     l = f.l
     nonzero = []  # per component: the component, or None if zero

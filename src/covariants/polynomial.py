@@ -19,8 +19,8 @@ variable.
 Exponent tuples appear only at the boundaries: the constructor, ``to_json``
 and ``from_json``, ``__repr__``, and the read-only ``terms`` view (exponent
 tuple -> coefficient), which is built once per polynomial.  Inside the
-package ``packed_terms``, ``exponents`` and ``coefficients`` are the
-accessors (``sparse_terms`` lists each term's nonzero exponents); ``pack``,
+package ``packed_terms`` and ``coefficients`` are the accessors
+(``sparse_terms`` lists each term's nonzero exponents); ``pack``,
 ``unpack`` and ``variable_key`` convert monomials.
 
 Coefficients are kept as plain ``int`` whenever they are integral and as
@@ -221,12 +221,8 @@ class Polynomial:
         """Read-only view: packed monomial -> coefficient."""
         return MappingProxyType(self._packed)
 
-    def exponents(self):
-        """The exponent tuples of the terms, in the order of ``coefficients``."""
-        return self.terms.keys()
-
     def coefficients(self):
-        """The coefficients of the terms, in the order of ``exponents``."""
+        """The coefficients of the terms, in the order of ``packed_terms``."""
         return self._packed.values()
 
     def sparse_terms(self) -> tuple:

@@ -8,19 +8,24 @@ m >= n for gl): Phi's vertices are the distinct nonzero
 ``groups.variable_weights`` of t, and delta's points are 0 and each
 generator's weight over its degree, for the generators that
 ``build_generators(t)`` makes.  So the check certifies the built system,
-not a transcription of it.  The verified inclusion is two-sided, and each
-side is decided by its own exact algorithm:
+not a transcription of it.  The verified equality delta = Phi ∩ chamber is
+two-sided, and each side is decided exactly, with no sampled point:
 
-* random rational points of Phi intersected with the chamber must lie in
-  delta.  Phi is the cross-polytope, so a point lies in it iff the sum of
-  the absolute values of its coordinates is at most 1 (a Phi vertex off
-  the cross-polytope shows as samples outside it); delta membership is a
-  test against delta's facet inequalities, built once per spec.
+* Phi ∩ chamber ⊆ delta by delta's facets.  Every Phi vertex must be one
+  of the 2q vectors ±e_i, so Phi lies in the cross-polytope, and every
+  facet row of delta must be one of the rows that cut out the
+  cross-polytope ∩ chamber: a chamber row (c, 0) or a cross-polytope facet
+  (−σ, 1), σ ∈ {±1}^q.  Then delta, the intersection of its facet
+  half-spaces, contains the cross-polytope ∩ chamber ⊇ Phi ∩ chamber.
+  Conversely, if delta equals the cross-polytope ∩ chamber, each facet of
+  delta is a positive multiple of one of those rows (Schrijver, *Theory of
+  Linear and Integer Programming*, 1986, §8.4), and both are primitive
+  integer rows, so they are equal.
 * every delta point must lie back in Phi (exact LP, ``lp``) and in the
   chamber.
 
 ``chamber_inclusion_check`` returns (passed, witness), the shape of every
-suite check: the witness lists the failing points of each kind.
+suite check: the witness lists the failing vertices and facet rows.
 
 The facet list is complete because delta is full-dimensional (checked):
 every facet of a full-dimensional polytope in R^q passes through q affinely
@@ -42,7 +47,6 @@ from .groups import variable_weights
 from .linalg import kernel_basis, primitive_row, rank
 from .lp import convex_membership
 from .polynomial import canon_coeff
-from .rng import substream
 from .scenario import Scenario
 
 
@@ -84,23 +88,9 @@ class PolytopeSpec:
     def __post_init__(self):
         object.__setattr__(self, "delta_facets", hull_facets(self.delta_vertices))
 
-    # The predicates take a point as numerators over one positive
-    # denominator, so a sample of ``sample_chamber_point`` is tested on
-    # integers; a point of any exact numbers is its own numerators over 1.
-    # The chamber is a cone, so its test needs no denominator.
-
-    def in_chamber(self, nums) -> bool:
+    def in_chamber(self, point) -> bool:
         return all(
-            sum(c * x for c, x in zip(row, nums)) >= 0 for row in self.chamber
-        )
-
-    def in_phi(self, nums, den=1) -> bool:
-        return sum(abs(x) for x in nums) <= den
-
-    def in_delta(self, nums, den=1) -> bool:
-        return all(
-            sum(a * x for a, x in zip(row, nums)) + row[-1] * den >= 0
-            for row in self.delta_facets
+            sum(c * x for c, x in zip(row, point)) >= 0 for row in self.chamber
         )
 
 
@@ -108,8 +98,8 @@ def build_polytopes(s: Scenario) -> PolytopeSpec:
     """Phi, delta and the chamber of s's group and n, read off the table
     regime t = ``table_scenario(s)`` (see the module docstring).
 
-    Phi's vertices come in the order e_1, -e_1, e_2, ..., in which
-    ``sample_chamber_point`` draws them; delta's points are sorted.
+    Phi's vertices come in the order e_1, -e_1, e_2, ...; delta's points
+    are sorted.
     """
     t, q = table_scenario(s), s.rank
     weights = {w for w in variable_weights(t) if any(w)}
@@ -138,58 +128,35 @@ def build_polytopes(s: Scenario) -> PolytopeSpec:
     return PolytopeSpec(tuple(phi_vertices), tuple(sorted(delta)), tuple(chamber_rows))
 
 
-def sample_chamber_point(s: Scenario, spec: PolytopeSpec, rng) -> tuple[list[int], int]:
-    """A random rational point of Phi hit into the chamber by the Weyl group,
-    as ``(numerators, t)``: integer numerators over one denominator t >= 1.
+def chamber_inclusion_check(s: Scenario) -> tuple[bool, dict | None]:
+    """Verify delta = Phi ∩ chamber exactly (see the module docstring).
 
-    Averages t <= 20 vertices of Phi and symmetrizes: gl sorts coordinates
-    descending; o/sp sorts absolute values descending and flips signs
-    nonnegative, except that the even-orthogonal chamber keeps a free sign
-    on the last coordinate, exercised with probability 1/2.  Over the one
-    positive t the numerators sort in the order of the rational point.
-    """
-    q = s.rank
-    t = rng.randint(1, 20)
-    point = [0] * q
-    for _ in range(t):
-        v = spec.phi_vertices[rng.randrange(len(spec.phi_vertices))]
-        for i in range(q):
-            point[i] += v[i]
-    if s.group == "gl":
-        point.sort(reverse=True)
-    else:
-        point.sort(key=abs, reverse=True)
-        point = [abs(x) for x in point]
-        if s.case == "D" and rng.random() < 0.5:
-            point[q - 1] = -point[q - 1]
-    return point, t
-
-
-def chamber_inclusion_check(s: Scenario, samples: int = 500, seed: int = 0) -> tuple[bool, dict | None]:
-    """Verify delta = Phi intersect chamber on random points plus vertices.
-
-    Samples are tested on their integer numerators against the
-    cross-polytope and delta's facet inequalities; delta's points are
-    tested against Phi by exact LP.  Returns (passed, witness): the witness
-    of a failure lists the failing points as fraction strings under
-    ``points_outside_delta``, ``delta_vertices_outside`` and
-    ``points_outside_phi`` (a sample outside Phi or the chamber).
+    Returns (passed, witness): the witness of a failure lists, as fraction
+    strings, the Phi vertices other than ±e_i under
+    ``phi_vertices_off_cross`` and the delta points outside Phi or the
+    chamber under ``delta_vertices_outside``, and under
+    ``delta_facets_outside`` the facet rows ``[a_1, ..., a_q, c]`` of delta
+    that are neither a chamber row nor a cross-polytope facet.
     """
     spec = build_polytopes(s)
-    witness = {"points_outside_delta": [], "delta_vertices_outside": [], "points_outside_phi": []}
-    rng = substream(seed, f"polytope:{s.group}:{s.n}")
-    for _ in range(samples):
-        nums, t = sample_chamber_point(s, spec, rng)
-        if not (spec.in_phi(nums, t) and spec.in_chamber(nums)):
-            witness["points_outside_phi"].append(_fraction_strings(nums, t))
-        elif not spec.in_delta(nums, t):
-            witness["points_outside_delta"].append(_fraction_strings(nums, t))
-    for v in spec.delta_vertices:
-        if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v)):
-            witness["delta_vertices_outside"].append(_fraction_strings(v))
+    q = s.rank
+    cross = {tuple(sign * int(i == k) for i in range(q)) for k in range(q) for sign in (1, -1)}
+    # the rows that cut out the cross-polytope ∩ chamber: its 2^q facets
+    # <σ, w> <= 1 and the chamber rows
+    rows = {tuple(-x for x in sigma) + (1,) for sigma in itertools.product((1, -1), repeat=q)}
+    rows |= {row + (0,) for row in spec.chamber}
+    witness = {
+        "phi_vertices_off_cross": [_fraction_strings(v) for v in spec.phi_vertices if v not in cross],
+        "delta_facets_outside": [list(row) for row in spec.delta_facets if row not in rows],
+        "delta_vertices_outside": [
+            _fraction_strings(v)
+            for v in spec.delta_vertices
+            if not (convex_membership(v, spec.phi_vertices) and spec.in_chamber(v))
+        ],
+    }
     passed = not any(witness.values())
     return passed, None if passed else witness
 
 
-def _fraction_strings(nums, den=1) -> list[str]:
-    return [str(Fraction(x, den)) for x in nums]
+def _fraction_strings(point) -> list[str]:
+    return [str(Fraction(x)) for x in point]

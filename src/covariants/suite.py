@@ -21,7 +21,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .degrees import (
     generator_pairs_for,
@@ -51,8 +51,8 @@ from .generators import (
     weight_table_of,
 )
 from .linalg import Matrix, minor, rank
+from .polynomial import Polynomial
 from .polytopes import chamber_inclusion_check
-from .rng import substream
 from .scenario import Scenario
 from .syzygies import (
     ExpansionDoesNotVanish,
@@ -85,13 +85,6 @@ class CheckResult:
         return out
 
 
-# Fixed sample counts of criteria 8 and 9 (``lemma4`` defaults to the first);
-# the report's ``config`` block records them with the options.
-POLYTOPE_SAMPLES = 500
-FLAG_SAMPLES = 200
-FLAG_GROUP_SAMPLES = 20
-
-
 @dataclass
 class SuiteConfig:
     seed: int = 1
@@ -105,9 +98,6 @@ class SuiteConfig:
         return {
             "seed": self.seed,
             "invariance_samples": self.invariance_samples,
-            "polytope_samples": POLYTOPE_SAMPLES,
-            "flag_samples": FLAG_SAMPLES,
-            "flag_group_samples": FLAG_GROUP_SAMPLES,
             "tmax": self.tmax,
             "degree_cap": self.degree_cap,
             "monomial_cap": monomial_cap(self.monomial_cap),
@@ -390,7 +380,7 @@ def criterion_8_polytopes(cfg: SuiteConfig) -> list[CheckResult]:
         if key in seen:
             continue  # the polytopes depend only on the group and n
         seen.add(key)
-        out.append(_timed(polytope_name(s), lambda s=s: chamber_inclusion_check(s, POLYTOPE_SAMPLES, cfg.seed)))
+        out.append(_timed(polytope_name(s), lambda s=s: chamber_inclusion_check(s)))
     return out
 
 
@@ -426,56 +416,43 @@ def _independent_wedge(mat_rows, n: int, l: int) -> tuple:
     return tuple(comps)
 
 
-def flag_quotient_check(n: int, l: int, samples: int, group_samples: int, seed: int) -> tuple[bool, dict | None]:
-    """The flag map on random points: coordinates, image predicates, action.
+def flag_quotient_check(n: int, l: int) -> tuple[bool, dict | None]:
+    """The flag map at one generic point: coordinates, image predicates, action.
 
-    Each sample is a matrix of rationals a/b, but it is checked as the
-    integer matrix ``c * rows`` with c the lcm of its denominators: every
-    component k of the flag map, of the wedge oracle and of the minors is
-    then c^k times its value at ``rows``, and decomposability and nesting
-    are projective, so every verdict is the one the rational sample gets
-    (criterion 1 scales its samples the same way).  The draws are the same
-    calls in the same order, so the streams ``flags:{n}:{l}`` are unchanged.
+    In a universe of n*l + l*l variables the point is the n x l matrix of
+    the first n*l variables and g the l x l matrix of the others.  Each
+    predicate below is a polynomial identity in those entries: the flag
+    coordinates against the wedge oracle and ``minor``, the Plücker
+    relations of ``incidence_holds`` (Fulton, *Young Tableaux*, §8-9), and
+    GL_l-equivariance, flag(point * g^T) = wedge^k(g) flag(point).  So each
+    holds at every point of W and every g iff it holds here.
     """
     s = Scenario("gl", n, l)
-    rng = substream(seed, f"flags:{n}:{l}")
+    nvars = n * l + l * l
+    rows = [[Polynomial.variable(nvars, i * l + j) for j in range(l)] for i in range(n + l)]
+    mat, g = Matrix(rows[:n]), Matrix(rows[n:])
     p = min(l, n)
-    # the minor oracle's rows and columns per order k, built once per check
-    minor_rows = [list(range(n - k, n)) for k in range(1, p + 1)]
-    minor_cols = [[list(cols) for cols in wedge_basis(l, k)] for k in range(1, p + 1)]
-    for it in range(samples):
-        draws = [[(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(l)] for _ in range(n)]
-        c = lcm(*(b for row in draws for _, b in row))
-        rows = [[a * (c // b) for a, b in row] for row in draws]
-        mat = Matrix(rows)
-        f = flag_map(mat, s)
-        if tuple(f.components) != _independent_wedge(rows, n, l):
-            return False, {"case": "wedge-mismatch", "iteration": it}
-        for k in range(1, p + 1):
-            minors = tuple(minor(mat, minor_rows[k - 1], cols) for cols in minor_cols[k - 1])
-            if minors != tuple(f.components[k - 1]):
-                return False, {"case": "minor-mismatch", "iteration": it, "k": k}
-        try:
-            if not incidence_holds(f):
-                return False, {"case": "incidence", "iteration": it}
-        except IndecomposableComponent as exc:
-            return False, {"case": "indecomposable", "iteration": it, "k": exc.k}
-    for it in range(group_samples):
-        rows = [[rng.randint(-4, 4) for _ in range(l)] for _ in range(n)]
-        while True:
-            g = Matrix([[rng.randint(-3, 3) for _ in range(l)] for _ in range(l)])
-            if g.det():
-                break
-        left = flag_map(Matrix(rows) * g.transpose(), s)
-        base = flag_map(rows, s)
-        for k in range(1, p + 1):
-            wk = wedge_action_matrix(g, k)
-            transported = tuple(
-                sum(wk[i, j] * base.components[k - 1][j] for j in range(wk.n))
-                for i in range(wk.m)
-            )
-            if transported != tuple(left.components[k - 1]):
-                return False, {"case": "equivariance", "iteration": it, "k": k}
+    f = flag_map(mat, s)
+    if tuple(f.components) != _independent_wedge(mat.rows, n, l):
+        return False, {"case": "wedge-mismatch"}
+    for k in range(1, p + 1):
+        minors = tuple(minor(mat, list(range(n - k, n)), list(cols)) for cols in wedge_basis(l, k))
+        if minors != tuple(f.components[k - 1]):
+            return False, {"case": "minor-mismatch", "k": k}
+    try:
+        if not incidence_holds(f):
+            return False, {"case": "incidence"}
+    except IndecomposableComponent as exc:
+        return False, {"case": "indecomposable", "k": exc.k}
+    left = flag_map(mat * g.transpose(), s)
+    for k in range(1, p + 1):
+        wk = wedge_action_matrix(g, k)
+        transported = tuple(
+            sum(wk[i, j] * f.components[k - 1][j] for j in range(wk.n))
+            for i in range(wk.m)
+        )
+        if transported != tuple(left.components[k - 1]):
+            return False, {"case": "equivariance", "k": k}
     return True, None
 
 
@@ -485,7 +462,7 @@ def criterion_9_flag_quotient(cfg: SuiteConfig) -> list[CheckResult]:
     return [
         _timed(
             f"flag-quotient n={n} l={l}",
-            lambda n=n, l=l: flag_quotient_check(n, l, FLAG_SAMPLES, FLAG_GROUP_SAMPLES, cfg.seed),
+            lambda n=n, l=l: flag_quotient_check(n, l),
         )
         for n in (2, 3, 4)
         for l in (2, 3, 4)

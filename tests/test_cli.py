@@ -110,8 +110,8 @@ def test_each_command_takes_only_the_cap_and_samples_it_reads():
     }
     assert takes == {
         "--cap": {"nchi-oracle", "mchi-oracle", "lemma3", "full-suite"},
-        "--samples": {"check-invariance", "lemma4", "full-suite"},
-        "--seed": {"check-invariance", "lemma4", "minimality", "full-suite"},
+        "--samples": {"check-invariance", "full-suite"},
+        "--seed": {"check-invariance", "minimality", "full-suite"},
     }
 
 
@@ -121,6 +121,8 @@ def test_each_command_takes_only_the_cap_and_samples_it_reads():
         ["nchi", "--group", "o", "--n", "5", "--chi", "1,2", "--cap", "0"],
         ["generate", "--group", "gl", "--n", "2", "--l", "2", "--samples", "3"],
         ["generate", "--group", "gl", "--n", "2", "--l", "2", "--seed", "3"],
+        ["lemma4", "--group", "gl", "--n", "2", "--samples", "20"],  # criterion 8 samples no point
+        ["lemma4", "--group", "gl", "--n", "2", "--seed", "3"],
     ],
 )
 def test_a_flag_the_command_does_not_read_is_usage_error(capsys, argv):
@@ -146,9 +148,7 @@ def test_zacep_verdict_on_the_largest_grid_point(capsys):
 def test_lemma3_and_lemma4(capsys):
     code, out, _ = run_cli(capsys, "lemma3", "--group", "sp", "--n", "4", "--chi", "1,2")
     assert code == 0
-    code, out, _ = run_cli(
-        capsys, "lemma4", "--group", "gl", "--n", "2", "--samples", "50", "--seed", "3"
-    )
+    code, out, _ = run_cli(capsys, "lemma4", "--group", "gl", "--n", "2")
     assert code == 0
     assert json.loads(out)["checks"][0]["verdict"] == "pass"
 
@@ -202,7 +202,7 @@ def test_minimality_is_a_usage_error_where_u_is_trivial(capsys, argv):
 
 
 def test_reports_byte_identical(capsys):
-    argv = ["lemma4", "--group", "o", "--n", "4", "--samples", "40", "--seed", "9"]
+    argv = ["check-invariance", "--group", "o", "--n", "4", "--l", "2", "--samples", "40", "--seed", "9"]
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
@@ -234,9 +234,6 @@ def test_full_suite_config_block_is_pinned(capsys, monkeypatch):
     expected = {
         "seed": 1,
         "invariance_samples": 100,
-        "polytope_samples": 500,
-        "flag_samples": 200,
-        "flag_group_samples": 20,
         "tmax": 4,
         "degree_cap": 4,
         "monomial_cap": 20000,
@@ -386,7 +383,7 @@ def test_full_suite_reports_check_errors(capsys, monkeypatch, bilinear_broken):
         (2, ["weights-table", "--group", "sp", "--n", "2", "--l", "2"]),
         (4, ["minimality", "--group", "sp", "--n", "2", "--l", "2"]),
         (6, ["lemma3", "--group", "sp", "--n", "4", "--chi", "1,2"]),
-        (8, ["lemma4", "--group", "gl", "--n", "2", "--samples", "20"]),
+        (8, ["lemma4", "--group", "gl", "--n", "2"]),
         (10, ["zacep", "--n", "3", "--l", "2", "--m", "2"]),
         (13, ["degree2-gen", "--group", "gl", "--n", "2", "--l", "2", "--degree", "3"]),
         (14, ["sp-minor", "--group", "sp", "--n", "2", "--l", "2", "--order", "2"]),
@@ -475,7 +472,7 @@ def test_data_command_error_is_a_line(capsys, monkeypatch):
         ["full-suite", "--groups", "xyz"],  # not a group
         ["full-suite", "--groups", "gl,foo"],
         ["check-invariance", "--group", "gl", "--n", "2", "--l", "1", "--samples", "-1"],
-        ["lemma4", "--group", "gl", "--n", "2", "--samples", "-1"],
+        ["lemma4", "--group", "sp", "--n", "3"],  # sp needs an even n
         ["full-suite", "--groups", "sp", "--criteria", "1", "--samples", "-1"],
         ["flag-map", "--group", "gl", "--n", "2", "--l", "2", "--matrix", "1/0,1;1,1"],
         ["full-suite", "--criteria", "2,2"],  # a repeated item
@@ -566,19 +563,26 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
 
 
 def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
-    # a sampler fault: every "sample" is 2 e_1, in the chamber but outside Phi
+    # a fault of Phi's vertices: e_1 becomes 2 e_1, so Phi is no longer the
+    # cross-polytope whose facets delta's facets are compared with
     from covariants import polytopes
 
-    monkeypatch.setattr(polytopes, "sample_chamber_point", lambda s, spec, rng: ((2,) + (0,) * (s.rank - 1), 1))
+    build = polytopes.build_polytopes
+
+    def stretched(s):
+        spec = build(s)
+        return dataclasses.replace(spec, phi_vertices=((2,) + (0,) * (s.rank - 1),) + spec.phi_vertices[1:])
+
+    monkeypatch.setattr(polytopes, "build_polytopes", stretched)
     code, out, err = run_cli(capsys, "full-suite", "--groups", "sp", "--criteria", "8,6", "--seed", "1")
     assert code == 1
     checks = json.loads(out)["checks"]
     crit_8 = [c for c in checks if c["criterion"] == 8]
     assert [c["name"] for c in crit_8] == ["polytope sp n=2", "polytope sp n=4"]
+    assert [c["witness"]["phi_vertices_off_cross"] for c in crit_8] == [[["2"]], [["2", "0"]]]
     for c in crit_8:
         assert c["verdict"] == "fail"
-        assert c["witness"]["points_outside_delta"] == [] and c["witness"]["delta_vertices_outside"] == []
-        assert c["witness"]["points_outside_phi"][0][0] == "2"
+        assert c["witness"]["delta_facets_outside"] == c["witness"]["delta_vertices_outside"] == []
     assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
@@ -599,7 +603,7 @@ def test_full_suite_reports_an_indecomposable_flag_component(capsys, monkeypatch
     verdicts = {c["name"]: (c["verdict"], c.get("witness")) for c in json.loads(out)["checks"]}
     for n in (2, 3, 4):
         assert verdicts.pop(f"flag-quotient n={n} l=4") == (
-            "fail", {"case": "indecomposable", "iteration": 0, "k": 2}
+            "fail", {"case": "indecomposable", "k": 2}
         )
     assert all(v == ("pass", None) for v in verdicts.values()) and len(verdicts) == 6
     assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
@@ -608,7 +612,7 @@ def test_full_suite_reports_an_indecomposable_flag_component(capsys, monkeypatch
 def test_full_suite_reports_a_flag_that_is_not_nested(capsys, monkeypatch):
     # replace the first two components of every l=3 point by e1 and e2^e3 on
     # their way to the incidence test: both decomposable, ann(e1) not inside
-    # ann(e2^e3), so the l=3 checks fail at iteration 0 with case "incidence"
+    # ann(e2^e3), so the l=3 checks fail with case "incidence"
     from covariants.flags import FlagPoint, incidence_holds
 
     def tampered(f):
@@ -621,7 +625,7 @@ def test_full_suite_reports_a_flag_that_is_not_nested(capsys, monkeypatch):
     assert code == 1
     verdicts = {c["name"]: (c["verdict"], c.get("witness")) for c in json.loads(out)["checks"]}
     for n in (2, 3, 4):
-        assert verdicts.pop(f"flag-quotient n={n} l=3") == ("fail", {"case": "incidence", "iteration": 0})
+        assert verdicts.pop(f"flag-quotient n={n} l=3") == ("fail", {"case": "incidence"})
     assert all(v == ("pass", None) for v in verdicts.values()) and len(verdicts) == 6
     assert "criterion  9 (flag quotient map): FAIL (6/9 checks)" in err
 
@@ -648,7 +652,7 @@ def test_full_suite_reports_a_flag_coordinate_off_the_wedge(capsys, monkeypatch)
     monkeypatch.setattr(suite, "flag_map", shifted)
     verdicts = _criterion_9_with_6(capsys)
     assert len(verdicts) == 9
-    assert all(v == ("fail", {"case": "wedge-mismatch", "iteration": 0}) for v in verdicts.values())
+    assert all(v == ("fail", {"case": "wedge-mismatch"}) for v in verdicts.values())
 
 
 def test_full_suite_reports_a_flag_coordinate_that_is_not_its_minor(capsys, monkeypatch):
@@ -658,7 +662,7 @@ def test_full_suite_reports_a_flag_coordinate_that_is_not_its_minor(capsys, monk
     verdicts = _criterion_9_with_6(capsys)
     for n in (2, 3, 4):
         for l in (2, 3, 4):
-            expected = ("fail", {"case": "minor-mismatch", "iteration": 0, "k": n}) if n <= l else ("pass", None)
+            expected = ("fail", {"case": "minor-mismatch", "k": n}) if n <= l else ("pass", None)
             assert verdicts.pop(f"flag-quotient n={n} l={l}") == expected
     assert not verdicts
 
@@ -677,8 +681,7 @@ def test_full_suite_reports_a_wedge_action_that_breaks_equivariance(capsys, monk
         for l in (2, 3, 4):
             verdict, witness = verdicts.pop(f"flag-quotient n={n} l={l}")
             if n >= l:
-                assert verdict == "fail"
-                assert witness["case"] == "equivariance" and witness["k"] == l
+                assert (verdict, witness) == ("fail", {"case": "equivariance", "k": l})
             else:
                 assert (verdict, witness) == ("pass", None)
     assert not verdicts
@@ -686,7 +689,7 @@ def test_full_suite_reports_a_wedge_action_that_breaks_equivariance(capsys, monk
 
 def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch):
     # drop delta's vertex e_1 for gl n=3; the hull stays full-dimensional, so
-    # the facet test runs and must reject the samples near e_1
+    # the facet test runs and must name the facets that cut e_1 off
     from covariants import polytopes
 
     build = polytopes.build_polytopes
@@ -703,10 +706,13 @@ def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch
     checks = json.loads(out)["checks"]
     crit_8 = {c["name"]: c for c in checks if c["criterion"] == 8}
     assert [c["verdict"] for c in crit_8.values()] == ["pass", "fail", "pass"]
-    witness = crit_8["polytope gl n=3"]["witness"]
-    assert witness["points_outside_delta"] and witness["points_outside_phi"] == []
-    assert witness["delta_vertices_outside"] == []
-    assert ["1", "0", "0"] in witness["points_outside_delta"]
+    assert crit_8["polytope gl n=3"]["witness"] == {
+        "phi_vertices_off_cross": [],
+        "delta_facets_outside": [[-5, 3, -1, 1], [-3, 1, 1, 1]],
+        "delta_vertices_outside": [],
+    }
+    # e_1, a point of Phi ∩ chamber, violates both
+    assert all(row[0] + row[3] < 0 for row in crit_8["polytope gl n=3"]["witness"]["delta_facets_outside"])
     assert [c["verdict"] for c in checks if c["criterion"] == 6] == ["pass"] * 3
 
 
@@ -930,6 +936,9 @@ def test_full_suite_reports_a_mixed_relation_inside_the_product_span(capsys, mon
 
 
 def test_zero_samples_is_allowed(capsys):
-    for argv in (["check-invariance", "--group", "gl", "--n", "2", "--l", "1"], ["lemma4", "--group", "gl", "--n", "2"]):
+    for argv in (
+        ["check-invariance", "--group", "gl", "--n", "2", "--l", "1"],
+        ["full-suite", "--groups", "sp", "--criteria", "1"],
+    ):
         code, out, _ = run_cli(capsys, *argv, "--samples", "0")
         assert code == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"

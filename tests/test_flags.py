@@ -286,7 +286,7 @@ def test_criterion_9_computes_no_kernel_and_minor_no_determinant(monkeypatch):
 
     for module in (flags, linalg):
         monkeypatch.setattr(module, "kernel_basis", counted("kernel_basis", linalg.kernel_basis))
-    assert suite.flag_quotient_check(4, 4, suite.FLAG_SAMPLES, suite.FLAG_GROUP_SAMPLES, 1) == (True, None)
+    assert suite.flag_quotient_check(4, 4) == (True, None)
     assert calls["kernel_basis"] == 0
     monkeypatch.setattr(Matrix, "det", counted("det", Matrix.det))
     monkeypatch.setattr(linalg, "lower_minors", counted("lower_minors", linalg.lower_minors))

@@ -317,7 +317,7 @@ def weight_scenarios():
 
 def per_term_weight(p, s):
     """The common ``exponent_weight`` of p's exponent tuples (oracle)."""
-    weights = {exponent_weight(s, exps) for exps in p.exponents()}
+    weights = {exponent_weight(s, exps) for exps in p.terms}
     assert len(weights) == 1
     return weights.pop()
 

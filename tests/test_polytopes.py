@@ -8,16 +8,10 @@ import pytest
 from covariants import polytopes
 from covariants.generators import GeneratorSet
 from covariants.lp import convex_membership
-from covariants.polytopes import (
-    build_polytopes,
-    chamber_inclusion_check,
-    hull_facets,
-    sample_chamber_point,
-)
+from covariants.polytopes import build_polytopes, chamber_inclusion_check, hull_facets
 from covariants.polynomial import canon_coeff
-from covariants.rng import substream
 from covariants.scenario import GROUPS, Scenario
-from covariants.suite import POLYTOPE_SAMPLES, invariance_grid
+from covariants.suite import invariance_grid
 
 
 def test_gl2_vertex_lists():
@@ -54,48 +48,25 @@ def test_delta_vertices_satisfy_chamber():
             assert spec.in_chamber(v), (s, v)
 
 
-def test_sampler_lands_in_domain():
-    for s in (Scenario("gl", 3, 1), Scenario("o", 6, 1), Scenario("sp", 4, 1)):
-        spec = build_polytopes(s)
-        rng = substream(3, f"sampler:{s.group}{s.n}")
-        for _ in range(50):
-            nums, t = sample_chamber_point(s, spec, rng)
-            assert t >= 1 and all(type(x) is int for x in nums)
-            assert convex_membership(tuple(Fraction(x, t) for x in nums), spec.phi_vertices)
-            assert spec.in_chamber(nums)
-    # a chamber point outside the weight hull is not in the sampler's domain
-    spec = build_polytopes(Scenario("gl", 3, 1))
-    assert not convex_membership((2, 0, 0), spec.phi_vertices)
-
-
-def test_even_o_sampler_reaches_negative_last_coordinate():
-    s = Scenario("o", 6, 1)
-    spec = build_polytopes(s)
-    rng = substream(1, "negcheck")
-    assert any(
-        sample_chamber_point(s, spec, rng)[0][-1] < 0 for _ in range(100)
-    )
-
-
 def test_inclusion_gl3_500_samples_seed7():
-    assert chamber_inclusion_check(Scenario("gl", 3, 1), samples=500, seed=7) == (True, None)
+    assert chamber_inclusion_check(Scenario("gl", 3, 1)) == (True, None)
 
 
 def test_inclusion_across_groups():
     for s in (Scenario("o", 4, 1), Scenario("o", 5, 1), Scenario("sp", 4, 1)):
-        assert chamber_inclusion_check(s, samples=120, seed=2) == (True, None)
+        assert chamber_inclusion_check(s) == (True, None)
 
 
 def test_report_witness(monkeypatch):
     s = Scenario("sp", 4, 1)
-    assert chamber_inclusion_check(s, samples=10, seed=0) == (True, None)
+    assert chamber_inclusion_check(s) == (True, None)
     half = (Fraction(1, 2), Fraction(1, 2))
     assert half in build_polytopes(s).delta_vertices
     monkeypatch.setattr(polytopes, "convex_membership", lambda v, pts: v != half and convex_membership(v, pts))
-    assert chamber_inclusion_check(s, samples=10, seed=0) == (False, {
-        "points_outside_delta": [],
+    assert chamber_inclusion_check(s) == (False, {
+        "phi_vertices_off_cross": [],
+        "delta_facets_outside": [],
         "delta_vertices_outside": [["1/2", "1/2"]],
-        "points_outside_phi": [],
     })
 
 
@@ -104,6 +75,11 @@ FACET_SCENARIOS = (
     + [Scenario("o", n, 1) for n in range(2, 9)]
     + [Scenario("sp", n, 1) for n in (2, 4, 6, 8)]
 )
+
+
+def in_delta(spec, pt) -> bool:
+    """Whether pt satisfies every facet row (a, c) of delta: <a, pt> + c >= 0."""
+    return all(sum(a * x for a, x in zip(row, pt)) + row[-1] >= 0 for row in spec.delta_facets)
 
 
 @pytest.mark.parametrize("s", FACET_SCENARIOS, ids=lambda s: f"{s.group}{s.n}")
@@ -128,10 +104,10 @@ def test_facet_test_agrees_with_lp(s):
     centroid = [sum(Fraction(v[i]) for v in on_facet) / len(on_facet) for i in range(s.rank)]
     norm2 = sum(a * a for a in row[:-1])
     outside = tuple(x - Fraction(a, 10**12 * norm2) for x, a in zip(centroid, row))
-    assert spec.in_delta(tuple(centroid)) and not spec.in_delta(outside)
+    assert in_delta(spec, centroid) and not in_delta(spec, outside)
     points.append(outside)
     for pt in points:
-        assert spec.in_delta(pt) == convex_membership(pt, verts), pt
+        assert in_delta(spec, pt) == convex_membership(pt, verts), pt
 
 
 def closed_form_delta(s):
@@ -159,7 +135,7 @@ def closed_form_delta(s):
 
 @pytest.mark.parametrize("s", FACET_SCENARIOS, ids=lambda s: f"{s.group}{s.n}")
 def test_polytopes_of_the_built_system_are_the_closed_forms(s):
-    # Phi's vertices in the sampler's order e_1, -e_1, e_2, ..., and delta
+    # Phi's vertices in the order e_1, -e_1, e_2, ..., and delta
     # with the facets of the closed-form vertex list, which it contains
     spec = build_polytopes(s)
     q = s.rank
@@ -189,28 +165,30 @@ def test_a_wrong_generator_weight_fails_criterion_8(monkeypatch):
     s = Scenario("sp", 4, 1)
     _with_order_1_lower_minors(monkeypatch, lambda g: dataclasses.replace(g, weight=tuple(2 * x for x in g.weight)))
     assert (2, 0) in build_polytopes(s).delta_vertices
-    assert chamber_inclusion_check(s, samples=50, seed=0) == (False, {
-        "points_outside_delta": [],
+    # and the hull's new edge from (1/2, 1/2) to 2e_1 is no facet of Phi ∩ chamber
+    assert chamber_inclusion_check(s) == (False, {
+        "phi_vertices_off_cross": [],
+        "delta_facets_outside": [[-1, -3, 2]],
         "delta_vertices_outside": [["2", "0"]],
-        "points_outside_phi": [],
     })
 
 
 def test_a_wrong_generator_degree_fails_criterion_8(monkeypatch):
     # gl n=3: lowMinor[1;c] (weight -e_3) at degree 2 puts -e_3/2 in place
-    # of the vertex -e_3, so samples near -e_3 fall outside delta
+    # of the vertex -e_3, so the facets of the smaller delta cut -e_3 off
     s = Scenario("gl", 3, 1)
     _with_order_1_lower_minors(monkeypatch, lambda g: dataclasses.replace(g, degree=2))
     assert (0, 0, -1) not in build_polytopes(s).delta_vertices
-    passed, witness = chamber_inclusion_check(s, samples=POLYTOPE_SAMPLES, seed=1)
+    passed, witness = chamber_inclusion_check(s)
     assert not passed
-    assert ["0", "0", "-1"] in witness["points_outside_delta"]
-    assert witness["delta_vertices_outside"] == witness["points_outside_phi"] == []
+    assert witness["delta_facets_outside"] == [[-1, -1, 2, 1], [-1, 0, 2, 1], [1, 0, 2, 1]]
+    assert all(row[2] * -1 + row[3] < 0 for row in witness["delta_facets_outside"])
+    assert witness["phi_vertices_off_cross"] == witness["delta_vertices_outside"] == []
 
 
 def test_a_wrong_variable_weight_shows_as_samples_outside_phi(monkeypatch):
-    # Phi comes from the variables: a doubled weight is a vertex 2e_1 that the
-    # closed-form test of Phi rejects
+    # Phi comes from the variables: a doubled weight is a vertex 2e_1 off the
+    # cross-polytope, whose facets the facet test of delta assumes
     s = Scenario("sp", 4, 1)
     table = polytopes.variable_weights
 
@@ -222,9 +200,11 @@ def test_a_wrong_variable_weight_shows_as_samples_outside_phi(monkeypatch):
 
     monkeypatch.setattr(polytopes, "variable_weights", doubled)
     assert (2, 0) in build_polytopes(s).phi_vertices
-    passed, witness = chamber_inclusion_check(s, samples=50, seed=0)
-    assert not passed and witness["points_outside_phi"]
-    assert all(sum(abs(Fraction(x)) for x in p) > 1 for p in witness["points_outside_phi"])
+    assert chamber_inclusion_check(s) == (False, {
+        "phi_vertices_off_cross": [["2", "0"]],
+        "delta_facets_outside": [],
+        "delta_vertices_outside": [],
+    })
 
 
 def test_facet_counts():
@@ -241,46 +221,29 @@ def test_degenerate_hull_raises():
         hull_facets([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
 
-def test_phi_test_is_the_cross_polytope():
-    spec = build_polytopes(Scenario("o", 6, 1))
-    rng = random.Random(11)
-    for _ in range(60):
-        pt = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(3))
-        assert spec.in_phi(pt) == convex_membership(pt, spec.phi_vertices), pt
+# criterion 8's (group, n), one scenario each
+POLYTOPE_SCENARIOS = list({(s.group, s.n): s for s in invariance_grid(GROUPS)}.values())
 
 
-def fraction_sampler(s, spec, rng):
-    """The former sampler on ``Fraction`` coordinates (oracle)."""
-    q = s.rank
-    t = rng.randint(1, 20)
-    point = [0] * q
-    for _ in range(t):
-        v = spec.phi_vertices[rng.randrange(len(spec.phi_vertices))]
-        for i in range(q):
-            point[i] += v[i]
-    point = [Fraction(x, t) for x in point]
-    if s.group == "gl":
-        point.sort(reverse=True)
-    else:
-        point.sort(key=abs, reverse=True)
-        point = [abs(x) for x in point]
-        if s.case == "D" and rng.random() < 0.5:
-            point[q - 1] = -point[q - 1]
-    return tuple(canon_coeff(x) for x in point)
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_integer_sampler_draws_the_fraction_samplers_points(seed):
-    # every criterion-8 stream: the same points, and the stream left where
-    # the Fraction sampler leaves it
-    streams = {(s.group, s.n): s for s in invariance_grid(GROUPS)}
-    assert len(streams) == 8
-    for (group, n), s in streams.items():
-        spec = build_polytopes(s)
-        new = substream(seed, f"polytope:{group}:{n}")
-        old = substream(seed, f"polytope:{group}:{n}")
-        for _ in range(POLYTOPE_SAMPLES):
-            nums, t = sample_chamber_point(s, spec, new)
-            assert all(type(x) is int for x in nums) and 1 <= t <= 20
-            assert tuple(canon_coeff(Fraction(x, t)) for x in nums) == fraction_sampler(s, spec, old)
-        assert new.random() == old.random(), (group, n)
+@pytest.mark.parametrize("s", POLYTOPE_SCENARIOS, ids=lambda s: f"{s.group}{s.n}")
+def test_the_facet_certificate_is_exact(s, monkeypatch):
+    # drop each delta point in turn: the check fails exactly when the LP
+    # calls the point extreme, i.e. when the smaller hull leaves out part of
+    # Phi ∩ chamber, and then only through delta's facets
+    spec = build_polytopes(s)
+    dropped = 0
+    for v in spec.delta_vertices:
+        rest = tuple(w for w in spec.delta_vertices if w != v)
+        try:
+            smaller = dataclasses.replace(spec, delta_vertices=rest)
+        except ValueError:
+            continue  # the hull of the rest is not full-dimensional
+        dropped += 1
+        monkeypatch.setattr(polytopes, "build_polytopes", lambda s, smaller=smaller: smaller)
+        passed, witness = chamber_inclusion_check(s)
+        assert passed == convex_membership(v, rest), v
+        if not passed:
+            assert witness["delta_facets_outside"]
+            assert witness["phi_vertices_off_cross"] == witness["delta_vertices_outside"] == []
+    # only a simplex (sp: its q + 1 points) flattens whichever point goes
+    assert dropped or len(spec.delta_vertices) == s.rank + 1
