@@ -323,9 +323,23 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     evaluation stack (stream ``min``), each block on its own rows and a
     prefix of the shared points (block size + 32 columns), both primes
     eliminated together; a block of full row rank passes with no rank of
-    its decomposable rows taken, since they are independent too.  The
-    union bound over the blocks keeps every rank increase observed mod p an
-    exact proof of essentiality.  Shortfalls are pinned down per generator, each on its
+    its decomposable rows taken, since they are independent too.
+
+    A rank increase observed mod p is exact, not likely.  The generators'
+    coefficients have no p in a denominator (``_frac_mod`` refuses one that
+    has), so a block's evaluation rows mod p reduce the polynomials' values
+    at integer points.  If the block has full row rank mod p, some maximal
+    minor of those values is nonzero mod p, hence nonzero: the rows, and so
+    the polynomials, are independent over Q, and
+    each generator lies outside the span of the block's other rows.  All
+    385 first-pass blocks on the invariance grid have full row rank.  A
+    block short of full row rank passes on a fixed arithmetic condition,
+    not on the draw of points: if a primitive integer combination of its
+    generators is a combination of the decomposable rows with coefficients
+    free of p in their denominators, the same relation holds among the
+    rows mod p at any points, and the rank cannot rise by the number of
+    generators.  So a false pass there needs every such expression to have
+    p in a denominator, at both primes.  Shortfalls are pinned down per generator, each on its
     own stream ``min:{d}:{w}:g{idx}``.  Returns (passed, witness): the
     witness of a failure lists the inessential generators' labels under
     ``inessential``, in block order.

@@ -24,9 +24,12 @@ is the one place that builds all five kinds (C, Q, lower, left and cross
 minors), keyed by recipe, and both its callers call it at the coordinate
 matrices (V, V*).  ``build_generators`` takes its entries as the generators;
 ``check_invariance`` compares them with the generators' polys, once per call.
-A sample then acts on no polynomial: by Cauchy-Binet it fixes every recipe of
-one kind and order exactly when a few integer minors of the sample itself
-take fixed values (``_sample_fixes_recipes``).
+No element of U then acts on a polynomial: by Cauchy-Binet an element fixes
+every recipe of one kind and order exactly when a few of its own minors take
+fixed values (``_fixes_recipes``).  Those conditions are decided once per
+(group, n), as polynomial identities on the generic element of U
+(``groups.generic_unipotent``), so they hold at every element of U; random
+samples act only on a poly that is not its recipe.
 
 ``check_invariance`` returns (passed, witness), the shape of every suite
 check; the witness entry of a violation is built where it is found.
@@ -37,11 +40,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import sub
 
 from .groups import (
     derivation_images,
     form_matrix,
+    generic_unipotent,
     lie_act_on_polynomial,
     nilradical_basis,
     sample_unipotent,
@@ -240,13 +245,15 @@ def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
 # -- invariance ---------------------------------------------------------------
 
 
-def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
-    """Whether the sample u, given as ``(c, c*u)``, fixes the recipes of each
-    kind and order: ``{(kind, order): bool}``, the order of C and Q being 2.
+def _fixes_recipes(s: Scenario, u: Matrix) -> dict:
+    """Whether u fixes the recipes of each kind and order:
+    ``{(kind, order): bool}``, the order of C and Q being 2.
 
-    Each verdict is a condition on the integer matrix ``c*u`` alone; the
-    lower and left minors are read off one ``lower_minors`` table of it.
-    ``check_invariance`` gives the argument.
+    Each verdict is a condition on the matrix u alone; the lower and left
+    minors are read off one ``lower_minors`` table of it.  The entries may
+    be numbers (a sample) or polynomials (the generic element, where each
+    condition is a polynomial identity).  ``check_invariance`` gives the
+    argument.
     """
     n, m, r = s.n, s.m, s.r
 
@@ -255,9 +262,9 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
         return all(v == (value if cols == target else 0) for cols, v in minors.items())
 
     top = _lower_top(s)
-    table = lower_minors(cu, n if m else top)
+    table = lower_minors(u, n if m else top)
     out = {}
-    if m:  # c = 1 here, so det(u) = det(c*u)
+    if m:
         det = table[n][tuple(range(n))]
         if not det:
             raise ValueError("singular matrix")
@@ -266,57 +273,76 @@ def _sample_fixes_recipes(s: Scenario, c: int, cu: Matrix) -> dict:
             out["leftMinor", p] = delta(table[n - p], tuple(range(p, n)), det)
     if s.group != "gl":
         f = form_matrix(s)
-        out["Q", 2] = cu.transpose() * f * cu == c * c * f
+        out["Q", 2] = u.transpose() * f * u == f
     for p in range(1, top + 1):
-        out["lowMinor", p] = delta(table[p], tuple(range(n - p, n)), c**p)
+        out["lowMinor", p] = delta(table[p], tuple(range(n - p, n)), 1)
     rows = _cross_rows(s)
     if rows:
-        out["crossMinor", r] = delta(lower_minors(Matrix([cu.rows[i] for i in rows]), r)[r], rows, c**r)
+        out["crossMinor", r] = delta(lower_minors(Matrix([u.rows[i] for i in rows]), r)[r], rows, 1)
     return out
+
+
+@lru_cache(maxsize=None)
+def _generic_verdicts(group: str, n: int) -> dict:
+    """``_fixes_recipes`` on the generic element of U, for the widest
+    scenario of (group, n) (l = n, and m = n for gl), whose recipes hold
+    every kind and order of any scenario of (group, n)."""
+    return _fixes_recipes(Scenario(group, n, n, n if group == "gl" else 0), generic_unipotent(group, n))
 
 
 def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) -> tuple[bool, dict | None]:
     """Certify invariance of every generator under the unipotent subgroup.
 
-    Two independent certificates: annihilation by the whole nilradical basis
-    (exact and complete) and fixedness under random unipotent samples (exact
-    per sample).  Each sample u comes as the integer matrix ``c*u``
-    (``sample_unipotent``); for f homogeneous of degree d in the V-copies,
-    f(c u x) = c^d f(u x), so u fixes f exactly when substituting ``c*u``
-    gives ``c^d * f``.  That identity does not hold for the V*-copies, which
-    transform by the inverse, so a sample with c != 1 on a scenario with
-    m > 0 raises ``ValueError``.  Returns (passed, witness): the witness of
-    a failure lists each violation under ``lie`` or ``samples`` with its
+    Two certificates, both exact and complete for a recipe generator:
+    annihilation by the whole nilradical basis, and fixedness under the
+    generic element of U.  A generator whose poly equals its recipe's entry
+    of ``recipe_table`` at (V, V*), checked exactly once per call, reads its
+    verdict from ``_fixes_recipes`` on ``groups.generic_unipotent(group,
+    n)``, computed once per (group, n) (``_generic_verdicts``).  Each
+    verdict there is a polynomial identity in the indeterminates t_b of
+    u = exp(sum_b t_b b); since exp maps the nilradical onto U, it holds at
+    every element of U (see ``generic_unipotent``).
+
+    Every other poly (an injected fault, a hand-built generator with no
+    recipe) is substituted at ``num_samples`` random samples, which are
+    drawn only when such a poly exists.  Each sample u comes as the integer
+    matrix ``c*u`` (``sample_unipotent``); for f homogeneous of degree d in
+    the V-copies, f(c u x) = c^d f(u x), so u fixes f exactly when
+    substituting ``c*u`` gives ``c^d * f``.  That identity does not hold
+    for the V*-copies, which transform by the inverse, so a sample with
+    c != 1 on a scenario with m > 0 raises ``ValueError``, as a singular
+    one does on inverting it.  Returns (passed, witness): the witness of a
+    failure lists each violation under ``lie`` or ``samples`` with its
     generator's label and its witnessing element, the basis element xi or
-    the rational sample u.
+    the rational sample u; if a recipe generator fails on the generic
+    element, the witness also lists the labels of all such generators, in
+    generator order, under ``generic``.  A failed polynomial identity is
+    itself exact, so no sample is drawn for them.
 
-    A generator whose poly equals its recipe's entry of ``recipe_table`` at
-    (V, V*), checked exactly once per call, reads its sample verdict from
-    integer minors of ``c*u`` alone (``_sample_fixes_recipes``), by
-    Cauchy-Binet.  For a lower minor on the last p rows R and the columns C,
+    The recipe verdicts come from Cauchy-Binet.  For a lower minor on the
+    last p rows R and the columns C,
 
-        det((c u V)[R, C]) = sum_S det((c u)[R, S]) det(V[S, C])
+        det((u V)[R, C]) = sum_S det(u[R, S]) det(V[S, C])
 
     over the p-subsets S of rows.  For fixed C the Plucker coordinates
     det(V[S, C]) are linearly independent (distinct S give disjoint monomial
     supports; Fulton, *Young Tableaux*, section 8), so u fixes every lower
-    minor of order p exactly when det((c u)[R, S]) = c^p [S == R] for every
-    S, whatever C is.  The other kinds follow the same way:
+    minor of order p exactly when det(u[R, S]) = [S == R] for every S,
+    whatever C is.  The other kinds follow the same way:
 
       left minors   on rows R and the first p columns T of V* u^-1, a sum
                     over S of det(V*[R, S]) det(u^-1[S, T]), so u fixes them
                     exactly when det(u^-1[S, T]) = [S == T] for every S;
-      cross minors  the minors of c u V on its r rows;
+      cross minors  the minors of u V on its r rows;
       C[i][j]       row i of V* times u^-1 u = I times column j of V: every
                     invertible u fixes it;
-      Q[i][j]       column i of V times (c u)^T F (c u) times column j, whose
+      Q[i][j]       column i of V times u^T F u times column j, whose
                     monomials are distinct for i < j; for i = j both sides
                     are symmetric matrices, so their quadratic forms agree
                     only if they do.
 
-    No inverse is formed.  c = 1 whenever m > 0, and Jacobi's identity for
-    complementary minors (Horn and Johnson, *Matrix Analysis*, 2nd ed.,
-    section 0.8.4),
+    No inverse is formed: Jacobi's identity for complementary minors (Horn
+    and Johnson, *Matrix Analysis*, 2nd ed., section 0.8.4),
 
         det(u^-1[S, T]) = (-1)^(sum S + sum T) det(u[T', S']) / det u,
 
@@ -324,13 +350,10 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
     on lower minors of u: T' is the last n - p rows, so u fixes every left
     minor of order p exactly when the order-(n - p) lower minors of u are
     det u on the columns T' and 0 elsewhere (the sign is +1 where S = T).
-    All of them come from one ``lower_minors`` table of u.  A singular
-    sample raises ``ValueError("singular matrix")``, as inverting it for
-    substitution would.  For a recipe generator the sample side thus
-    certifies that the sampler's draws lie in U, while the Lie side stays
-    the exact, complete certificate of the polynomial.  Every other poly (an
-    injected fault, a hand-built generator with no recipe) is substituted;
-    ``substitution_images`` is built only when such a poly exists.
+    All of them come from one ``lower_minors`` table of u.  The conditions
+    depend on (group, n) and the kinds and orders alone, and the widest
+    scenario of (group, n) has every kind and order, so one table serves
+    every scenario.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}
@@ -342,24 +365,25 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
                 witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
     at_v = recipe_table(s, s.v_matrix(), s.vstar_matrix())
     tabled = [g.recipe in at_v and at_v[g.recipe] == g.poly for g in gs.gens]
-    substituted = not all(tabled)
-    rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
-    for k in range(num_samples):
-        c, cu = sample_unipotent(s, rng)
-        if s.m and c != 1:
-            raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
-        fixes = _sample_fixes_recipes(s, c, cu)
-        images = substitution_images(cu, s) if substituted else None  # the entries of c*u*V and V*u^-1
-        u = None  # the sample's witness entry, built at its first violation
-        for g, by_table in zip(gs.gens, tabled):
-            if by_table:
-                fixed = fixes[g.recipe[0], g.degree]
-            else:
-                fixed = g.poly.substitute(images) == (g.poly if c == 1 else c**g.degree * g.poly)
-            if not fixed:
-                u = u or (cu * Fraction(1, c)).to_json()
-                witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u})
-    passed = not (witness["lie"] or witness["samples"])
+    if any(tabled):
+        fixes = _generic_verdicts(s.group, s.n)
+        generic = [g.label for g, by_table in zip(gs.gens, tabled) if by_table and not fixes[g.recipe[0], g.degree]]
+        if generic:
+            witness["generic"] = generic
+    substituted = [g for g, by_table in zip(gs.gens, tabled) if not by_table]
+    if substituted:
+        rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
+        for k in range(num_samples):
+            c, cu = sample_unipotent(s, rng)
+            if s.m and c != 1:
+                raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
+            images = substitution_images(cu, s)  # the entries of c*u*V and V*u^-1
+            u = None  # the sample's witness entry, built at its first violation
+            for g in substituted:
+                if g.poly.substitute(images) != (g.poly if c == 1 else c**g.degree * g.poly):
+                    u = u or (cu * Fraction(1, c)).to_json()
+                    witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u})
+    passed = not (witness["lie"] or witness["samples"] or "generic" in witness)
     return passed, None if passed else witness
 
 

@@ -6,9 +6,13 @@ Conventions (fixed so that every downstream artifact is reproducible):
   Symplectic: +1 in rows 1..r, -1 in rows r+1..n.
 * The maximal unipotent subgroup consists of the upper unitriangular
   elements of the group; its Lie algebra (the nilradical) is cut out of the
-  strictly upper triangular matrices by xi^T Q + Q xi = 0.  A random
-  element u is drawn as ``(c, c*u)`` with c the lcm of its denominators,
-  so a sample is built and used on integers only (``sample_unipotent``).
+  strictly upper triangular matrices by xi^T Q + Q xi = 0.  Its generic
+  element ``generic_unipotent(group, n)`` is exp(sum_b t_b b), with one
+  indeterminate t_b per basis element b; exp maps the nilradical onto the
+  subgroup, so a polynomial identity in the t_b holds at every element of
+  it.  A random element u is drawn as ``(c, c*u)`` with c the lcm of its
+  denominators, so a sample is built and used on integers only
+  (``sample_unipotent``).
 * A group element g acts on a polynomial by substitution: every V-copy
   column transforms by v -> g v (so x[i,j] -> sum_k g[i][k] x[k,j]) and
   every V*-copy row by w -> w g^{-1}.  The Lie algebra acts by the
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -97,6 +102,36 @@ def _nilradical_basis(s: Scenario) -> tuple[Matrix, ...]:
             rows[i][j] = ints[idx]
         out.append(Matrix(rows))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def generic_unipotent(group: str, n: int) -> Matrix:
+    """The generic element u = exp(sum_b t_b b) of the maximal unipotent
+    subgroup: an n x n matrix of ``Polynomial``s in one indeterminate t_b per
+    element b of ``nilradical_basis`` (in its order).  Computed once per
+    (group, n).
+
+    The series stops because xi = sum_b t_b b is strictly upper triangular,
+    so xi^n = 0; each term is the previous one times xi/k, in exact
+    ``Fraction(1, k)`` steps.  This is every element of U, once the t_b are
+    specialized: on unipotent matrices log u = sum_{k<n} (-1)^(k+1)
+    (u - 1)^k / k is a polynomial inverse of exp, so u = exp(log u) with
+    log u strictly upper triangular.  For gl that is all of the nilradical.
+    For o/sp, u preserves the form F exactly when log u lies in the
+    nilradical: xi^T F + F xi = 0 gives exp(xi)^T F exp(xi) =
+    F exp(-xi) exp(xi) = F, and conversely u^T F u = F makes F^-1 u^T F =
+    u^-1, whose log is both F^-1 (log u)^T F and -log u.  So a polynomial
+    identity in the t_b holds at every element of U (over any field of
+    characteristic 0), which no number of sampled elements can show.
+    """
+    basis = nilradical_basis(Scenario(group, n, 0))
+    nb = len(basis)
+    xi = Matrix([[Polynomial.linear(nb, {k: b[i, j] for k, b in enumerate(basis)}) for j in range(n)] for i in range(n)])
+    term = total = Matrix([[Polynomial.const(nb, int(i == j)) for j in range(n)] for i in range(n)])
+    for k in range(1, n):
+        term = term * xi * Fraction(1, k)
+        total = total + term
+    return total
 
 
 def sample_unipotent(s: Scenario, rng, entry_range: tuple[int, int] = (-3, 3)) -> tuple[int, Matrix]:

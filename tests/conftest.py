@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from covariants import generators, groups
 from covariants.groups import variable_weights
+from covariants.linalg import Matrix
 from covariants.polynomial import Polynomial
+from covariants.scenario import Scenario
 
 
 def random_poly(rng: random.Random, nvars: int, max_degree: int = 3, max_terms: int = 4) -> Polynomial:
@@ -46,3 +49,37 @@ def random_frac(rng: random.Random) -> Fraction:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def generic_element(monkeypatch):
+    """Install a replacement for ``generators.generic_unipotent``, with the
+    cached verdict table cleared before and after."""
+
+    def install(fn):
+        monkeypatch.setattr(generators, "generic_unipotent", fn)
+        generators._generic_verdicts.cache_clear()
+
+    yield install
+    generators._generic_verdicts.cache_clear()
+
+
+def below_diagonal_generic(group, n):
+    """The generic element with its first row added to its last: det 1, and
+    not triangular."""
+    u = groups.generic_unipotent(group, n)
+    return Matrix(u.rows[:-1] + (tuple(a + b for a, b in zip(u.rows[-1], u.rows[0])),))
+
+
+def truncated_generic(group, n):
+    """exp(xi), xi = sum_b t_b b, with its last term xi^(n-1)/(n-1)! left
+    out: still unitriangular, and off the group where that term is a
+    nonzero even power of xi."""
+    basis = groups.nilradical_basis(Scenario(group, n, 0))
+    xi = sum((Polynomial.variable(len(basis), k) * b for k, b in enumerate(basis)), Matrix.zero(n, n))
+    one = Matrix([[Polynomial.const(len(basis), int(i == j)) for j in range(n)] for i in range(n)])
+    term = total = one
+    for k in range(1, n - 1):
+        term = term * xi * Fraction(1, k)
+        total = total + term
+    return total

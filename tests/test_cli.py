@@ -16,6 +16,8 @@ from covariants.linalg import PRIME_B
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
 
+from conftest import below_diagonal_generic, truncated_generic
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -562,7 +564,34 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
 
-def test_full_suite_reports_samples_outside_phi(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "fault, groups, failing",
+    [
+        # every check of the grid fails: each scenario has a lower or a left minor
+        (below_diagonal_generic, "gl,o,sp", None),
+        # only the even powers of xi that the cut leaves out move Q: o n=3 and n=5
+        (truncated_generic, "o", {3, 5}),
+    ],
+    ids=["below_diagonal", "truncated"],
+)
+def test_full_suite_reports_a_faulty_generic_element(capsys, generic_element, fault, groups, failing):
+    generic_element(fault)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", groups, "--criteria", "1", "--seed", "1")
+    assert code == 1 and "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    assert len(checks) == len(suite.invariance_grid(groups.split(",")))
+    for c in checks:
+        n = int(c["name"].split()[2][2:])
+        if failing is None or n in failing:
+            assert c["verdict"] == "fail", c["name"]
+            assert c["witness"]["lie"] == c["witness"]["samples"] == [] and c["witness"]["generic"], c["name"]
+        else:
+            assert (c["verdict"], c.get("witness")) == ("pass", None), c["name"]
+    if failing is not None:
+        assert {c["witness"]["generic"][0] for c in checks if c["verdict"] == "fail"} == {"Q[1][1]"}
+
+
+def test_full_suite_reports_phi_vertices_off_the_cross_polytope(capsys, monkeypatch):
     # a fault of Phi's vertices: e_1 becomes 2 e_1, so Phi is no longer the
     # cross-polytope whose facets delta's facets are compared with
     from covariants import polytopes
@@ -687,7 +716,7 @@ def test_full_suite_reports_a_wedge_action_that_breaks_equivariance(capsys, monk
     assert not verdicts
 
 
-def test_full_suite_reports_samples_outside_a_shrunken_delta(capsys, monkeypatch):
+def test_full_suite_reports_the_facets_of_a_shrunken_delta(capsys, monkeypatch):
     # drop delta's vertex e_1 for gl n=3; the hull stays full-dimensional, so
     # the facet test runs and must name the facets that cut e_1 off
     from covariants import polytopes

@@ -18,7 +18,7 @@ from covariants.generators import (
     sp_high_minor_membership,
     weight_table_of,
 )
-from covariants import generators, polynomial
+from covariants import generators, groups, polynomial
 from covariants.groups import (
     form_matrix,
     sample_unipotent,
@@ -27,11 +27,12 @@ from covariants.groups import (
 )
 from covariants.linalg import Matrix, minor
 from covariants.polynomial import Polynomial
+from covariants.rng import substream
 from covariants.scenario import Scenario
 from covariants.suite import ambient_grid, formula_scenarios, generation_grid, invariance_grid
 from covariants.weights import integral_phi
 
-from conftest import permute_variables
+from conftest import below_diagonal_generic, permute_variables, truncated_generic
 
 
 def test_gl_2_2_1_generators():
@@ -265,9 +266,9 @@ def test_a_replaced_poly_keeps_the_substitution_path():
 
 
 def test_no_generator_is_substituted(monkeypatch):
-    # every recipe generator's sample verdict comes from integer minors of the
-    # sample: nothing is substituted or inverted, and the one recipe table is
-    # the one at (V, V*)
+    # every recipe generator's verdict comes from minors of the generic
+    # element: nothing is substituted or inverted, and the one recipe table
+    # is the one at (V, V*)
     calls = {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
 
     def counted(name, fn):
@@ -333,8 +334,8 @@ def test_build_generators_raises_on_a_recipe_poly_of_no_degree_or_weight(monkeyp
 
 
 def substituted_samples(gs, samples):
-    """The sample side that ``check_invariance`` decides on integer minors,
-    done symbolically: at each sample ``(c, c*u)`` every generator's image is
+    """The minor verdicts of ``generators._fixes_recipes``, done
+    symbolically: at each sample ``(c, c*u)`` every generator's image is
     read off ``recipe_table`` at the acted matrices (c*u*V, V*u^-1), built
     from ``substitution_images``.  Returns the ``samples`` witness list."""
     s = gs.scenario
@@ -395,36 +396,118 @@ def oracle_systems():
     return [build_generators(s) for s in recipe_scenarios() if s != Scenario("o", 7, 7)]
 
 
+def minor_samples(gs, samples):
+    """The ``samples`` witness list that ``generators._fixes_recipes`` gives
+    at each sample ``(c, c*u)``, read off the minors of u."""
+    out = []
+    for k, (c, cu) in enumerate(samples):
+        u = cu * Fraction(1, c)
+        fixes = generators._fixes_recipes(gs.scenario, u)
+        out += [{"label": g.label, "sample_index": k, "matrix": u.to_json()} for g in gs.gens if not fixes[g.recipe[0], g.degree]]
+    return out
+
+
 @pytest.mark.parametrize(
     "sampler", [sample_unipotent, below_diagonal_fault, upper_corner_fault, det_two_fault, singular_fault]
 )
-def test_integer_sample_side_matches_substitution(monkeypatch, sampler):
-    # the Lie side is one code path whatever the sample side does; switch it off
-    monkeypatch.setattr(generators, "nilradical_basis", lambda s: [])
-    drawn = []
-    monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: drawn.append(sampler(s, rng)) or drawn[-1])
+def test_integer_sample_side_matches_substitution(sampler):
+    # the minor verdicts that criterion 1 reads off the generic element of U,
+    # taken at the draws of true and faulty samplers, against substitution
     systems = oracle_systems()
     if sampler in (det_two_fault, singular_fault):
         # u^-1 acts only on the V*-copies, so only there can det u matter
         systems = [gs for gs in systems if gs.scenario.m]
     failed = 0
     for gs in systems:
+        s = gs.scenario
         for seed in (1, 2):
-            drawn.clear()
+            rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
+            drawn = [sampler(s, rng) for _ in range(3)]
             if sampler is singular_fault:
-                # the first sample already raises, on both sides
+                # every sample is singular, on both sides
                 with pytest.raises(ValueError, match="singular matrix"):
-                    check_invariance(gs, 3, seed)
+                    minor_samples(gs, drawn)
                 with pytest.raises(ValueError, match="singular matrix"):
                     substituted_samples(gs, drawn)
                 failed += 1
                 continue
-            result = check_invariance(gs, 3, seed)
             samples = substituted_samples(gs, drawn)
-            assert result == ((False, {"lie": [], "samples": samples}) if samples else (True, None)), (gs.scenario, seed)
+            assert minor_samples(gs, drawn) == samples, (s, seed)
             failed += bool(samples)
     # the faulty samplers are caught somewhere, the true one nowhere
     assert (failed > 0) == (sampler is not sample_unipotent)
+
+
+def test_the_generic_verdicts_cover_every_recipe_generator():
+    # one table per (group, n) holds every (kind, degree) of the grid's
+    # recipe generators, all true; gl n=1 has an empty nilradical, u = (1)
+    scenarios = invariance_grid(("gl", "o", "sp")) + [Scenario("gl", 1, 2, 1), Scenario("gl", 1, 0, 3)]
+    assert groups.generic_unipotent("gl", 1) == Matrix([[Polynomial.const(0, 1)]])
+    for s in scenarios:
+        u = groups.generic_unipotent(s.group, s.n)
+        assert all(u[i, j] == (i == j) for i in range(s.n) for j in range(i + 1))
+        fixes = generators._generic_verdicts(s.group, s.n)
+        assert all(fixes.values()), (s.group, s.n)
+        assert {(g.recipe[0], g.degree) for g in build_generators(s)} <= set(fixes), s
+    assert len({(s.group, s.n) for s in scenarios}) == 9
+
+
+def test_recipe_generators_draw_no_sample(monkeypatch):
+    # a recipe generator is decided on the generic element, never on a draw
+    def refused(s, rng):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(generators, "sample_unipotent", refused)
+    for s in (Scenario("gl", 3, 2, 2), Scenario("gl", 2, 0, 1), Scenario("o", 4, 4), Scenario("o", 5, 3), Scenario("sp", 4, 3)):
+        assert check_invariance(build_generators(s), num_samples=100, seed=1) == (True, None)
+    # one poly that is not its recipe: now each sample is drawn once
+    drawn = []
+    monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: drawn.append(s) or sample_unipotent(s, rng))
+    s = Scenario("o", 5, 3)
+    gs = build_generators(s)
+    gs = GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly),) + gs.gens[1:])
+    for num_samples in (0, 1, 7):
+        drawn.clear()
+        assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
+        assert drawn == [s] * num_samples
+
+
+FAULTY_GENERIC_CASES = {
+    below_diagonal_generic: [
+        (Scenario("gl", 3, 2, 1), {"lowMinor", "leftMinor"}),
+        (Scenario("gl", 2, 0, 2), {"leftMinor"}),
+        (Scenario("o", 5, 3), {"Q", "lowMinor"}),
+        (Scenario("o", 4, 2), {"Q", "lowMinor", "crossMinor"}),
+        # adding row 1 to row n is a symplectic transvection: Q holds
+        (Scenario("sp", 4, 2), {"lowMinor"}),
+    ],
+    # still unitriangular, so only Q sees the cut term xi^k/k!, and only
+    # where k is even: an odd power of xi is in the Lie algebra of the group,
+    # and as the series' last term (xi^(k+1) = 0) leaving it out keeps the form
+    truncated_generic: [
+        (Scenario("gl", 3, 2, 1), set()),
+        (Scenario("o", 3, 2), {"Q"}),
+        (Scenario("o", 5, 3), {"Q"}),
+        (Scenario("o", 4, 4), set()),  # xi^3 = 0: nothing is cut
+        (Scenario("sp", 4, 2), set()),  # xi^3 is cut
+    ],
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTY_GENERIC_CASES), ids=["below_diagonal", "truncated"])
+def test_a_faulty_generic_element_fails_with_a_generic_witness(generic_element, fault):
+    generic_element(fault)
+    for s, failing in FAULTY_GENERIC_CASES[fault]:
+        gs = build_generators(s)
+        passed, witness = check_invariance(gs, num_samples=5, seed=1)
+        if not failing:
+            assert (passed, witness) == (True, None), s
+            continue
+        assert not passed
+        # the Lie side passes and no sample is drawn; the labels come in generator order
+        assert witness["lie"] == witness["samples"] == []
+        assert witness["generic"] == [g.label for g in gs if g.label in witness["generic"]]
+        assert {lbl.split("[")[0] for lbl in witness["generic"]} == failing, s
 
 
 def test_sample_witness_is_the_rational_unipotent_element():
@@ -447,6 +530,8 @@ def test_a_sample_with_denominators_cannot_act_on_dual_copies(monkeypatch):
 
     monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: (2, 2 * Matrix.identity(s.n)))
     gs = build_generators(Scenario("gl", 2, 1, 1))
+    # samples act only on a poly that is not its recipe: make C[1][1] one
+    gs = GeneratorSet(gs.scenario, (dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly),) + gs.gens[1:])
     with pytest.raises(ValueError, match="V\\*-copies"):
         check_invariance(gs, num_samples=1)
     result = _timed("invariance", lambda: check_invariance(gs, num_samples=1))

@@ -48,7 +48,7 @@ def test_delta_vertices_satisfy_chamber():
             assert spec.in_chamber(v), (s, v)
 
 
-def test_inclusion_gl3_500_samples_seed7():
+def test_inclusion_gl3():
     assert chamber_inclusion_check(Scenario("gl", 3, 1)) == (True, None)
 
 
@@ -186,7 +186,7 @@ def test_a_wrong_generator_degree_fails_criterion_8(monkeypatch):
     assert witness["phi_vertices_off_cross"] == witness["delta_vertices_outside"] == []
 
 
-def test_a_wrong_variable_weight_shows_as_samples_outside_phi(monkeypatch):
+def test_a_wrong_variable_weight_shows_as_a_phi_vertex_off_the_cross_polytope(monkeypatch):
     # Phi comes from the variables: a doubled weight is a vertex 2e_1 off the
     # cross-polytope, whose facets the facet test of delta assumes
     s = Scenario("sp", 4, 1)
