@@ -26,12 +26,28 @@ Since the generated subalgebra always sits inside the invariant ring, weight
 by weight, equality of each lower bound with the exact dimension pins both
 quantities — the comparison is an unconditional certificate whenever it succeeds.
 
-The evaluation ranks of one call (every weight block of one degree in
-``generated_dimension``, every (degree, weight) block in the first pass of
-``minimality_check``) share one point set per prime: the points are
+Most blocks are settled exactly, before any evaluation, by their leading
+monomials.  Packed monomials (``polynomial``) compared as ints are ordered
+lexicographically, the highest variable first.  A product of monomials is
+the carry-free sum of their packed ints, so this is a monomial order, and
+the leading monomial of a product of polynomials is the sum of the
+factors' leading monomials (Cox, Little and O'Shea, *Ideals, Varieties,
+and Algorithms*, ch. 2 §2, Lemma 8).  So a generator monomial's key, the
+sum of its factors' leading monomials (``_distinct_leads``), is the
+leading monomial of its polynomial.  A block whose keys are pairwise
+distinct is linearly independent over Q, with no point and no prime: in a
+nontrivial combination, the largest key with a nonzero coefficient occurs
+in no other term.  Such a block has rank its size in
+``generated_dimension`` and passes the first pass of ``minimality_check``.
+Only the blocks whose keys collide, or that use a zero generator, are
+ranked mod p.
+
+The evaluation ranks of one call (every weight block of one degree left in
+``generated_dimension``, every (degree, weight) block left in the first
+pass of ``minimality_check``) share one point set per prime: the points are
 uniform nonzero residues mod p drawn from a named substream, one matrix
-holds all the blocks' monomial rows at the largest point count any block
-asks for, and each block ranks its own rows on a prefix of the columns.
+holds all those blocks' monomial rows at the largest point count any of
+them asks for, and each block ranks its own rows on a prefix of the columns.
 The matrix is built on residues throughout (numpy).  The ranks are taken
 at two independent streams with two distinct primes: one evaluation stack
 holds both primes' matrices, built from one exponent matrix and one set of
@@ -62,7 +78,7 @@ import numpy as np
 from .generators import GeneratorSet, weighted_monomials
 from .groups import derivation_images, derive_monomial, nilradical_basis, variable_weights
 from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
-from .polynomial import Polynomial, variable_key
+from .polynomial import MAX_EXPONENT, SLOT_BITS, Polynomial, guard_mask, variable_key
 from .rng import residue_points
 from .scenario import Scenario
 
@@ -263,6 +279,29 @@ def _two_seed_ranks(gs: GeneratorSet, blocks: Sequence, seed: int, stream: str) 
     return found
 
 
+def _distinct_leads(leads: Sequence[int | None], monomials: Sequence, nvars: int) -> bool:
+    """Whether the generator monomials have pairwise distinct leading monomials.
+
+    ``leads[i]`` is generator i's leading packed monomial (None for the zero
+    polynomial); a monomial's key, the sum of its factors' leads, is the
+    leading monomial of its product (see the module docstring).  A monomial
+    with a zero factor has no lead, so the answer is then False.  A key
+    that sets a guard bit overflowed a slot and raises ``ValueError``.
+    """
+    guard, keys = guard_mask(nvars), set()
+    for mono in monomials:
+        key = 0
+        for idx, mult in mono:
+            if leads[idx] is None:
+                return False
+            for _ in range(mult):  # stored monomials add without carry: a set guard bit is an overflow
+                key += leads[idx]
+                if key & guard:
+                    raise ValueError(f"an exponent exceeds {MAX_EXPONENT}, the largest a {SLOT_BITS}-bit slot holds")
+        keys.add(key)
+    return len(keys) == len(monomials)
+
+
 def _weight_blocks(degrees: Sequence[int], eps: Sequence, rank: int, t: int) -> dict[tuple, list]:
     """The degree-t monomials in letters of the given degrees grouped by
     weight, each block in ``weighted_monomials`` order.
@@ -286,15 +325,19 @@ def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
 def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> dict:
     """Nonzero weight-space dimensions ``{weight: dim}`` of the degree-t generated piece.
 
-    Rank over F_p of the evaluation matrix of each weight block of degree-t
-    generator monomials at 2x(block size) points of uniform nonzero
-    residues, at two streams and two primes.  All blocks of the degree read
-    their points from one matrix per prime (stream ``genrank:{t}``): a
-    block of size k ranks its own rows on the first 2k columns.  A rank mod
-    p never exceeds the rank over Q, so each rank is a certified lower
-    bound; it equals the true dimension unless the points fall on the zero
-    set of a nonzero minor, which Schwartz-Zippel makes improbable for
-    primes near 2**31, for every block at once by a union bound.
+    A weight block of degree-t generator monomials whose leading keys are
+    pairwise distinct is linearly independent (see the module docstring),
+    so its dimension is its size, exactly.  Every other block is ranked
+    over F_p: the evaluation matrix of its monomials at 2x(block size)
+    points of uniform nonzero residues, at two streams and two primes.
+    Those blocks read their points from one matrix per prime (stream
+    ``genrank:{t}``, as wide as the widest of them): a block of size k
+    ranks its own rows on the first 2k columns.  A rank mod p never
+    exceeds the rank over Q, so each rank is a certified lower bound; it
+    equals the true dimension unless the points fall on the zero set of a
+    nonzero minor, which Schwartz-Zippel makes improbable for primes near
+    2**31, for every block at once by a union bound.  The cap counts every
+    block, settled or not, and is checked before any work.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -302,8 +345,16 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     count, cap_val = sum(map(len, blocks.values())), monomial_cap(cap)
     if count > cap_val:
         raise CapExceeded(f"{count} generator monomials (cap {cap_val})")
-    ranks = _two_seed_ranks(gs, [((t, w), ms, 2 * len(ms), ()) for w, ms in blocks.items()], seed, f"genrank:{t}")
-    return {w: r for w, (r,) in sorted(zip(blocks, ranks)) if r}
+    leads = [max(g.poly.packed_terms(), default=None) for g in gs.gens]
+    dims, ranked = {}, []
+    for w, ms in blocks.items():
+        if _distinct_leads(leads, ms, gs.scenario.nvars):
+            dims[w] = len(ms)
+        else:
+            ranked.append(((t, w), ms, 2 * len(ms), ()))
+    for ((_, w), _, _, _), (r,) in zip(ranked, _two_seed_ranks(gs, ranked, seed, f"genrank:{t}")):
+        dims[w] = r
+    return {w: r for w, r in sorted(dims.items()) if r}
 
 
 # -- minimality ------------------------------------------------------------------
@@ -319,11 +370,15 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     rows to the rows of the block's decomposable monomials raises the rank
     by the number of generators.  A block's monomials are enumerated alone
     (``weighted_monomials`` at its weight, one memo per call), not with
-    every monomial of its degree.  All blocks are ranked from one
-    evaluation stack (stream ``min``), each block on its own rows and a
-    prefix of the shared points (block size + 32 columns), both primes
-    eliminated together; a block of full row rank passes with no rank of
-    its decomposable rows taken, since they are independent too.
+    every monomial of its degree.  A block whose monomials' leading keys
+    are pairwise distinct passes with no evaluation: its rows are
+    linearly independent (see the module docstring), so each generator
+    lies outside the span of the others.  The blocks left are ranked from
+    one evaluation stack (stream ``min``, as wide as the widest of them),
+    each block on its own rows and a prefix of the shared points (block
+    size + 32 columns), both primes eliminated together; a block of full
+    row rank passes with no rank of its decomposable rows taken, since
+    they are independent too.
 
     A rank increase observed mod p is exact, not likely.  The generators'
     coefficients have no p in a denominator (``_frac_mod`` refuses one that
@@ -332,7 +387,8 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     minor of those values is nonzero mod p, hence nonzero: the rows, and so
     the polynomials, are independent over Q, and
     each generator lies outside the span of the block's other rows.  All
-    385 first-pass blocks on the invariance grid have full row rank.  A
+    385 first-pass blocks on the invariance grid have full row rank, and
+    380 of them have distinct leading keys.  A
     block short of full row rank passes on a fixed arithmetic condition,
     not on the draw of points: if a primitive integer combination of its
     generators is a combination of the decomposable rows with coefficients
@@ -349,10 +405,13 @@ def minimality_check(gs: GeneratorSet, seed: int = 0) -> tuple[bool, dict | None
     for idx, g in enumerate(gs.gens):
         blocks.setdefault((g.degree, g.weight), []).append(idx)
     degrees, weights, memo = [g.degree for g in gs.gens], [g.weight for g in gs.gens], {}
+    leads = [max(g.poly.packed_terms(), default=None) for g in gs.gens]
     batch = []
     for d, w in sorted(blocks):
         singles = [((idx, 1),) for idx in blocks[d, w]]
         block = weighted_monomials(degrees, d, weights, w, memo)  # weight_blocks(gs, d)[w]
+        if _distinct_leads(leads, block, gs.scenario.nvars):
+            continue  # independent rows: each generator is outside the others' span
         rows = [m for m in block if m not in singles] + singles
         batch.append(((d, w), rows, len(rows) + 32, (len(rows) - len(singles),)))
     first = _two_seed_ranks(gs, batch, seed, "min")

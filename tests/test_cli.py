@@ -410,15 +410,24 @@ def test_seed_disagreement_is_an_error_verdict(capsys, monkeypatch):
         return [r + (p == PRIME_B) for r, p in zip(rank_mod_p(stack, primes), primes)]
 
     monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
-    code, out, err = run_cli(capsys, "minimality", "--group", "o", "--n", "3", "--l", "1")
+    code, out, err = run_cli(capsys, "minimality", "--group", "o", "--n", "4", "--l", "3")
     assert code == INTERNAL_ERROR
     assert "Traceback" not in err
     (check,) = json.loads(out)["checks"]
-    assert check["name"] == "minimality o n=3 l=1 m=0"
+    assert check["name"] == "minimality o n=4 l=3 m=0"
     assert check["verdict"] == "error" and check["witness"].startswith("SeedDisagreement: ")
-    # every block disagrees, so the witness names the first (degree, weight) block
-    degree, weight = min((g.degree, g.weight) for g in suite.build_generators(Scenario("o", 3, 1)).gens)
-    assert f"degree-{degree} block of weight {weight} " in check["witness"]
+    # every ranked block disagrees; the first is the degree-3 block of weight (1, 0), whose
+    # 19 rows have 15 distinct leading monomials, while every earlier block is settled by them
+    assert "degree-3 block of weight (1, 0) " in check["witness"]
+
+
+def test_minimality_settled_by_leading_monomials_ranks_nothing(capsys, monkeypatch):
+    calls = []
+    rank_mod_p = dimensions.rank_mod_p
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda stack, ps: calls.append(stack.shape) or rank_mod_p(stack, ps))
+    code, out, _ = run_cli(capsys, "minimality", "--group", "o", "--n", "3", "--l", "1")
+    assert code == 0 and json.loads(out)["checks"][0]["verdict"] == "pass"
+    assert calls == []
 
 
 def test_module_entry_point_runs_the_cli():

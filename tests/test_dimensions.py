@@ -216,14 +216,25 @@ def test_head_ranks_are_taken_only_short_of_full_row_rank(monkeypatch):
     assert seen == [(2, len(rows) + 1, n + 1), (2, nbase, n + 1), (2, 1, n + 1)]
 
 
+def _leads(gs):
+    return [max(g.poly.packed_terms(), default=None) for g in gs.gens]
+
+
+def _counting_rank_mod_p(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(dimensions, "rank_mod_p", lambda mats, ps: calls.append(mats.shape) or rank_mod_p(mats, ps))
+    return calls
+
+
 def test_seed_disagreement_names_the_first_block(monkeypatch):
-    gs = build_generators(Scenario("gl", 3, 2, 2))
+    # the block (1, 0), with 5 monomials and 4 distinct leading monomials, is the only one
+    # ranked (test_generated_dimension_ranks_only_blocks_whose_leads_collide)
+    gs = build_generators(Scenario("gl", 2, 1, 2))
     skewed = lambda mats, ps: [r + (p == PRIME_B) for r, p in zip(rank_mod_p(mats, ps), ps)]
     monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
-    first = next(iter(weight_blocks(gs, 2)))
     with pytest.raises(SeedDisagreement) as exc:
-        generated_dimension(gs, 2)
-    assert f"degree-2 block of weight {first} (" in str(exc.value) and "'genrank:2'" in str(exc.value)
+        generated_dimension(gs, 3)
+    assert "degree-3 block of weight (1, 0) (" in str(exc.value) and "'genrank:3'" in str(exc.value)
 
 
 def test_generated_dimension_leaves_out_zero_ranks():
@@ -232,6 +243,74 @@ def test_generated_dimension_leaves_out_zero_ranks():
     zero = GeneratorSet(s, tuple(dataclasses.replace(g, poly=Polynomial.zero(s.nvars)) for g in gs.gens))
     assert generated_dimension(gs, 2) == {(0, -2): 1}
     assert generated_dimension(zero, 2) == {}
+
+
+def test_a_zero_generator_sends_its_blocks_to_the_evaluation_ranks(monkeypatch):
+    s = Scenario("gl", 3, 2, 2)
+    gs = build_generators(s)
+    zeroed = GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=Polynomial.zero(s.nvars)),) + gs.gens[1:])
+    leads = _leads(zeroed)
+    assert leads[0] is None and None not in leads[1:]
+    d, w = gs.gens[0].degree, gs.gens[0].weight
+    block = weight_blocks(zeroed, d)[w]
+    assert ((0, 1),) in block and not dimensions._distinct_leads(leads, block, s.nvars)
+    # every degree-d block of gs is settled by its leads; the zero generator's block is ranked
+    calls = _counting_rank_mod_p(monkeypatch)
+    full = generated_dimension(gs, d)
+    assert calls == []
+    assert generated_dimension(zeroed, d) == {**full, w: full[w] - 1} and calls == [(2, len(block), 2 * len(block))]
+
+
+def test_a_leading_key_that_overflows_a_slot_raises():
+    s = Scenario("gl", 2, 1, 0)
+    (g,) = build_generators(s).gens
+    d = 1 << 14  # x**d is stored, x**(2 * d) is one past the largest exponent
+    big = dataclasses.replace(g, poly=g.poly**d, degree=d, weight=tuple(d * a for a in g.weight))
+    assert dimensions._distinct_leads(_leads(GeneratorSet(s, (big,))), [((0, 1),)], s.nvars)
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        big.poly * big.poly
+    with pytest.raises(ValueError, match="exceeds 32767"):
+        generated_dimension(GeneratorSet(s, (big,)), 2 * d)
+
+
+# -- leading monomials: the exact side of both checks ------------------------------
+
+
+@pytest.mark.parametrize(
+    "s", [Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("sp", 4, 3)]
+)
+def test_the_leading_key_of_a_product_is_the_sum_of_the_leads(s):
+    gs = build_generators(s)
+    leads = _leads(gs)
+    for (i, g1), (j, g2) in itertools.combinations_with_replacement(enumerate(gs.gens), 2):
+        assert max((g1.poly * g2.poly).packed_terms()) == leads[i] + leads[j], (g1.label, g2.label)
+
+
+def test_blocks_with_distinct_leads_have_full_evaluation_rank():
+    # rank mod p at random points of every settled block of the generation grid up to degree 3
+    settled = 0
+    for gs in map(build_generators, generation_grid(GROUPS)):
+        leads = _leads(gs)
+        for t in range(4):
+            blocks = [
+                ((t, w), ms, 2 * len(ms), ())
+                for w, ms in weight_blocks(gs, t).items()
+                if dimensions._distinct_leads(leads, ms, gs.scenario.nvars)
+            ]
+            settled += len(blocks)
+            assert _two_seed_ranks(gs, blocks, 5, "settled") == [(len(ms),) for _, ms, _, _ in blocks]
+    assert settled == 407
+
+
+def test_generated_dimension_ranks_only_blocks_whose_leads_collide(monkeypatch):
+    gs = build_generators(Scenario("gl", 2, 1, 2))
+    calls = _counting_rank_mod_p(monkeypatch)
+    dims = generated_dimension(gs, 3)
+    # one stacked call for the block (1, 0), both primes, at twice its 5 rows: its two
+    # monomials of one leading key span one dimension, so it has rank 4
+    assert calls == [(2, 5, 10)]
+    assert dims == {**{w: len(ms) for w, ms in weight_blocks(gs, 3).items()}, (1, 0): 4}
+    assert dims == invariant_weight_dims(gs.scenario, 3)
 
 
 def test_generated_dimension_cap_counts_all_blocks():
@@ -344,6 +423,20 @@ def test_product_of_generators_is_inessential(s):
     g1, g2 = gs.gens[0], gs.gens[-1]
     extra = Generator("extra", g1.poly * g2.poly, g1.degree + g2.degree, tuple(a + b for a, b in zip(g1.weight, g2.weight)))
     assert minimality_check(GeneratorSet(s, gs.gens + (extra,))) == (False, {"inessential": ["extra"]})
+
+
+@pytest.mark.parametrize(
+    "s", [Scenario("gl", 3, 2, 2), Scenario("o", 4, 3), Scenario("sp", 4, 3)]
+)
+def test_sum_of_two_generators_of_one_block_is_inessential(s):
+    gs = build_generators(s)
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(range(len(gs)), 2)
+        if (gs.gens[i].degree, gs.gens[i].weight) == (gs.gens[j].degree, gs.gens[j].weight)
+    )
+    g1, g2 = gs.gens[i], gs.gens[j]
+    extra = Generator("extra", g1.poly + g2.poly, g1.degree, g1.weight)
+    assert minimality_check(GeneratorSet(s, gs.gens + (extra,))) == (False, {"inessential": [g1.label, g2.label, "extra"]})
 
 
 def test_weight_filtered_enumeration_is_the_weight_block():
