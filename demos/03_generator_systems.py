@@ -42,7 +42,7 @@ for s in (
 
     print("graded dimensions per weight (generated == ambient invariants):")
     for t in range(4):
-        a = generated_dimension(gs, t, seed=1)
+        a = generated_dimension(gs, t)
         u = invariant_weight_dims(s, t)
         shown = a if len(a) <= 3 else f"{sum(a.values())} in {len(a)} weights"
         print(f"   t={t}: {shown}  {'ok' if a == u else 'MISMATCH'}")

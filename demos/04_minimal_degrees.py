@@ -3,8 +3,8 @@
 For a dominant weight chi, the minimal degree at which it occurs among the
 generated invariants has a closed form.  The demo compares it against a
 bounded enumeration over the generator weights and against the ambient
-invariant ring itself (exact kernels), and shows the scaling law
-degree(c * chi) = c * degree(chi).
+invariant ring itself (Weyl character multiplicities), and shows the
+scaling law degree(c * chi) = c * degree(chi).
 """
 
 import itertools

@@ -228,7 +228,8 @@ def min_degree_generated(pairs, chi, cap: int = 8) -> int | None:
 def min_degree_invariant(s: Scenario, chi, cap: int = 4, monomial_cap: int | None = None) -> int | None:
     """First degree at which the weight appears among the ambient invariants.
 
-    Scans the exact graded invariant dimensions up to the degree cap; None
+    Scans the graded invariant dimensions (``invariant_weight_dims``, by
+    Weyl's character formula) up to the degree cap; None
     if the weight never shows up within it.
     """
     k = _as_phi(chi)

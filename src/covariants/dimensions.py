@@ -3,30 +3,39 @@
 Two quantities are compared throughout the verification suite, weight by
 weight, since every generator monomial is a weight vector:
 
-* ``generated_dimension``: per weight, the dimension of the degree-t piece
-  of the subalgebra generated by the generator system, measured as the rank
-  over F_p of the evaluation matrix of that weight's degree-t generator
-  monomials (one block of ``weight_blocks``, as in minimality).  It can
-  only undercount: the generator coefficients have no p in a denominator
-  (``_frac_mod`` refuses one that has), so the vanishing over Q of every
-  larger minor of the monomials' coefficient matrix carries over mod p, and
-  evaluation cannot raise a rank.  It is a certified lower bound for the
-  weight space.
+* ``invariant_weight_dims``: per weight, the dimension of the degree-t
+  U-invariants, by Weyl's character formula.  A U-invariant weight vector
+  is a highest weight vector, so the invariants of weight lambda are
+  counted by the multiplicity m(lambda) of the irreducible module of
+  highest weight lambda in k[W]_t, and for dominant lambda
 
-* ``invariant_weight_dims``: per weight, the dimension of the space of
-  degree-t polynomials annihilated by the whole nilradical, computed as an
-  exact sparse kernel over the integers, block by weight.
-  The blocks come from the same enumerator and weight bucketing as the
-  generator monomials' (``_weight_blocks``), with each variable a letter
-  of degree 1 whose weight is its row of ``groups.variable_weights``; the
-  derivation images are those of ``groups`` too, which owns both
-  conventions.
+      m(lambda) = sum over w in W of sign(w) N_t(lambda + rho - w(rho)),
 
-Since the generated subalgebra always sits inside the invariant ring, weight
-by weight, equality of each lower bound with the exact dimension pins both
-quantities — the comparison is an unconditional certificate whenever it succeeds.
+  where N_t counts the degree-t monomials of each weight (Humphreys,
+  *Introduction to Lie Algebras and Representation Theory*, §24;
+  Fulton-Harris, *Representation Theory*, §24).  Multiplying the
+  character of k[W]_t by the Weyl denominator, the coefficient of
+  e^(lambda + rho) has one term, from lambda's own module, since
+  lambda + rho is strictly dominant.  The table N_t is a convolution of
+  one series per distinct weight of ``groups.variable_weights``: c
+  variables of one weight give comb(c + e - 1, e) monomials of degree e.
+  No monomial is enumerated and nothing is eliminated.  Only dominant
+  weights are read: at others the alternating sum can be nonzero without
+  being a multiplicity.
 
-Most blocks are settled exactly, before any evaluation, by their leading
+* ``generated_dimension``: per weight, the dimension over Q of the degree-t
+  piece of the subalgebra generated by the generator system: the rank of
+  that weight's degree-t generator monomials (one block of
+  ``weight_blocks``, as in minimality).  It is exact in both directions
+  and reads nothing of the invariant side, so a generator that is not
+  invariant can push it above the invariant dimension, where the
+  comparison fails.
+
+Since the generated subalgebra sits inside the invariant ring whenever the
+generators are invariant, equality of the two, weight by weight, certifies
+that the generators generate in degree t.
+
+Most blocks are settled exactly, before any expansion, by their leading
 monomials.  Packed monomials (``polynomial``) compared as ints are ordered
 lexicographically, the highest variable first.  A product of monomials is
 the carry-free sum of their packed ints, so this is a monomial order, and
@@ -35,31 +44,33 @@ factors' leading monomials (Cox, Little and O'Shea, *Ideals, Varieties,
 and Algorithms*, ch. 2 §2, Lemma 8).  So a generator monomial's key, the
 sum of its factors' leading monomials (``_distinct_leads``), is the
 leading monomial of its polynomial.  A block whose keys are pairwise
-distinct is linearly independent over Q, with no point and no prime: in a
-nontrivial combination, the largest key with a nonzero coefficient occurs
-in no other term.  Such a block has rank its size in
-``generated_dimension`` and passes the first pass of ``minimality_check``.
-Only the blocks whose keys collide, or that use a zero generator, are
-ranked mod p.
+distinct is linearly independent over Q: in a nontrivial combination, the
+largest key with a nonzero coefficient occurs in no other term.  Such a
+block has rank its size in ``generated_dimension`` and passes the first
+pass of ``minimality_check``.  In ``generated_dimension`` a block whose
+keys collide, or that uses a zero generator, is expanded
+(``generators.monomial_poly``, the expansion ``syzygies.relation_space``
+uses) and its coefficient rows, denominators cleared row by row, are ranked
+exactly by ``linalg.sparse_rank_int``.
 
-The evaluation ranks of one call (every weight block of one degree left in
-``generated_dimension``, every (degree, weight) block left in the first
-pass of ``minimality_check``) share one point set per prime: the points are
-uniform nonzero residues mod p drawn from a named substream, one matrix
-holds all those blocks' monomial rows at the largest point count any of
-them asks for, and each block ranks its own rows on a prefix of the columns.
-The matrix is built on residues throughout (numpy).  The ranks are taken
-at two independent streams with two distinct primes: one evaluation stack
-holds both primes' matrices, built from one exponent matrix and one set of
-factor rows, and each block's two slices are eliminated together by
-``linalg.rank_mod_p``.  A block of full row rank needs no rank of its
-leading rows (minimality's decomposable monomials): they are independent.
-A disagreement between the primes aborts, naming the block.  Sharing
-points changes no bound: a rank mod p at any points is at most the rank
-over Q, and each block's Schwartz-Zippel
-bound (a shortfall with probability at most rank x degree / (p - 1)) holds
-for any points drawn independently of that block's matrix, so the chance
-that some block falls short is at most the sum of the blocks' bounds.
+Minimality still ranks the blocks that its leading monomials leave by
+evaluation mod p.  The ranks of one call (every (degree, weight) block
+left in the first pass of ``minimality_check``) share one point set per
+prime: the points are uniform nonzero residues mod p drawn from a named
+substream, one matrix holds all those blocks' monomial rows at the largest
+point count any of them asks for, and each block ranks its own rows on a
+prefix of the columns.  The matrix is built on residues throughout
+(numpy).  The ranks are taken at two independent streams with two distinct
+primes: one evaluation stack holds both primes' matrices, built from one
+exponent matrix and one set of factor rows, and each block's two slices
+are eliminated together by ``linalg.rank_mod_p``.  A block of full row
+rank needs no rank of its leading rows (the decomposable monomials): they
+are independent.  A disagreement between the primes aborts, naming the
+block.  Sharing points changes no bound: a rank mod p at any points is at
+most the rank over Q, and each block's Schwartz-Zippel bound (a shortfall
+with probability at most rank x degree / (p - 1)) holds for any points
+drawn independently of that block's matrix, so the chance that some block
+falls short is at most the sum of the blocks' bounds.
 
 ``minimality_check`` returns (passed, witness), the shape of every suite
 check, with the labels of the inessential generators as the witness.
@@ -67,18 +78,21 @@ check, with the labels of the inessential generators as the witness.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
-from .generators import GeneratorSet, weighted_monomials
-from .groups import derivation_images, derive_monomial, nilradical_basis, variable_weights
-from .linalg import PRIME_A, PRIME_B, rank_mod_p, sparse_rank_int
-from .polynomial import MAX_EXPONENT, SLOT_BITS, Polynomial, guard_mask, variable_key
+from .generators import GeneratorSet, monomial_poly, weighted_monomials
+from .groups import variable_weights
+from .linalg import PRIME_A, PRIME_B, primitive_row, rank_mod_p, sparse_rank_int
+from .polynomial import MAX_EXPONENT, SLOT_BITS, Polynomial, guard_mask
 from .rng import residue_points
 from .scenario import Scenario
 
@@ -106,7 +120,89 @@ def degree_monomial_count(nvars: int, t: int) -> int:
     return math.comb(nvars + t - 1, t) if nvars else int(t == 0)
 
 
-# -- exact invariant dimensions -------------------------------------------------
+# -- exact invariant dimensions: Weyl's character formula -------------------------
+
+
+def _two_rho(case: str, r: int) -> tuple[int, ...]:
+    """2 rho in eps-coordinates for the type ``case`` (``Scenario.case``) at rank r.
+
+    rho = (n-1, ..., 0) for A (gl), (r-1/2, ..., 1/2) for B (odd o),
+    (r, ..., 1) for C (sp) and (r-1, ..., 0) for D (even o); doubled, B's
+    stays in the integers.  It is empty at rank 0.  At rank 1 it is (0)
+    for gl n=1 and for D1 (o n=2, whose group is its torus), (1) for B1 and
+    (2) for C1; D2 (o n=4) has (2, 0).
+    """
+    top = {"A": 2 * r - 2, "B": 2 * r - 1, "C": 2 * r, "D": 2 * r - 2}[case]
+    return tuple(range(top, top - 2 * r, -2))
+
+
+def _weyl_group(case: str, r: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The Weyl group as signed permutations ``(perm, signs)``, acting by
+    w(v)_i = signs[i] * v[perm[i]].
+
+    All permutations for A, with every sign change for B and C and with an
+    even number of them for D.  The small ranks, spelled out: the trivial
+    group at rank 0, for gl n=1 and for D1 (whose one sign change is odd);
+    {+1, -1} for B1 and C1; for D2 = A1 x A1 the four elements 1, the swap,
+    -1 and minus the swap.
+    """
+    if r == 0 or (r == 1 and case in "AD"):
+        return [(tuple(range(r)), (1,) * r)]
+    if r == 1:
+        return [((0,), (1,)), ((0,), (-1,))]
+    if case == "D" and r == 2:
+        return [((0, 1), (1, 1)), ((1, 0), (1, 1)), ((0, 1), (-1, -1)), ((1, 0), (-1, -1))]
+    flips = [(1,) * r] if case == "A" else itertools.product((1, -1), repeat=r)
+    flips = [f for f in flips if case != "D" or math.prod(f) == 1]
+    return [(perm, f) for perm in itertools.permutations(range(r)) for f in flips]
+
+
+@lru_cache(maxsize=None)
+def _weyl_shifts(case: str, r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The pairs (rho - w(rho), sign(w)) over the Weyl group, where sign(w)
+    is the determinant of w: the sign of its permutation times its sign
+    changes.  rho - w(rho) is a sum of positive roots, an integer vector,
+    taken as (2 rho - w(2 rho)) / 2."""
+    two_rho = _two_rho(case, r)
+    shifts = []
+    for perm, signs in _weyl_group(case, r):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(r), 2))
+        moved = [e * two_rho[p] for p, e in zip(perm, signs)]
+        shifts.append((tuple((a - b) // 2 for a, b in zip(two_rho, moved)), (-1) ** inversions * math.prod(signs)))
+    return tuple(shifts)
+
+
+def _dominant(case: str, lam: Sequence[int]) -> bool:
+    """lam_1 >= ... >= lam_r, then lam_r >= 0 for B and C and
+    lam_(r-1) >= |lam_r| for D; no condition at all for D1 (rank 1, o n=2)."""
+    if case == "D":
+        if len(lam) == 1:
+            return True
+        lam = (*lam[:-1], abs(lam[-1]))
+    elif case in "BC":
+        lam = (*lam, 0)
+    return all(a >= b for a, b in zip(lam, lam[1:]))
+
+
+def _weight_counts(s: Scenario, t: int) -> dict[tuple, int]:
+    """N_t: the number of degree-t monomials of each weight.
+
+    One series per distinct variable weight is convolved in: c variables
+    of weight w give comb(c + e - 1, e) monomials of degree e and weight
+    e * w.  ``table[d]`` holds the counts of degree d over the weights
+    taken so far.
+    """
+    table: list[dict[tuple, int]] = [{(0,) * s.rank: 1}] + [{} for _ in range(t)]
+    for w, c in Counter(variable_weights(s)).items():
+        new: list[dict[tuple, int]] = [{} for _ in range(t + 1)]
+        for d, counts in enumerate(table):
+            for e in range(t - d + 1):
+                ways, out, step = math.comb(c + e - 1, e), new[d + e], [e * b for b in w]
+                for lam, k in counts.items():
+                    mu = tuple(map(add, lam, step))
+                    out[mu] = out.get(mu, 0) + ways * k
+        table = new
+    return table[t]
 
 
 @lru_cache(maxsize=None)
@@ -116,20 +212,14 @@ def _invariant_weight_dims_cached(s: Scenario, t: int, cap: int) -> dict:
         raise CapExceeded(
             f"degree-{t} monomial basis has {count} elements (cap {cap})"
         )
-    blocks = _weight_blocks([1] * s.nvars, variable_weights(s), s.rank, t)
-    images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
+    counts = _weight_counts(s, t)
+    shifts = _weyl_shifts(s.case, s.rank)
     dims: dict[tuple, int] = {}
-    for wkey, monos in sorted(blocks.items()):
-        rows: dict[tuple, dict[int, int]] = {}
-        for col, factors in enumerate(monos):
-            m = sum(e * variable_key(v) for v, e in factors)
-            for xi_idx, images in enumerate(images_per_xi):
-                # the targets of one monomial are distinct (see derive_monomial)
-                for target, coeff in derive_monomial(m, factors, images):
-                    rows.setdefault((xi_idx, target), {})[col] = coeff
-        nullity = len(monos) - sparse_rank_int(list(rows.values()))
-        if nullity:
-            dims[wkey] = nullity
+    for lam in sorted(counts):
+        if _dominant(s.case, lam):
+            mult = sum(sign * counts.get(tuple(map(add, lam, shift)), 0) for shift, sign in shifts)
+            if mult:
+                dims[lam] = mult
     return dims
 
 
@@ -322,22 +412,31 @@ def weight_blocks(gs: GeneratorSet, t: int) -> dict[tuple, list]:
     return _weight_blocks([g.degree for g in gs.gens], [g.weight for g in gs.gens], gs.scenario.rank, t)
 
 
-def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None = None) -> dict:
+def _expanded_rank(gs: GeneratorSet, monomials: Sequence) -> int:
+    """Rank over Q of the expanded generator monomials.
+
+    Each monomial is expanded by ``monomial_poly``; its coefficients,
+    denominators cleared by ``primitive_row``, form one sparse row over the
+    packed monomials as columns, and ``sparse_rank_int`` ranks the rows.
+    """
+    rows = []
+    for mono in monomials:
+        terms = monomial_poly(gs, mono).packed_terms()
+        rows.append(dict(zip(terms, primitive_row(list(terms.values())))))
+    return sparse_rank_int(rows)
+
+
+def generated_dimension(gs: GeneratorSet, t: int, cap: int | None = None) -> dict:
     """Nonzero weight-space dimensions ``{weight: dim}`` of the degree-t generated piece.
 
     A weight block of degree-t generator monomials whose leading keys are
     pairwise distinct is linearly independent (see the module docstring),
-    so its dimension is its size, exactly.  Every other block is ranked
-    over F_p: the evaluation matrix of its monomials at 2x(block size)
-    points of uniform nonzero residues, at two streams and two primes.
-    Those blocks read their points from one matrix per prime (stream
-    ``genrank:{t}``, as wide as the widest of them): a block of size k
-    ranks its own rows on the first 2k columns.  A rank mod p never
-    exceeds the rank over Q, so each rank is a certified lower bound; it
-    equals the true dimension unless the points fall on the zero set of a
-    nonzero minor, which Schwartz-Zippel makes improbable for primes near
-    2**31, for every block at once by a union bound.  The cap counts every
-    block, settled or not, and is checked before any work.
+    so its dimension is its size.  Every other block is expanded and
+    ranked exactly (``_expanded_rank``).  Both are dimensions over Q, with
+    no point and no prime, and neither reads the invariant side.  The cap
+    counts every block, settled or not, and is checked before any work; an
+    expanded block has at most as many columns as there are degree-t
+    monomials of its weight in the variables.
     """
     if t < 0:
         raise ValueError("degree must be nonnegative")
@@ -346,14 +445,9 @@ def generated_dimension(gs: GeneratorSet, t: int, seed: int = 0, cap: int | None
     if count > cap_val:
         raise CapExceeded(f"{count} generator monomials (cap {cap_val})")
     leads = [max(g.poly.packed_terms(), default=None) for g in gs.gens]
-    dims, ranked = {}, []
+    dims = {}
     for w, ms in blocks.items():
-        if _distinct_leads(leads, ms, gs.scenario.nvars):
-            dims[w] = len(ms)
-        else:
-            ranked.append(((t, w), ms, 2 * len(ms), ()))
-    for ((_, w), _, _, _), (r,) in zip(ranked, _two_seed_ranks(gs, ranked, seed, f"genrank:{t}")):
-        dims[w] = r
+        dims[w] = len(ms) if _distinct_leads(leads, ms, gs.scenario.nvars) else _expanded_rank(gs, ms)
     return {w: r for w, r in sorted(dims.items()) if r}
 
 

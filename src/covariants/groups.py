@@ -21,16 +21,16 @@ Conventions (fixed so that every downstream artifact is reproducible):
 
 This module is the one home of two conventions the certificates share:
 the derivation images of the nilradical (``derivation_images`` and
-``derive_monomial``, used for invariance and for the exact invariant
-kernels; they act on packed monomials, see ``polynomial``) and the torus
-weights of the variables (``variable_weights``, the one table of the x/a
-signs and the o/sp folding; a monomial weighs the sum of its variables).
-That table gives the letter weights of the invariant kernels' weight blocks
-(``dimensions``), the vertices of the weight hull Phi (``polytopes``), and
-the slot masks with which ``torus_weight`` reads a polynomial's weight,
-and optionally checks its degree, straight off the packed monomials;
-``build_generators`` takes every generator's weight and degree from it.  A
-weight is a plain tuple of epsilon-coordinates (see ``weights``).
+``derive_monomial``, used for invariance; they act on packed monomials,
+see ``polynomial``) and the torus weights of the variables
+(``variable_weights``, the one table of the x/a signs and the o/sp
+folding; a monomial weighs the sum of its variables).  That table gives
+the weight counts of the character formula (``dimensions``), the vertices
+of the weight hull Phi (``polytopes``), and the slot masks with which
+``torus_weight`` reads a polynomial's weight, and optionally checks its
+degree, straight off the packed monomials; ``build_generators`` takes
+every generator's weight and degree from it.  A weight is a plain tuple of
+epsilon-coordinates (see ``weights``).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ draws.  The derivation is a stable hash (not Python's salted ``hash``), so
 identical configs reproduce byte-identical reports across runs and machines.
 
 Evaluation points are uniform nonzero residues mod p (``residue_points``)
-for the modular evaluation ranks.  Exact relation spaces draw nothing: they
-are kernels of coefficient matrices.
+for minimality's modular evaluation ranks.  Exact relation spaces and the
+generated and invariant dimensions draw nothing: they are kernels, ranks
+and weight counts.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ fault seams are the names it looks up in this module (``build_generators``,
 All randomness flows from one seed through named substreams, so identical
 configs reproduce identical reports.
 
-The generation criterion (number 3) compares, weight by weight, an
-evaluation rank, which can only undercount the generated subalgebra's graded
-dimension, with the exact kernel dimension of the invariant ring, which the
-subalgebra sits inside.  Equality therefore pins both quantities exactly; a
-strict gap at any weight fails loudly rather than passing silently.
+The generation criterion (number 3) compares, weight by weight, the
+generated subalgebra's graded dimension, an exact rank over Q, with the
+invariant ring's, by Weyl's character formula; it draws nothing.  Neither
+side reads the other, so a gap either way fails loudly: a missing
+generator shows below, a generator that is not invariant above.
 """
 
 from __future__ import annotations
@@ -265,11 +265,11 @@ def criterion_2_weight_tables(cfg: SuiteConfig) -> list[CheckResult]:
     ]
 
 
-def generation_check(gs, t: int, seed: int, cap: int | None) -> tuple[bool, dict | None]:
+def generation_check(gs, t: int, cap: int | None) -> tuple[bool, dict | None]:
     """Generated against invariant dimension of degree t, weight by weight."""
-    # a degree over the cap raises CapExceeded here, before any evaluation
+    # a degree over the cap raises CapExceeded here, before any expansion
     inv = invariant_weight_dims(gs.scenario, t, cap=cap)
-    gen = generated_dimension(gs, t, seed=seed, cap=cap)
+    gen = generated_dimension(gs, t, cap=cap)
     if gen == inv:
         return True, None
     w = min(w for w in gen.keys() | inv.keys() if gen.get(w) != inv.get(w))
@@ -280,7 +280,7 @@ def criterion_3_generation(cfg: SuiteConfig) -> list[CheckResult]:
     return [
         _timed(
             scenario_name("generation", gs.scenario) + f" t={t}",
-            lambda gs=gs, t=t: generation_check(gs, t, cfg.seed, cfg.monomial_cap),
+            lambda gs=gs, t=t: generation_check(gs, t, cfg.monomial_cap),
         )
         for gs in map(build_generators, generation_grid(cfg.groups))  # once per scenario
         for t in range(cfg.tmax + 1)

@@ -5,13 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from covariants import dimensions
+from covariants import dimensions, rng, suite
 from covariants.dimensions import (
     CapExceeded,
     SeedDisagreement,
+    _dominant,
+    _expanded_rank,
     _frac_mod,
     _gen_values_mod,
+    _two_rho,
     _two_seed_ranks,
+    _weight_blocks,
+    _weight_counts,
+    _weyl_group,
+    _weyl_shifts,
     degree_monomial_count,
     generated_dimension,
     invariant_weight_dims,
@@ -27,12 +34,19 @@ from covariants.generators import (
     monomial_poly,
     weighted_monomials,
 )
-from covariants.groups import lie_act_on_polynomial, nilradical_basis, torus_weight
-from covariants.linalg import PRIME_A, PRIME_B, rank, rank_mod_p
-from covariants.polynomial import Polynomial
+from covariants.groups import (
+    derivation_images,
+    derive_monomial,
+    lie_act_on_polynomial,
+    nilradical_basis,
+    torus_weight,
+    variable_weights,
+)
+from covariants.linalg import PRIME_A, PRIME_B, rank, rank_mod_p, sparse_rank_int
+from covariants.polynomial import Polynomial, variable_key
 from covariants.rng import residue_points
 from covariants.scenario import GROUPS, Scenario
-from covariants.suite import generation_grid, invariance_grid
+from covariants.suite import generation_check, generation_grid, invariance_grid
 
 from conftest import exponent_weight
 
@@ -74,6 +88,128 @@ def _brute_force_weight_dims(s: Scenario, t: int) -> dict:
         blocks.setdefault(exponent_weight(s, exps), []).append(exps)
     dims = {w: _dense_nullity(s, block) for w, block in blocks.items()}
     return {w: d for w, d in dims.items() if d}
+
+
+def _kernel_weight_dims(s: Scenario, t: int) -> dict:
+    """Degree-t invariant dimension per weight as the exact kernel of the
+    nilradical's derivation rows, one sparse integer kernel per weight block
+    of the degree-t monomials in the variables."""
+    blocks = _weight_blocks([1] * s.nvars, variable_weights(s), s.rank, t)
+    images_per_xi = [derivation_images(xi, s) for xi in nilradical_basis(s)]
+    dims = {}
+    for wkey, monos in sorted(blocks.items()):
+        rows: dict[tuple, dict[int, int]] = {}
+        for col, factors in enumerate(monos):
+            m = sum(e * variable_key(v) for v, e in factors)
+            for xi_idx, images in enumerate(images_per_xi):
+                # the targets of one monomial are distinct (see derive_monomial)
+                for target, coeff in derive_monomial(m, factors, images):
+                    rows.setdefault((xi_idx, target), {})[col] = coeff
+        nullity = len(monos) - sparse_rank_int(list(rows.values()))
+        if nullity:
+            dims[wkey] = nullity
+    return dims
+
+
+# the generation grid and six more: gl at n=1, o n=2 (trivial U), o n=5, sp n=6, gl n=4
+CHARACTER_SCENARIOS = list(
+    dict.fromkeys(
+        generation_grid(GROUPS)
+        + [
+            Scenario("gl", 1, 2, 1),
+            Scenario("gl", 1, 3),
+            Scenario("o", 2, 3),
+            Scenario("o", 5, 2),
+            Scenario("sp", 6, 2),
+            Scenario("gl", 4, 2, 2),
+        ]
+    )
+)
+
+
+def _simple_roots(s: Scenario) -> list[tuple]:
+    r, unit = s.rank, lambda i: tuple(int(j == i) for j in range(s.rank))
+    roots = [tuple(a - b for a, b in zip(unit(i), unit(i + 1))) for i in range(r - 1)]
+    if s.case == "B":
+        roots.append(unit(r - 1))
+    elif s.case == "C":
+        roots.append(tuple(2 * a for a in unit(r - 1)))
+    elif s.case == "D" and r > 1:
+        roots.append(tuple(a + b for a, b in zip(unit(r - 2), unit(r - 1))))
+    return roots
+
+
+def _is_dominant(s: Scenario, lam) -> bool:
+    """Nonnegative against every simple root: the definition, not ``_dominant``'s rule."""
+    return all(sum(a * b for a, b in zip(lam, alpha)) >= 0 for alpha in _simple_roots(s))
+
+
+def test_character_formula_equals_the_derivation_kernel():
+    assert len(CHARACTER_SCENARIOS) == 48
+    nondominant_sums = 0
+    for s in CHARACTER_SCENARIOS:
+        shifts = _weyl_shifts(s.case, s.rank)
+        for t in range(5):
+            dims = invariant_weight_dims(s, t)
+            assert dims == _kernel_weight_dims(s, t), (s, t)
+            assert all(_is_dominant(s, lam) for lam in dims), (s, t)
+            # the alternating sum is no multiplicity off the dominant weights
+            counts = _weight_counts(s, t)
+            for lam in counts:
+                assert _dominant(s.case, lam) == _is_dominant(s, lam), (s, lam)
+                if not _dominant(s.case, lam):
+                    nondominant_sums += sum(sign * counts.get(tuple(map(sum, zip(lam, shift))), 0) for shift, sign in shifts) != 0
+    assert nondominant_sums > 0
+
+
+def test_weight_counts_count_the_monomials():
+    for s in (Scenario("gl", 3, 2, 1), Scenario("o", 5, 2), Scenario("sp", 4, 2)):
+        for t in range(4):
+            blocks = _weight_blocks([1] * s.nvars, variable_weights(s), s.rank, t)
+            assert _weight_counts(s, t) == {w: len(ms) for w, ms in blocks.items()}, (s, t)
+
+
+@pytest.mark.parametrize(
+    "s, two_rho, shifts, dominant, not_dominant",
+    [
+        # gl n=1: W = 1, every weight dominant
+        (Scenario("gl", 1, 2, 1), (0,), {((0,), 1)}, [(-2,), (0,), (3,)], []),
+        # D1, o n=2: so(2) is its torus, W = 1 and U = 1
+        (Scenario("o", 2, 3), (0,), {((0,), 1)}, [(-2,), (0,), (3,)], []),
+        # B1, o n=3: W = {1, -1}, rho = 1/2
+        (Scenario("o", 3, 2), (1,), {((0,), 1), ((1,), -1)}, [(0,), (2,)], [(-1,)]),
+        # C1, sp n=2: W = {1, -1}, rho = 1
+        (Scenario("sp", 2, 2), (2,), {((0,), 1), ((2,), -1)}, [(0,), (2,)], [(-1,)]),
+        # D2 = A1 x A1, o n=4: rho = (1, 0), lam_1 >= |lam_2|
+        (
+            Scenario("o", 4, 2),
+            (2, 0),
+            {((0, 0), 1), ((1, -1), -1), ((2, 0), 1), ((1, 1), -1)},
+            [(0, 0), (1, 1), (1, -1), (2, 0)],
+            [(0, -1), (0, 1), (1, 2), (-1, 0)],
+        ),
+    ],
+    ids=["gl1", "D1", "B1", "C1", "D2"],
+)
+def test_low_rank_weyl_data(s, two_rho, shifts, dominant, not_dominant):
+    assert _two_rho(s.case, 0) == () and _weyl_shifts(s.case, 0) == (((), 1),)  # a rank-0 torus
+    assert _two_rho(s.case, s.rank) == two_rho
+    assert set(_weyl_shifts(s.case, s.rank)) == shifts and len(_weyl_shifts(s.case, s.rank)) == len(shifts)
+    assert all(_dominant(s.case, lam) for lam in dominant)
+    assert not any(_dominant(s.case, lam) for lam in not_dominant)
+    for t in range(5):
+        assert invariant_weight_dims(s, t) == _kernel_weight_dims(s, t), t
+
+
+@pytest.mark.parametrize("case, r, order", [("A", 2, 2), ("A", 3, 6), ("A", 4, 24), ("B", 3, 48), ("C", 2, 8), ("C", 3, 48), ("D", 3, 24), ("D", 4, 192)])
+def test_weyl_groups_are_the_signed_permutations(case, r, order):
+    group = _weyl_group(case, r)
+    assert len(group) == len(set(group)) == order
+    signs = [sign for _, sign in _weyl_shifts(case, r)]
+    assert sum(signs) == 0 and signs.count(-1) == order // 2
+    # rho is regular: the shifts rho - w(rho) are distinct, and only w = 1 fixes it
+    assert len({shift for shift, _ in _weyl_shifts(case, r)}) == order
+    assert [sign for shift, sign in _weyl_shifts(case, r) if not any(shift)] == [1]
 
 
 @pytest.mark.parametrize(
@@ -134,7 +270,7 @@ def test_generation_matches_on_small_grid():
     ):
         gs = build_generators(s)
         for t in range(5):
-            assert generated_dimension(gs, t, seed=5) == invariant_weight_dims(s, t), (s, t)
+            assert generated_dimension(gs, t) == invariant_weight_dims(s, t), (s, t)
 
 
 def test_weight_blocks_partition_the_generator_monomials():
@@ -226,15 +362,22 @@ def _counting_rank_mod_p(monkeypatch) -> list:
     return calls
 
 
+def _counting_expansions(monkeypatch) -> list:
+    """The sizes of the blocks ``generated_dimension`` expands, in call order."""
+    sizes = []
+    monkeypatch.setattr(dimensions, "_expanded_rank", lambda gs, ms: sizes.append(len(ms)) or _expanded_rank(gs, ms))
+    return sizes
+
+
 def test_seed_disagreement_names_the_first_block(monkeypatch):
-    # the block (1, 0), with 5 monomials and 4 distinct leading monomials, is the only one
-    # ranked (test_generated_dimension_ranks_only_blocks_whose_leads_collide)
-    gs = build_generators(Scenario("gl", 2, 1, 2))
+    # minimality on o (4,3) ranks its blocks whose leads collide mod p; the first is the
+    # degree-3 block of weight (1, 0) (tests/test_cli.py runs the same at the command line)
+    gs = build_generators(Scenario("o", 4, 3))
     skewed = lambda mats, ps: [r + (p == PRIME_B) for r, p in zip(rank_mod_p(mats, ps), ps)]
     monkeypatch.setattr(dimensions, "rank_mod_p", skewed)
     with pytest.raises(SeedDisagreement) as exc:
-        generated_dimension(gs, 3)
-    assert "degree-3 block of weight (1, 0) (" in str(exc.value) and "'genrank:3'" in str(exc.value)
+        minimality_check(gs)
+    assert "degree-3 block of weight (1, 0) (" in str(exc.value) and "'min'" in str(exc.value)
 
 
 def test_generated_dimension_leaves_out_zero_ranks():
@@ -245,7 +388,7 @@ def test_generated_dimension_leaves_out_zero_ranks():
     assert generated_dimension(zero, 2) == {}
 
 
-def test_a_zero_generator_sends_its_blocks_to_the_evaluation_ranks(monkeypatch):
+def test_a_zero_generator_sends_its_blocks_to_the_exact_expansion(monkeypatch):
     s = Scenario("gl", 3, 2, 2)
     gs = build_generators(s)
     zeroed = GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=Polynomial.zero(s.nvars)),) + gs.gens[1:])
@@ -254,11 +397,12 @@ def test_a_zero_generator_sends_its_blocks_to_the_evaluation_ranks(monkeypatch):
     d, w = gs.gens[0].degree, gs.gens[0].weight
     block = weight_blocks(zeroed, d)[w]
     assert ((0, 1),) in block and not dimensions._distinct_leads(leads, block, s.nvars)
-    # every degree-d block of gs is settled by its leads; the zero generator's block is ranked
-    calls = _counting_rank_mod_p(monkeypatch)
+    # every degree-d block of gs is settled by its leads; the zero generator's block is expanded
+    calls, sizes = _counting_rank_mod_p(monkeypatch), _counting_expansions(monkeypatch)
     full = generated_dimension(gs, d)
+    assert sizes == []
+    assert generated_dimension(zeroed, d) == {**full, w: full[w] - 1} and sizes == [len(block)]
     assert calls == []
-    assert generated_dimension(zeroed, d) == {**full, w: full[w] - 1} and calls == [(2, len(block), 2 * len(block))]
 
 
 def test_a_leading_key_that_overflows_a_slot_raises():
@@ -304,13 +448,65 @@ def test_blocks_with_distinct_leads_have_full_evaluation_rank():
 
 def test_generated_dimension_ranks_only_blocks_whose_leads_collide(monkeypatch):
     gs = build_generators(Scenario("gl", 2, 1, 2))
-    calls = _counting_rank_mod_p(monkeypatch)
+    calls, sizes = _counting_rank_mod_p(monkeypatch), _counting_expansions(monkeypatch)
     dims = generated_dimension(gs, 3)
-    # one stacked call for the block (1, 0), both primes, at twice its 5 rows: its two
-    # monomials of one leading key span one dimension, so it has rank 4
-    assert calls == [(2, 5, 10)]
+    # one expansion, of the 5 monomials of the block (1, 0): its two monomials of one
+    # leading key span one dimension, so it has rank 4; nothing is ranked mod p
+    assert sizes == [5] and calls == []
     assert dims == {**{w: len(ms) for w, ms in weight_blocks(gs, 3).items()}, (1, 0): 4}
     assert dims == invariant_weight_dims(gs.scenario, 3)
+
+
+def test_exact_ranks_equal_the_evaluation_ranks_on_colliding_blocks():
+    # every block of criterion 3's grid (t <= 4) that its leading monomials leave
+    blocks = []
+    for gs in map(build_generators, generation_grid(GROUPS)):
+        leads = _leads(gs)
+        for t in range(5):
+            ranked = [
+                ((t, w), ms, 2 * len(ms), ())
+                for w, ms in weight_blocks(gs, t).items()
+                if not dimensions._distinct_leads(leads, ms, gs.scenario.nvars)
+            ]
+            exact = [(_expanded_rank(gs, ms),) for _, ms, _, _ in ranked]
+            assert exact == _two_seed_ranks(gs, ranked, 5, f"collide:{t}"), (gs.scenario, t)
+            blocks += ranked
+    assert len(blocks) == 134
+
+
+def test_expanded_rank_clears_denominators_row_by_row():
+    s = Scenario("gl", 2, 1, 0)
+    (g,) = build_generators(s).gens
+    halves = GeneratorSet(s, (g, dataclasses.replace(g, label="half", poly=Fraction(1, 2) * g.poly)))
+    assert _expanded_rank(halves, [((0, 1),), ((1, 1),)]) == 1
+    assert _expanded_rank(halves, [((0, 2),), ((0, 1), (1, 1)), ((1, 2),)]) == 1
+    assert generated_dimension(halves, 2) == {(0, -2): 1}
+
+
+def test_a_non_invariant_generator_fails_generation_from_above():
+    # x[1,1], weight -e_1, is no invariant: generated exceeds invariant in degree 1
+    s = Scenario("gl", 2, 1, 0)
+    gs = build_generators(s)
+    x11 = Generator("x[1,1]", Polynomial.variable(s.nvars, s.x_var(0, 0)), 1, variable_weights(s)[s.x_var(0, 0)])
+    faulty = GeneratorSet(s, gs.gens + (x11,))
+    assert x11.weight == (-1, 0)
+    assert generation_check(gs, 1, None) == (True, None)
+    passed, witness = generation_check(faulty, 1, None)
+    assert not passed and witness == {"weight": [-1, 0], "generated": 1, "invariant": 0}
+    for t in (2, 3):
+        passed, witness = generation_check(faulty, t, None)
+        assert not passed and witness["generated"] > witness["invariant"], t
+
+
+def test_criterion_3_draws_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("criterion 3 drew a number or reached the mod-p pipeline")
+
+    for name in ("rank_mod_p", "monomial_eval_matrix", "residue_points", "_two_seed_ranks"):
+        monkeypatch.setattr(dimensions, name, refuse)
+    monkeypatch.setattr(rng, "substream", refuse)
+    results = suite.criterion_3_generation(suite.SuiteConfig())
+    assert len(results) == 210 and all(r.verdict == "pass" for r in results)
 
 
 def test_generated_dimension_cap_counts_all_blocks():
@@ -356,11 +552,11 @@ def test_minimality_known_failure_even_o_n2():
 
 @pytest.mark.parametrize("p", [PRIME_A, PRIME_B])
 def test_residue_points_reproducible_and_in_range(p):
-    a = residue_points(3, "genrank:2:1", 7, 50, p)
+    a = residue_points(3, "min:2:1", 7, 50, p)
     assert a.shape == (7, 50) and a.dtype == np.int64
-    assert np.array_equal(a, residue_points(3, "genrank:2:1", 7, 50, p))
-    assert not np.array_equal(a, residue_points(3, "genrank:2:2", 7, 50, p))
-    assert not np.array_equal(a, residue_points(4, "genrank:2:1", 7, 50, p))
+    assert np.array_equal(a, residue_points(3, "min:2:1", 7, 50, p))
+    assert not np.array_equal(a, residue_points(3, "min:2:2", 7, 50, p))
+    assert not np.array_equal(a, residue_points(4, "min:2:1", 7, 50, p))
     assert a.min() >= 1 and a.max() < p
 
 
