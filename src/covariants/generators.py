@@ -21,18 +21,14 @@ JSON output is reproducible.
 
 Each generator also keeps that recipe as ``(kind, index)``.  ``recipe_table``
 is the one place that builds all five kinds (C, Q, lower, left and cross
-minors), keyed by recipe, and both its callers call it at the coordinate
-matrices (V, V*).  ``build_generators`` takes its entries as the generators;
-``check_invariance`` compares them with the generators' polys, once per call.
-No element of U then acts on a polynomial: by Cauchy-Binet an element fixes
-every recipe of one kind and order exactly when a few of its own minors take
-fixed values (``_fixes_recipes``).  Those conditions are decided once per
-(group, n), as polynomial identities on the generic element of U
-(``groups.generic_unipotent``), so they hold at every element of U; random
-samples act only on a poly that is not its recipe.
+minors), keyed by recipe; ``build_generators`` takes its entries at the
+coordinate matrices (V, V*) as the generators.
 
-``check_invariance`` returns (passed, witness), the shape of every suite
-check; the witness entry of a violation is built where it is found.
+``check_invariance`` decides invariance on the Lie side alone: every
+element of the nilradical basis must kill every generator, which is exact
+and complete in characteristic 0.  It returns (passed, witness), the shape
+of every suite check; the witness entry of a violation is built where it
+is found.
 """
 
 from __future__ import annotations
@@ -40,13 +36,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import sub
 
 from .groups import (
     derivation_images,
     form_matrix,
-    generic_unipotent,
     lie_act_on_polynomial,
     nilradical_basis,
     sample_unipotent,
@@ -245,133 +239,44 @@ def weight_table_of(gs: GeneratorSet) -> set[tuple[int, tuple[int, ...]]]:
 # -- invariance ---------------------------------------------------------------
 
 
-def _fixes_recipes(s: Scenario, u: Matrix) -> dict:
-    """Whether u fixes the recipes of each kind and order:
-    ``{(kind, order): bool}``, the order of C and Q being 2.
-
-    Each verdict is a condition on the matrix u alone; the lower and left
-    minors are read off one ``lower_minors`` table of it.  The entries may
-    be numbers (a sample) or polynomials (the generic element, where each
-    condition is a polynomial identity).  ``check_invariance`` gives the
-    argument.
-    """
-    n, m, r = s.n, s.m, s.r
-
-    def delta(minors, target, value):
-        """Every minor is ``value`` on the subset ``target`` and 0 elsewhere."""
-        return all(v == (value if cols == target else 0) for cols, v in minors.items())
-
-    top = _lower_top(s)
-    table = lower_minors(u, n if m else top)
-    out = {}
-    if m:
-        det = table[n][tuple(range(n))]
-        if not det:
-            raise ValueError("singular matrix")
-        out["C", 2] = True
-        for p in range(1, min(m, n) + 1):
-            out["leftMinor", p] = delta(table[n - p], tuple(range(p, n)), det)
-    if s.group != "gl":
-        f = form_matrix(s)
-        out["Q", 2] = u.transpose() * f * u == f
-    for p in range(1, top + 1):
-        out["lowMinor", p] = delta(table[p], tuple(range(n - p, n)), 1)
-    rows = _cross_rows(s)
-    if rows:
-        out["crossMinor", r] = delta(lower_minors(Matrix([u.rows[i] for i in rows]), r)[r], rows, 1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _generic_verdicts(group: str, n: int) -> dict:
-    """``_fixes_recipes`` on the generic element of U, for the widest
-    scenario of (group, n) (l = n, and m = n for gl), whose recipes hold
-    every kind and order of any scenario of (group, n)."""
-    return _fixes_recipes(Scenario(group, n, n, n if group == "gl" else 0), generic_unipotent(group, n))
-
-
 def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) -> tuple[bool, dict | None]:
     """Certify invariance of every generator under the unipotent subgroup.
 
-    Two certificates, both exact and complete for a recipe generator:
-    annihilation by the whole nilradical basis, and fixedness under the
-    generic element of U.  A generator whose poly equals its recipe's entry
-    of ``recipe_table`` at (V, V*), checked exactly once per call, reads its
-    verdict from ``_fixes_recipes`` on ``groups.generic_unipotent(group,
-    n)``, computed once per (group, n) (``_generic_verdicts``).  Each
-    verdict there is a polynomial identity in the indeterminates t_b of
-    u = exp(sum_b t_b b); since exp maps the nilradical onto U, it holds at
-    every element of U (see ``generic_unipotent``).
+    A generator passes when every element xi of ``nilradical_basis`` kills
+    it, and that decides it exactly.  In characteristic 0, U is connected
+    and unipotent, so every u in U is exp(xi) for some xi in the nilradical,
+    and u.f = sum_k (xi^k . f) / k!.  If each basis element kills f, so does
+    every xi in their span, and u fixes f; conversely xi.f is the derivative
+    of exp(t xi).f at t = 0.
 
-    Every other poly (an injected fault, a hand-built generator with no
-    recipe) is substituted at ``num_samples`` random samples, which are
-    drawn only when such a poly exists.  Each sample u comes as the integer
-    matrix ``c*u`` (``sample_unipotent``); for f homogeneous of degree d in
-    the V-copies, f(c u x) = c^d f(u x), so u fixes f exactly when
-    substituting ``c*u`` gives ``c^d * f``.  That identity does not hold
-    for the V*-copies, which transform by the inverse, so a sample with
-    c != 1 on a scenario with m > 0 raises ``ValueError``, as a singular
-    one does on inverting it.  Returns (passed, witness): the witness of a
-    failure lists each violation under ``lie`` or ``samples`` with its
+    Samples decide nothing: they name a group element that moves a
+    generator the Lie side flags.  Only when some generator is flagged are
+    ``num_samples`` random samples drawn, and only the flagged generators
+    are substituted.  Each sample u comes as the integer matrix ``c*u``
+    (``sample_unipotent``); for f homogeneous of degree d in the V-copies,
+    f(c u x) = c^d f(u x), so u fixes f exactly when substituting ``c*u``
+    gives ``c^d * f``.  That identity does not hold for the V*-copies, which
+    transform by the inverse, so a sample with c != 1 on a scenario with
+    m > 0 raises ``ValueError``.  Returns (passed, witness): the witness of
+    a failure lists each violation under ``lie`` or ``samples`` with its
     generator's label and its witnessing element, the basis element xi or
-    the rational sample u; if a recipe generator fails on the generic
-    element, the witness also lists the labels of all such generators, in
-    generator order, under ``generic``.  A failed polynomial identity is
-    itself exact, so no sample is drawn for them.
-
-    The recipe verdicts come from Cauchy-Binet.  For a lower minor on the
-    last p rows R and the columns C,
-
-        det((u V)[R, C]) = sum_S det(u[R, S]) det(V[S, C])
-
-    over the p-subsets S of rows.  For fixed C the Plucker coordinates
-    det(V[S, C]) are linearly independent (distinct S give disjoint monomial
-    supports; Fulton, *Young Tableaux*, section 8), so u fixes every lower
-    minor of order p exactly when det(u[R, S]) = [S == R] for every S,
-    whatever C is.  The other kinds follow the same way:
-
-      left minors   on rows R and the first p columns T of V* u^-1, a sum
-                    over S of det(V*[R, S]) det(u^-1[S, T]), so u fixes them
-                    exactly when det(u^-1[S, T]) = [S == T] for every S;
-      cross minors  the minors of u V on its r rows;
-      C[i][j]       row i of V* times u^-1 u = I times column j of V: every
-                    invertible u fixes it;
-      Q[i][j]       column i of V times u^T F u times column j, whose
-                    monomials are distinct for i < j; for i = j both sides
-                    are symmetric matrices, so their quadratic forms agree
-                    only if they do.
-
-    No inverse is formed: Jacobi's identity for complementary minors (Horn
-    and Johnson, *Matrix Analysis*, 2nd ed., section 0.8.4),
-
-        det(u^-1[S, T]) = (-1)^(sum S + sum T) det(u[T', S']) / det u,
-
-    with T' and S' the complements, turns the left-minor condition into one
-    on lower minors of u: T' is the last n - p rows, so u fixes every left
-    minor of order p exactly when the order-(n - p) lower minors of u are
-    det u on the columns T' and 0 elsewhere (the sign is +1 where S = T).
-    All of them come from one ``lower_minors`` table of u.  The conditions
-    depend on (group, n) and the kinds and orders alone, and the widest
-    scenario of (group, n) has every kind and order, so one table serves
-    every scenario.
+    the rational sample u.
     """
     s = gs.scenario
     witness = {"lie": [], "samples": []}
     basis = nilradical_basis(s)
     tables = [derivation_images(xi, s) for xi in basis]  # shared across the generators
+    flagged = []
     for g in gs.gens:
-        for idx, xi in enumerate(basis):
-            if lie_act_on_polynomial(xi, g.poly, s, tables[idx]):
-                witness["lie"].append({"label": g.label, "basis_index": idx, "matrix": xi.to_json()})
-    at_v = recipe_table(s, s.v_matrix(), s.vstar_matrix())
-    tabled = [g.recipe in at_v and at_v[g.recipe] == g.poly for g in gs.gens]
-    if any(tabled):
-        fixes = _generic_verdicts(s.group, s.n)
-        generic = [g.label for g, by_table in zip(gs.gens, tabled) if by_table and not fixes[g.recipe[0], g.degree]]
-        if generic:
-            witness["generic"] = generic
-    substituted = [g for g, by_table in zip(gs.gens, tabled) if not by_table]
-    if substituted:
+        moved = [
+            {"label": g.label, "basis_index": idx, "matrix": xi.to_json()}
+            for idx, xi in enumerate(basis)
+            if lie_act_on_polynomial(xi, g.poly, s, tables[idx])
+        ]
+        if moved:
+            witness["lie"] += moved
+            flagged.append(g)
+    if flagged:
         rng = substream(seed, f"invariance:{s.group}:{s.n}:{s.l}:{s.m}")
         for k in range(num_samples):
             c, cu = sample_unipotent(s, rng)
@@ -379,11 +284,11 @@ def check_invariance(gs: GeneratorSet, num_samples: int = 100, seed: int = 0) ->
                 raise ValueError(f"a sample with denominators (c = {c}) cannot act on V*-copies by scaling")
             images = substitution_images(cu, s)  # the entries of c*u*V and V*u^-1
             u = None  # the sample's witness entry, built at its first violation
-            for g in substituted:
+            for g in flagged:
                 if g.poly.substitute(images) != (g.poly if c == 1 else c**g.degree * g.poly):
                     u = u or (cu * Fraction(1, c)).to_json()
                     witness["samples"].append({"label": g.label, "sample_index": k, "matrix": u})
-    passed = not (witness["lie"] or witness["samples"] or "generic" in witness)
+    passed = not witness["lie"]
     return passed, None if passed else witness
 
 
@@ -446,8 +351,11 @@ def generator_monomials(gs: GeneratorSet, t: int) -> list[tuple[tuple[int, int],
 
 def monomial_poly(gs: GeneratorSet, monomial) -> Polynomial:
     """Expand a generator monomial to an element of the coordinate ring."""
-    p = Polynomial.const(gs.scenario.nvars, 1)
-    for idx, mult in monomial:
+    if not monomial:
+        return Polynomial.const(gs.scenario.nvars, 1)
+    (idx, mult), *rest = monomial
+    p = gs.gens[idx].poly ** mult
+    for idx, mult in rest:
         p = p * gs.gens[idx].poly ** mult
     return p
 

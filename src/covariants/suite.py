@@ -236,7 +236,7 @@ def sp_high_minor_name(s: Scenario, k: int) -> str:
 
 
 def invariance_check(s: Scenario, samples: int, seed: int) -> tuple[bool, dict | None]:
-    """Nilradical annihilation and unipotent-sample fixedness of every generator."""
+    """Nilradical annihilation of every generator; samples only name a mover."""
     return check_invariance(build_generators(s), samples, seed)
 
 

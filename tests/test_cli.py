@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from covariants import cli, dimensions, suite
+from covariants import cli, dimensions, generators, suite
 from covariants.cli import INTERNAL_ERROR, USAGE_ERROR, build_parser, main, parse_scenario
 from covariants.dimensions import SeedDisagreement, invariant_weight_dims
 from covariants.generators import Generator
@@ -16,7 +16,7 @@ from covariants.linalg import PRIME_B
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
 
-from conftest import below_diagonal_generic, truncated_generic
+from conftest import transposed_first
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -573,31 +573,24 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
 
-@pytest.mark.parametrize(
-    "fault, groups, failing",
-    [
-        # every check of the grid fails: each scenario has a lower or a left minor
-        (below_diagonal_generic, "gl,o,sp", None),
-        # only the even powers of xi that the cut leaves out move Q: o n=3 and n=5
-        (truncated_generic, "o", {3, 5}),
-    ],
-    ids=["below_diagonal", "truncated"],
-)
-def test_full_suite_reports_a_faulty_generic_element(capsys, generic_element, fault, groups, failing):
-    generic_element(fault)
-    code, out, err = run_cli(capsys, "full-suite", "--groups", groups, "--criteria", "1", "--seed", "1")
+def test_full_suite_reports_a_faulty_nilradical_basis(capsys, monkeypatch):
+    # with its first basis element transposed below the diagonal, the Lie
+    # side fails recipe generators under that element, and no sample moves
+    # them.  For gl that element is E[2][1], which moves only rows 1 and 2:
+    # it misses the lower minors of order < n - 1, the only generators
+    # where l <= n - 2 and m = 0.
+    monkeypatch.setattr(generators, "nilradical_basis", transposed_first)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl,o,sp", "--criteria", "1", "--samples", "2", "--seed", "1")
     assert code == 1 and "Traceback" not in err
     checks = json.loads(out)["checks"]
-    assert len(checks) == len(suite.invariance_grid(groups.split(",")))
-    for c in checks:
-        n = int(c["name"].split()[2][2:])
-        if failing is None or n in failing:
-            assert c["verdict"] == "fail", c["name"]
-            assert c["witness"]["lie"] == c["witness"]["samples"] == [] and c["witness"]["generic"], c["name"]
-        else:
-            assert (c["verdict"], c.get("witness")) == ("pass", None), c["name"]
-    if failing is not None:
-        assert {c["witness"]["generic"][0] for c in checks if c["verdict"] == "fail"} == {"Q[1][1]"}
+    assert len(checks) == len(suite.invariance_grid(("gl", "o", "sp")))
+    passed = [c["name"] for c in checks if c["verdict"] == "pass"]
+    assert passed == ["invariance gl n=3 l=1 m=0", "invariance gl n=4 l=1 m=0", "invariance gl n=4 l=2 m=0"]
+    failed = [c for c in checks if c["verdict"] == "fail"]
+    assert len(failed) == len(checks) - len(passed)
+    for c in failed:
+        assert c["witness"]["lie"] and c["witness"]["samples"] == [], c["name"]
+        assert {w["basis_index"] for w in c["witness"]["lie"]} == {0}, c["name"]
 
 
 def test_full_suite_reports_phi_vertices_off_the_cross_polytope(capsys, monkeypatch):

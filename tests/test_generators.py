@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from covariants.generators import (
     sp_high_minor_membership,
     weight_table_of,
 )
-from covariants import generators, groups, polynomial
+from covariants import generators, polynomial
 from covariants.groups import (
     form_matrix,
     sample_unipotent,
@@ -32,7 +33,15 @@ from covariants.scenario import Scenario
 from covariants.suite import ambient_grid, formula_scenarios, generation_grid, invariance_grid
 from covariants.weights import integral_phi
 
-from conftest import below_diagonal_generic, permute_variables, truncated_generic
+from conftest import (
+    below_diagonal_generic,
+    fixes_recipes,
+    generic_unipotent,
+    generic_verdicts,
+    permute_variables,
+    transposed_first,
+    truncated_generic,
+)
 
 
 def test_gl_2_2_1_generators():
@@ -261,40 +270,41 @@ def test_a_replaced_poly_keeps_the_substitution_path():
         assert not passed
         assert {w["label"] for w in witness["lie"]} == {label}
         assert [(w["label"], w["sample_index"]) for w in witness["samples"]] == [(label, k) for k in range(4)]
-        # an invariant poly that is not its recipe passes: it is substituted, not read off the table
+        # an invariant poly that is not its recipe passes: the Lie side alone decides
         assert check_invariance(replaced(2 * gs.gens[at].poly), num_samples=4, seed=1) == (True, None)
 
 
+# what a passing check never reaches: no recipe table is built, no sample
+# drawn, nothing substituted or inverted
+UNREACHED = [
+    (generators, "recipe_table"),
+    (generators, "sample_unipotent"),
+    (generators, "substitution_images"),
+    (Polynomial, "substitute"),
+    (Matrix, "inverse"),
+]
+
+
 def test_no_generator_is_substituted(monkeypatch):
-    # every recipe generator's verdict comes from minors of the generic
-    # element: nothing is substituted or inverted, and the one recipe table
-    # is the one at (V, V*)
-    calls = {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(Polynomial, "substitute", counted("substitute", Polynomial.substitute))
-    monkeypatch.setattr(generators, "substitution_images", counted("substitution_images", substitution_images))
-    monkeypatch.setattr(Matrix, "inverse", counted("inverse", Matrix.inverse))
-    for s, kinds in (
-        (Scenario("o", 5, 5), {"Q", "lowMinor"}),
-        (Scenario("o", 4, 4), {"Q", "lowMinor", "crossMinor"}),
-        (Scenario("gl", 3, 3, 3), {"C", "lowMinor", "leftMinor"}),
-    ):
-        gs = build_generators(s)
-        assert {g.recipe[0] for g in gs} == kinds
-        for num_samples in (1, 3, 10):
-            with monkeypatch.context() as m:
-                m.setattr(generators, "recipe_table", counted("recipe_table", recipe_table))
-                assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
-            assert calls["recipe_table"] == 1, (s, num_samples)
-            calls["recipe_table"] = 0
-    assert calls == {"substitute": 0, "substitution_images": 0, "inverse": 0, "recipe_table": 0}
+    # a passing check is the Lie side alone
+    systems = [
+        build_generators(s)
+        for s in (
+            Scenario("o", 5, 5),
+            Scenario("o", 4, 4),
+            Scenario("gl", 3, 3, 3),
+            Scenario("gl", 2, 0, 1),
+            Scenario("sp", 4, 3),
+        )
+    ]
+    calls = []
+    for owner, name in UNREACHED:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for gs in systems:
+        for num_samples in (0, 1, 10):
+            assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
+    assert calls == []
 
 
 def test_building_the_largest_system_unpacks_no_monomial(monkeypatch):
@@ -397,12 +407,12 @@ def oracle_systems():
 
 
 def minor_samples(gs, samples):
-    """The ``samples`` witness list that ``generators._fixes_recipes`` gives
+    """The ``samples`` witness list that the oracle ``fixes_recipes`` gives
     at each sample ``(c, c*u)``, read off the minors of u."""
     out = []
     for k, (c, cu) in enumerate(samples):
         u = cu * Fraction(1, c)
-        fixes = generators._fixes_recipes(gs.scenario, u)
+        fixes = fixes_recipes(gs.scenario, u)
         out += [{"label": g.label, "sample_index": k, "matrix": u.to_json()} for g in gs.gens if not fixes[g.recipe[0], g.degree]]
     return out
 
@@ -411,8 +421,8 @@ def minor_samples(gs, samples):
     "sampler", [sample_unipotent, below_diagonal_fault, upper_corner_fault, det_two_fault, singular_fault]
 )
 def test_integer_sample_side_matches_substitution(sampler):
-    # the minor verdicts that criterion 1 reads off the generic element of U,
-    # taken at the draws of true and faulty samplers, against substitution
+    # the oracle's minor verdicts, taken at the draws of true and faulty
+    # samplers, against substitution
     systems = oracle_systems()
     if sampler in (det_two_fault, singular_fault):
         # u^-1 acts only on the V*-copies, so only there can det u matter
@@ -439,36 +449,42 @@ def test_integer_sample_side_matches_substitution(sampler):
 
 
 def test_the_generic_verdicts_cover_every_recipe_generator():
-    # one table per (group, n) holds every (kind, degree) of the grid's
-    # recipe generators, all true; gl n=1 has an empty nilradical, u = (1)
+    # one oracle table per (group, n) holds every (kind, degree) of the
+    # grid's recipe generators, all true, as the Lie side finds them; gl n=1
+    # has an empty nilradical, u = (1)
     scenarios = invariance_grid(("gl", "o", "sp")) + [Scenario("gl", 1, 2, 1), Scenario("gl", 1, 0, 3)]
-    assert groups.generic_unipotent("gl", 1) == Matrix([[Polynomial.const(0, 1)]])
+    assert generic_unipotent("gl", 1) == Matrix([[Polynomial.const(0, 1)]])
     for s in scenarios:
-        u = groups.generic_unipotent(s.group, s.n)
+        u = generic_unipotent(s.group, s.n)
         assert all(u[i, j] == (i == j) for i in range(s.n) for j in range(i + 1))
-        fixes = generators._generic_verdicts(s.group, s.n)
+        fixes = generic_verdicts(s.group, s.n)
         assert all(fixes.values()), (s.group, s.n)
-        assert {(g.recipe[0], g.degree) for g in build_generators(s)} <= set(fixes), s
+        gs = build_generators(s)
+        assert {(g.recipe[0], g.degree) for g in gs} <= set(fixes), s
+        assert check_invariance(gs, num_samples=0) == (True, None), s
     assert len({(s.group, s.n) for s in scenarios}) == 9
 
 
 def test_recipe_generators_draw_no_sample(monkeypatch):
-    # a recipe generator is decided on the generic element, never on a draw
-    def refused(s, rng):
-        raise AssertionError("a sample was drawn")
-
-    monkeypatch.setattr(generators, "sample_unipotent", refused)
-    for s in (Scenario("gl", 3, 2, 2), Scenario("gl", 2, 0, 1), Scenario("o", 4, 4), Scenario("o", 5, 3), Scenario("sp", 4, 3)):
-        assert check_invariance(build_generators(s), num_samples=100, seed=1) == (True, None)
-    # one poly that is not its recipe: now each sample is drawn once
+    # samples are drawn only for a generator the Lie side flags, and then
+    # num_samples of them per check
     drawn = []
     monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: drawn.append(s) or sample_unipotent(s, rng))
     s = Scenario("o", 5, 3)
     gs = build_generators(s)
-    gs = GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly),) + gs.gens[1:])
+
+    def with_first(poly):
+        return GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=poly),) + gs.gens[1:])
+
+    # an invariant poly that is not its recipe draws none either
+    for system in (gs, with_first(2 * gs.gens[0].poly)):
+        assert check_invariance(system, num_samples=7, seed=1) == (True, None)
+    assert drawn == []
+    flagged = with_first(s.x_poly(0, 0) ** 2)
     for num_samples in (0, 1, 7):
         drawn.clear()
-        assert check_invariance(gs, num_samples=num_samples, seed=1) == (True, None)
+        passed, witness = check_invariance(flagged, num_samples=num_samples, seed=1)
+        assert not passed and {w["label"] for w in witness["lie"]} == {"Q[1][1]"}
         assert drawn == [s] * num_samples
 
 
@@ -495,19 +511,34 @@ FAULTY_GENERIC_CASES = {
 
 
 @pytest.mark.parametrize("fault", list(FAULTY_GENERIC_CASES), ids=["below_diagonal", "truncated"])
-def test_a_faulty_generic_element_fails_with_a_generic_witness(generic_element, fault):
-    generic_element(fault)
+def test_a_faulty_generic_element_fails_the_oracle(fault):
+    # the oracle sees the fault in the kinds it moves; the Lie side, which
+    # uses no group element, still passes
     for s, failing in FAULTY_GENERIC_CASES[fault]:
         gs = build_generators(s)
-        passed, witness = check_invariance(gs, num_samples=5, seed=1)
-        if not failing:
-            assert (passed, witness) == (True, None), s
-            continue
+        fixes = generic_verdicts(s.group, s.n, fault)
+        assert {g.recipe[0] for g in gs if not fixes[g.recipe[0], g.degree]} == failing, s
+        assert check_invariance(gs, num_samples=5, seed=1) == (True, None), s
+
+
+def test_a_below_diagonal_basis_element_fails_recipe_generators(monkeypatch):
+    # the Lie side is the one that decides: with its first basis element
+    # transposed, recipe generators fail under that element alone, and no
+    # sample moves them, since they are invariant
+    monkeypatch.setattr(generators, "nilradical_basis", transposed_first)
+    for s, failing in (
+        # E[2][1] moves x[2,j] and a[i,1]; C and the determinant are gl-invariant
+        (Scenario("gl", 2, 2, 1), ["lowMinor[1;1]", "lowMinor[1;2]", "leftMinor[1;1]"]),
+        # the transpose is still in o(3), so Q holds; it moves rows 2 and 3
+        (Scenario("o", 3, 2), ["lowMinor[1;1]", "lowMinor[1;2]", "lowMinor[2;1,2]"]),
+        (Scenario("sp", 2, 1), ["lowMinor[1;1]"]),
+    ):
+        gs = build_generators(s)
+        passed, witness = check_invariance(gs, num_samples=3, seed=1)
         assert not passed
-        # the Lie side passes and no sample is drawn; the labels come in generator order
-        assert witness["lie"] == witness["samples"] == []
-        assert witness["generic"] == [g.label for g in gs if g.label in witness["generic"]]
-        assert {lbl.split("[")[0] for lbl in witness["generic"]} == failing, s
+        assert [w["label"] for w in witness["lie"]] == failing, s
+        assert {w["basis_index"] for w in witness["lie"]} == {0}
+        assert witness["samples"] == []
 
 
 def test_sample_witness_is_the_rational_unipotent_element():
@@ -530,8 +561,9 @@ def test_a_sample_with_denominators_cannot_act_on_dual_copies(monkeypatch):
 
     monkeypatch.setattr(generators, "sample_unipotent", lambda s, rng: (2, 2 * Matrix.identity(s.n)))
     gs = build_generators(Scenario("gl", 2, 1, 1))
-    # samples act only on a poly that is not its recipe: make C[1][1] one
-    gs = GeneratorSet(gs.scenario, (dataclasses.replace(gs.gens[0], poly=2 * gs.gens[0].poly),) + gs.gens[1:])
+    # samples act only on a poly that the Lie side flags: make C[1][1] one
+    s = gs.scenario
+    gs = GeneratorSet(s, (dataclasses.replace(gs.gens[0], poly=s.x_poly(0, 0) * s.a_poly(0, 0)),) + gs.gens[1:])
     with pytest.raises(ValueError, match="V\\*-copies"):
         check_invariance(gs, num_samples=1)
     result = _timed("invariance", lambda: check_invariance(gs, num_samples=1))
@@ -563,6 +595,22 @@ def test_generator_monomials_counts():
     for mono in generator_monomials(gs, 3):
         p = monomial_poly(gs, mono)
         assert p.is_homogeneous(3)
+
+
+def test_monomial_poly_multiplies_by_no_constant_one(monkeypatch):
+    # each expansion starts from its first factor's power: the same
+    # products as from the constant 1, with one multiplication fewer
+    gs = build_generators(Scenario("gl", 2, 2, 2))
+    one = Polynomial.const(gs.scenario.nvars, 1)
+    monomials = [mu for t in range(5) for mu in generator_monomials(gs, t)]
+    expected = [functools.reduce(operator.mul, (gs.gens[i].poly ** k for i, k in mu), one) for mu in monomials]
+    products = []
+    real = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append((a, b)) or real(a, b))
+    assert [monomial_poly(gs, mu) for mu in monomials] == expected
+    assert monomial_poly(gs, ()) == one
+    assert len(products) == sum(len(mu) - 1 for mu in monomials if mu)
+    assert all(one not in pair for pair in products)
 
 
 def test_sp_high_minor_membership_small():
