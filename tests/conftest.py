@@ -155,6 +155,19 @@ def transposed_first(s):
     return [basis[0].transpose()] + basis[1:] if basis else basis
 
 
+def truncated_basis(s):
+    """``nilradical_basis`` with each element cut to its first nonzero entry
+    in row order: still strictly upper triangular, and off the Lie algebra
+    of o/sp where the element had a second entry."""
+    out = []
+    for b in groups.nilradical_basis(s):
+        flat = [v for row in b.rows for v in row]
+        first = next((k for k, v in enumerate(flat) if v), len(flat))
+        flat = [v if k == first else 0 for k, v in enumerate(flat)]
+        out.append(Matrix([flat[i * s.n : (i + 1) * s.n] for i in range(s.n)]))
+    return out
+
+
 def below_diagonal_generic(group, n):
     """The generic element with its first row added to its last: det 1, and
     not triangular."""

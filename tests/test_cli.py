@@ -12,11 +12,12 @@ from covariants import cli, dimensions, generators, suite
 from covariants.cli import INTERNAL_ERROR, USAGE_ERROR, build_parser, main, parse_scenario
 from covariants.dimensions import SeedDisagreement, invariant_weight_dims
 from covariants.generators import Generator
+from covariants.groups import nilradical_basis
 from covariants.linalg import PRIME_B
 from covariants.polynomial import Polynomial
 from covariants.scenario import Scenario
 
-from conftest import transposed_first
+from conftest import transposed_first, truncated_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -573,24 +574,52 @@ def test_full_suite_reports_injected_faults(capsys, monkeypatch, fault, num, wit
     assert "criterion  6 (degree linearity): PASS (3/3 checks)" in err
 
 
-def test_full_suite_reports_a_faulty_nilradical_basis(capsys, monkeypatch):
-    # with its first basis element transposed below the diagonal, the Lie
-    # side fails recipe generators under that element, and no sample moves
-    # them.  For gl that element is E[2][1], which moves only rows 1 and 2:
-    # it misses the lower minors of order < n - 1, the only generators
-    # where l <= n - 2 and m = 0.
-    monkeypatch.setattr(generators, "nilradical_basis", transposed_first)
-    code, out, err = run_cli(capsys, "full-suite", "--groups", "gl,o,sp", "--criteria", "1", "--samples", "2", "--seed", "1")
+@pytest.mark.parametrize(
+    "fault, groups, passing",
+    [
+        # the first basis element transposed below the diagonal.  For gl it
+        # is E[2][1], which moves only rows 1 and 2: it misses the lower
+        # minors of order < n - 1, the only generators where l <= n - 2 and
+        # m = 0.  For o and sp it moves some generator of every system.
+        (
+            transposed_first,
+            "gl,o,sp",
+            ["invariance gl n=3 l=1 m=0", "invariance gl n=4 l=1 m=0", "invariance gl n=4 l=2 m=0"],
+        ),
+        # every element cut to its first entry: the gl basis has one entry
+        # per element, so only o and sp change, and the cut elements no
+        # longer preserve the form, so they move Q.  sp n=2 and sp with
+        # l = 1 have no Q generator.
+        (
+            truncated_basis,
+            "gl,o,sp",
+            [f"invariance gl n={s.n} l={s.l} m={s.m}" for s in suite.invariance_grid(("gl",))]
+            + [f"invariance sp n=2 l={l} m=0" for l in range(1, 5)]
+            + ["invariance sp n=4 l=1 m=0"],
+        ),
+    ],
+    ids=["below_diagonal", "truncated"],
+)
+def test_full_suite_reports_a_faulty_generic_element(capsys, monkeypatch, fault, groups, passing):
+    # the Lie side checks the generic element sum_b t_b b of the nilradical,
+    # one basis element b at a time; a fault in that element makes recipe
+    # generators fail with `lie` witnesses that name only the faulted basis
+    # elements, and no sample moves them, since they are invariant
+    monkeypatch.setattr(generators, "nilradical_basis", fault)
+    code, out, err = run_cli(capsys, "full-suite", "--groups", groups, "--criteria", "1", "--samples", "2", "--seed", "1")
     assert code == 1 and "Traceback" not in err
     checks = json.loads(out)["checks"]
-    assert len(checks) == len(suite.invariance_grid(("gl", "o", "sp")))
-    passed = [c["name"] for c in checks if c["verdict"] == "pass"]
-    assert passed == ["invariance gl n=3 l=1 m=0", "invariance gl n=4 l=1 m=0", "invariance gl n=4 l=2 m=0"]
+    assert len(checks) == len(suite.invariance_grid(groups.split(",")))
+    assert [c["name"] for c in checks if c["verdict"] == "pass"] == passing
     failed = [c for c in checks if c["verdict"] == "fail"]
-    assert len(failed) == len(checks) - len(passed)
+    assert len(failed) == len(checks) - len(passing)
     for c in failed:
+        _, group, *fields = c["name"].split()
+        n, l, m = (int(f.split("=")[1]) for f in fields)
+        s = Scenario(group, n, l, m)
+        faulted = {k for k, (a, b) in enumerate(zip(fault(s), nilradical_basis(s))) if a != b}
         assert c["witness"]["lie"] and c["witness"]["samples"] == [], c["name"]
-        assert {w["basis_index"] for w in c["witness"]["lie"]} == {0}, c["name"]
+        assert {w["basis_index"] for w in c["witness"]["lie"]} <= faulted, c["name"]
 
 
 def test_full_suite_reports_phi_vertices_off_the_cross_polytope(capsys, monkeypatch):
